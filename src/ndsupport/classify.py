@@ -11,9 +11,11 @@ test, reduced to an exact linear program:
 * vertex test on the upper image.
 
 ``classify_all`` combines them into one labelled report and refuses to
-return anything if the tests disagree where they provably must agree;
-``cross_check`` reports those agreements point by point without
-raising.
+return anything if the tests disagree where they provably must agree.
+Each non-dominated record keeps the cross-check row computed while
+labelling it, so a caller that needs both the labels and the verdicts
+solves every program once; ``cross_check`` computes the same rows
+without labelling and without raising.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -41,8 +43,9 @@ from .ratlp import (
     LESS_EQUAL,
     LinearConstraint,
     LinearProgram,
+    MAXIMIZE,
+    MINIMIZE,
     OPTIMAL,
-    lp_feasible,
     lp_solve,
     rational,
 )
@@ -104,6 +107,7 @@ class Classification:
 
     The frontier/boundary flags are computed by the geometry tests and
     are meaningful for non-dominated points; dominated rows carry False.
+    ``check`` is the point's cross-check row, None for dominated rows.
     """
 
     point_id: str
@@ -112,6 +116,7 @@ class Classification:
     strict_witness: Optional[WeightVector]
     frontier: bool
     boundary: bool
+    check: Optional[PointCheck] = None
 
     def __post_init__(self):
         label = self.label
@@ -221,6 +226,28 @@ def supported_witness(y: OutcomePoint, yn: OutcomeSet) -> Optional[WeightVector]
     return lam if t > 0 else None
 
 
+def _below_program(
+    y: OutcomePoint, pts, sense: str, costs, margin: bool = False
+) -> LinearProgram:
+    """Convex weights mu over pts whose combination sits at or below y
+    in every coordinate, optimizing costs . mu.  With a margin, one more
+    column eps (objective coefficient 1) is subtracted from y in every
+    coordinate as well."""
+    pad = (_ONE,) if margin else ()
+    cons = [LinearConstraint((_ONE,) * len(pts) + (_ZERO,) * len(pad), EQUAL, _ONE)]
+    for k, bound in enumerate(y.coords):
+        coeffs = tuple(pt.coords[k] for pt in pts) + pad
+        cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
+    return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
+
+
+def _optimal_value(program: LinearProgram, name: str) -> Fraction:
+    outcome = lp_solve(program)
+    if outcome.status != OPTIMAL:
+        raise ConsistencyError(f"{name} program is always feasible and bounded")
+    return outcome.value
+
+
 def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     """Is y on the non-dominated frontier of conv(yn)?
 
@@ -229,20 +256,9 @@ def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     when no convex combination other than y itself sits weakly below y.
     """
     _require_member(y, yn)
-    pts = yn.points
-    n = len(pts)
-    objective = tuple(sum(pt.coords) for pt in pts)
-    cons = [LinearConstraint((_ONE,) * n, EQUAL, _ONE)]
-    for k in range(yn.p):
-        cons.append(
-            LinearConstraint(
-                tuple(pt.coords[k] for pt in pts), LESS_EQUAL, y.coords[k]
-            )
-        )
-    outcome = lp_solve(LinearProgram("min", objective, tuple(cons)))
-    if outcome.status != OPTIMAL:
-        raise ConsistencyError("frontier program is always feasible and bounded")
-    return outcome.value == sum(y.coords)
+    costs = (sum(pt.coords) for pt in yn)
+    program = _below_program(y, yn.points, MINIMIZE, costs)
+    return _optimal_value(program, "frontier") == sum(y.coords)
 
 
 def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -254,17 +270,8 @@ def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
     optimum of exactly zero puts y on the boundary.
     """
     _require_member(y, yn)
-    pts = yn.points
-    n = len(pts)
-    cons = [LinearConstraint((_ONE,) * n + (_ZERO,), EQUAL, _ONE)]
-    for k in range(yn.p):
-        coeffs = tuple(pt.coords[k] for pt in pts) + (_ONE,)
-        cons.append(LinearConstraint(coeffs, LESS_EQUAL, y.coords[k]))
-    objective = (_ZERO,) * n + (_ONE,)
-    outcome = lp_solve(LinearProgram("max", objective, tuple(cons)))
-    if outcome.status != OPTIMAL:
-        raise ConsistencyError("boundary program is always feasible and bounded")
-    return outcome.value == 0
+    program = _below_program(y, yn.points, MAXIMIZE, (_ZERO,) * len(yn), margin=True)
+    return _optimal_value(program, "boundary") == 0
 
 
 def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -278,15 +285,8 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
     others = [pt for pt in yn if pt.id != y.id]
     if not others:
         return True
-    cons = [LinearConstraint((_ONE,) * len(others), EQUAL, _ONE)]
-    for k in range(yn.p):
-        cons.append(
-            LinearConstraint(
-                tuple(pt.coords[k] for pt in others), LESS_EQUAL, y.coords[k]
-            )
-        )
-    feasible, _ = lp_feasible(cons, len(others))
-    return not feasible
+    program = _below_program(y, others, MINIMIZE, (_ZERO,) * len(others))
+    return lp_solve(program).status != OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,9 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
     point runs the decision cascade extreme-supported > supported >
     weakly-supported-only > unsupported.  The independently computed
     frontier/boundary flags must agree with the witness tests; any
-    disagreement raises ConsistencyError with a diagnostic dump.
+    disagreement raises ConsistencyError with a diagnostic dump.  Each
+    non-dominated record carries its cross-check row, in the order
+    ``cross_check`` reports them.
     """
     filtered = filter_nondominated(outcome_set)
     yn = filtered.nondominated
@@ -403,6 +405,7 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
             strict_witness=strict,
             frontier=check.on_frontier,
             boundary=check.on_boundary,
+            check=check,
         )
     report = []
     for pt in outcome_set:

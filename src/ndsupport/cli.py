@@ -13,10 +13,10 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .classify import (
+    Classification,
     CrossCheckReport,
     Label,
     classify_all,
@@ -49,66 +49,40 @@ LABEL_ORDER = (
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    point_id: str
-    coords: tuple[Fraction, ...]
-    multiplicity: int
-    label: str
-    frontier: bool
-    boundary: bool
-    weak_witness: Optional[tuple[Fraction, ...]]
-    strict_witness: Optional[tuple[Fraction, ...]]
-
-
-@dataclass(frozen=True)
 class Report:
-    """Classification report: digest, per-point rows, cross-check
-    verdicts and timing.  Digest counts always equal the row tallies."""
+    """Classification report: digest, per-point records, the cross-check
+    verdicts computed while labelling, and timing.  Digest counts always
+    equal the record tallies."""
 
-    objectives: int
-    point_count: int
+    outcomes: OutcomeSet
     label_counts: Mapping[str, int]
-    rows: tuple[ReportRow, ...]
+    classifications: tuple[Classification, ...]
     checks: CrossCheckReport
     elapsed_seconds: float
 
     def __post_init__(self):
         tally: dict[str, int] = {}
-        for row in self.rows:
-            tally[row.label] = tally.get(row.label, 0) + 1
+        for c in self.classifications:
+            tally[c.label.value] = tally.get(c.label.value, 0) + 1
         if tally != dict(self.label_counts):
             raise ConsistencyError("report digest disagrees with its rows")
 
 
 def build_report(outcome_set: OutcomeSet) -> Report:
     start = time.perf_counter()
-    classifications = classify_all(outcome_set)
-    checks = cross_check(outcome_set)
+    classifications = tuple(classify_all(outcome_set))
     elapsed = time.perf_counter() - start
-    rows = []
+    checks = CrossCheckReport(
+        p=outcome_set.p,
+        checks=tuple(c.check for c in classifications if c.check is not None),
+    )
     counts: dict[str, int] = {}
     for c in classifications:
-        pt = outcome_set.get(c.point_id)
         counts[c.label.value] = counts.get(c.label.value, 0) + 1
-        rows.append(
-            ReportRow(
-                point_id=c.point_id,
-                coords=pt.coords,
-                multiplicity=outcome_set.multiplicity[c.point_id],
-                label=c.label.value,
-                frontier=c.frontier,
-                boundary=c.boundary,
-                weak_witness=None if c.weak_witness is None else c.weak_witness.values,
-                strict_witness=None
-                if c.strict_witness is None
-                else c.strict_witness.values,
-            )
-        )
     return Report(
-        objectives=outcome_set.p,
-        point_count=len(outcome_set),
+        outcomes=outcome_set,
         label_counts=counts,
-        rows=tuple(rows),
+        classifications=classifications,
         checks=checks,
         elapsed_seconds=elapsed,
     )
@@ -121,8 +95,8 @@ def _vector_json(vec):
 def report_to_json(report: Report) -> dict:
     return {
         "digest": {
-            "objectives": report.objectives,
-            "points": report.point_count,
+            "objectives": report.outcomes.p,
+            "points": len(report.outcomes),
             "counts": {
                 label.value: report.label_counts.get(label.value, 0)
                 for label in LABEL_ORDER
@@ -130,16 +104,16 @@ def report_to_json(report: Report) -> dict:
         },
         "points": [
             {
-                "id": row.point_id,
-                "coords": _vector_json(row.coords),
-                "multiplicity": row.multiplicity,
-                "label": row.label,
-                "frontier": row.frontier,
-                "boundary": row.boundary,
-                "weak_witness": _vector_json(row.weak_witness),
-                "strict_witness": _vector_json(row.strict_witness),
+                "id": c.point_id,
+                "coords": _vector_json(report.outcomes.get(c.point_id).coords),
+                "multiplicity": report.outcomes.multiplicity[c.point_id],
+                "label": c.label.value,
+                "frontier": c.frontier,
+                "boundary": c.boundary,
+                "weak_witness": _vector_json(c.weak_witness),
+                "strict_witness": _vector_json(c.strict_witness),
             }
-            for row in report.rows
+            for c in report.classifications
         ],
         "cross_check": cross_check_to_json(report.checks),
         "elapsed_seconds": round(report.elapsed_seconds, 6),
@@ -175,7 +149,7 @@ def _witness_str(vec) -> str:
 
 def report_to_table(report: Report) -> str:
     lines = [
-        f"instance: {report.objectives} objectives, {report.point_count} points"
+        f"instance: {report.outcomes.p} objectives, {len(report.outcomes)} points"
     ]
     digest = ", ".join(
         f"{label.value}={report.label_counts.get(label.value, 0)}"
@@ -185,16 +159,16 @@ def report_to_table(report: Report) -> str:
     lines.append(f"counts: {digest}")
     header = ("id", "coords", "label", "frontier", "boundary", "weak", "strict")
     table = [header]
-    for row in report.rows:
+    for c in report.classifications:
         table.append(
             (
-                row.point_id,
-                _coords_str(row.coords),
-                row.label,
-                "yes" if row.frontier else "no",
-                "yes" if row.boundary else "no",
-                _witness_str(row.weak_witness),
-                _witness_str(row.strict_witness),
+                c.point_id,
+                _coords_str(report.outcomes.get(c.point_id).coords),
+                c.label.value,
+                "yes" if c.frontier else "no",
+                "yes" if c.boundary else "no",
+                _witness_str(c.weak_witness),
+                _witness_str(c.strict_witness),
             )
         )
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
@@ -289,8 +263,7 @@ def _cmd_classify(args) -> int:
         _write_text(None, report_to_table(report))
     if args.svg:
         if outcomes.p == 2:
-            classifications = classify_all(outcomes)
-            _write_text(args.svg, svg_objective_space(outcomes, classifications))
+            _write_text(args.svg, svg_objective_space(outcomes, report.classifications))
         else:
             print(
                 f"note: objective-space figure needs 2 objectives, instance has "

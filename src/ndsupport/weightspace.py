@@ -22,15 +22,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import WeightVector
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
 from .ratlp import (
     EQUAL,
     GREATER_EQUAL,
     LinearConstraint,
     LinearProgram,
+    MAXIMIZE,
     OPTIMAL,
-    lp_feasible,
+    UNBOUNDED,
     lp_solve,
 )
 
@@ -73,16 +74,20 @@ def _cell_hrep(y: OutcomePoint, yn: OutcomeSet) -> tuple[LinearConstraint, ...]:
     return tuple(cons)
 
 
-def _is_full_dimensional(hrep, p: int) -> bool:
-    """Can every inequality be satisfied strictly at once (relative to
-    the simplex)?  Decided by maximizing a common slack t."""
+def _slack_program(hrep, p: int) -> LinearProgram:
+    """maximize t  s.t.  every inequality of hrep holds with slack t.
+
+    With t >= 0 this is feasible exactly when hrep is (t = 0 recovers
+    hrep), and bounded because lambda_i - t >= 0 with sum(lambda) = 1
+    forces t <= 1/p.  So one solve decides emptiness (its status) and
+    full dimension relative to the simplex (optimal t > 0).
+    """
     cons = []
     for con in hrep:
         coeffs = con.coeffs + (_ZERO,) if con.relation == EQUAL else con.coeffs + (-_ONE,)
         cons.append(LinearConstraint(coeffs, con.relation, con.rhs))
     objective = (_ZERO,) * p + (_ONE,)
-    outcome = lp_solve(LinearProgram("max", objective, tuple(cons)))
-    return outcome.status == OPTIMAL and outcome.value > 0
+    return LinearProgram(MAXIMIZE, objective, tuple(cons))
 
 
 def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
@@ -152,16 +157,19 @@ def _projected_vertices(hrep, p: int) -> tuple[Point2, ...]:
 def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     """The cell of weights under which y is weighted-sum minimal.
 
-    Emptiness is decided by an exact feasibility program; the cell is
-    empty exactly when y is unsupported.  Redundant half-spaces are
-    retained.
+    Emptiness and full dimension are decided by one exact slack
+    program; the cell is empty exactly when y is unsupported.
+    Redundant half-spaces are retained.
     """
     if y not in yn:
         raise ValidationError(
             f"point {y.id!r} with coords {y.coords} is not in the given set"
         )
     hrep = _cell_hrep(y, yn)
-    nonempty, _ = lp_feasible(hrep, yn.p)
+    outcome = lp_solve(_slack_program(hrep, yn.p))
+    if outcome.status == UNBOUNDED:
+        raise ConsistencyError("cell slack program is always bounded")
+    nonempty = outcome.status == OPTIMAL
     vertices = None
     if yn.p == 3:
         vertices = _projected_vertices(hrep, 3) if nonempty else ()
@@ -169,7 +177,7 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
         point_id=y.id,
         hrep=hrep,
         projected_vertices=vertices,
-        is_full_dimensional=_is_full_dimensional(hrep, yn.p) if nonempty else False,
+        is_full_dimensional=nonempty and outcome.value > 0,
         is_empty=not nonempty,
     )
 
@@ -207,11 +215,11 @@ def cell_membership(
     scores = {pt.id: lam.dot(pt.coords) for pt in outcome_set}
     best = min(scores.values())
     ties = tuple(pt.id for pt in outcome_set if scores[pt.id] == best)
-    yn = filter_nondominated(outcome_set).nondominated
-    winners = sorted(
-        (pt.coords, pt.id) for pt in yn if scores[pt.id] == best
-    )
-    return winners[0][1], ties
+    # No Pareto filter needed: a point dominating the lexicographically
+    # smallest minimizer would, as lam >= 0, also minimize and be
+    # lexicographically smaller.
+    winner = min((pt.coords, pt.id) for pt in outcome_set if scores[pt.id] == best)
+    return winner[1], ties
 
 
 def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:

@@ -18,6 +18,7 @@ from ndsupport.classify import (
     supported_witness,
     weakly_supported_witness,
 )
+from ndsupport.cli import build_report
 from ndsupport.errors import ValidationError
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
 
@@ -203,6 +204,8 @@ class TestClassifyAll:
             assert extreme == {
                 c.point_id for c in report if c.strict_witness is not None
             } - {c.point_id for c in report if c.label == Label.SUPPORTED}
+            # The report's cross-check is the rows classify_all kept.
+            assert build_report(s).checks == cross_check(s)
 
     def test_witness_soundness_random(self):
         rng = random.Random(29)

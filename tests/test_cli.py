@@ -100,6 +100,50 @@ class TestClassify:
         assert "no SVG written" in capsys.readouterr().err
 
 
+def count_classify_solves(monkeypatch) -> list:
+    """Record every LP the classify module solves, through whichever
+    ratlp entry points it binds."""
+    calls = []
+    for name in ("lp_solve", "lp_feasible"):
+        solve = getattr(ndsupport.classify, name, None)
+        if solve is None:
+            continue
+
+        def counted(*args, _solve=solve, _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(ndsupport.classify, name, counted)
+    return calls
+
+
+class TestSolveCount:
+    """Each per-point program is solved once per classify run: witness,
+    boundary and frontier for every non-dominated point, plus the
+    vertex test for supported ones."""
+
+    def test_at_most_four_solves_per_nondominated_point(
+        self, counterexample_file, fig2d_file, monkeypatch, capsys
+    ):
+        for path in (counterexample_file, fig2d_file):
+            calls = count_classify_solves(monkeypatch)
+            assert main(["classify", path, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            nondominated = sum(row["label"] != "dominated" for row in doc["points"])
+            assert 0 < len(calls) <= 4 * nondominated
+            monkeypatch.undo()
+
+    def test_svg_adds_no_solves(self, fig2d_file, tmp_path, monkeypatch, capsys):
+        calls = count_classify_solves(monkeypatch)
+        assert main(["classify", fig2d_file, "--format", "json"]) == 0
+        without_svg = len(calls)
+        calls.clear()
+        svg = tmp_path / "fig.svg"
+        assert main(["classify", fig2d_file, "--format", "json", "--svg", str(svg)]) == 0
+        assert svg.exists()
+        assert len(calls) == without_svg
+
+
 class TestCheck:
     def test_paper_instance_passes(self, counterexample_file, capsys):
         assert main(["check", counterexample_file]) == 0

@@ -4,11 +4,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_rows
+from conftest import COUNTEREXAMPLE_ROWS, random_rows
 from ndsupport.classify import Label, WeightVector, classify_all
 from ndsupport.errors import ValidationError
+from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
-from ndsupport.ratlp import EQUAL, GREATER_EQUAL
+from ndsupport.ratlp import (
+    EQUAL,
+    GREATER_EQUAL,
+    OPTIMAL,
+    LinearConstraint,
+    LinearProgram,
+    lp_feasible,
+    lp_solve,
+)
 from ndsupport.weightspace import (
     cell_interval,
     cell_membership,
@@ -142,6 +151,48 @@ class TestVertexSoundness:
             for cell in decompose(s):
                 expected = labels[cell.point_id] == Label.EXTREME_SUPPORTED
                 assert cell.is_full_dimensional == expected
+
+
+def two_program_cell_flags(hrep, p):
+    """Reference (is_empty, is_full_dimensional) from two programs: a
+    feasibility program on hrep, then, for nonempty cells, the
+    maximum slack t common to every inequality."""
+    nonempty, _ = lp_feasible(hrep, p)
+    if not nonempty:
+        return True, False
+    slack = [
+        LinearConstraint(
+            con.coeffs + ((F(0),) if con.relation == EQUAL else (F(-1),)),
+            con.relation,
+            con.rhs,
+        )
+        for con in hrep
+    ]
+    outcome = lp_solve(LinearProgram("max", (F(0),) * p + (F(1),), tuple(slack)))
+    return False, outcome.status == OPTIMAL and outcome.value > 0
+
+
+class TestSlackProgramDifferential:
+    def test_one_program_matches_two_programs(self):
+        rng = random.Random(71)
+        # The lift of a bi-objective set turns its unsupported points
+        # into weakly-supported-only ones; small coordinate ranges make
+        # ties, and with them degenerate cells.
+        sets = [validate_instance(COUNTEREXAMPLE_ROWS)]
+        for _ in range(6):
+            sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 2, 0, 15)))
+            sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
+            sets.append(lift_zero_objective(sets[-2]))
+        labels = set()
+        for s in sets:
+            labels.update(c.label for c in classify_all(s))
+            yn = nondom(s)
+            for y in yn:
+                cell = weight_cell(y, yn)
+                assert (cell.is_empty, cell.is_full_dimensional) == two_program_cell_flags(
+                    cell.hrep, yn.p
+                )
+        assert {Label.WEAKLY_SUPPORTED_ONLY, Label.UNSUPPORTED} <= labels
 
 
 class TestCellMembership:
