@@ -54,7 +54,6 @@ from .ratlp import (
     LinearConstraint,
     LinearProgram,
     LpOutcome,
-    lp_feasible,
     lp_solve,
     rational,
 )

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .classify import (
@@ -50,42 +52,30 @@ LABEL_ORDER = (
 
 @dataclass(frozen=True)
 class Report:
-    """Classification report: digest, per-point records, the cross-check
-    verdicts computed while labelling, and timing.  Digest counts always
-    equal the record tallies."""
+    """Classification report: per-point records and timing.  The digest
+    counts and the cross-check verdicts computed while labelling are both
+    read off the records, so they always agree with them."""
 
     outcomes: OutcomeSet
-    label_counts: Mapping[str, int]
     classifications: tuple[Classification, ...]
-    checks: CrossCheckReport
     elapsed_seconds: float
 
-    def __post_init__(self):
-        tally: dict[str, int] = {}
-        for c in self.classifications:
-            tally[c.label.value] = tally.get(c.label.value, 0) + 1
-        if tally != dict(self.label_counts):
-            raise ConsistencyError("report digest disagrees with its rows")
+    @cached_property
+    def label_counts(self) -> Mapping[str, int]:
+        return Counter(c.label.value for c in self.classifications)
+
+    @cached_property
+    def checks(self) -> CrossCheckReport:
+        return CrossCheckReport(
+            p=self.outcomes.p,
+            checks=tuple(c.check for c in self.classifications if c.check is not None),
+        )
 
 
 def build_report(outcome_set: OutcomeSet) -> Report:
     start = time.perf_counter()
     classifications = tuple(classify_all(outcome_set))
-    elapsed = time.perf_counter() - start
-    checks = CrossCheckReport(
-        p=outcome_set.p,
-        checks=tuple(c.check for c in classifications if c.check is not None),
-    )
-    counts: dict[str, int] = {}
-    for c in classifications:
-        counts[c.label.value] = counts.get(c.label.value, 0) + 1
-    return Report(
-        outcomes=outcome_set,
-        label_counts=counts,
-        classifications=classifications,
-        checks=checks,
-        elapsed_seconds=elapsed,
-    )
+    return Report(outcome_set, classifications, time.perf_counter() - start)
 
 
 def _vector_json(vec):

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .classify import WeightVector
-from .errors import ConsistencyError, ValidationError
+from .classify import WeightVector, _check_weight_certificate
+from .errors import ValidationError
 from .outcomes import OutcomePoint, OutcomeSet
 
 _HALF = Fraction(1, 2)
@@ -110,12 +110,7 @@ def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
             + [_average(normals[-1], WeightVector((0, 1)))]
         )
     for pt, lam in zip(extremes, witnesses):
-        score = lam.dot(pt.coords)
-        for other in outcome_set:
-            if lam.dot(other.coords) < score:
-                raise ConsistencyError(
-                    f"witness {tuple(lam)} fails to certify extreme {pt.id}"
-                )
+        _check_weight_certificate(lam, pt, outcome_set)
     return DichotomicResult(
         extremes=tuple(extremes),
         witness_weights=tuple(witnesses),

@@ -6,9 +6,11 @@ into the original constraints before it is returned.  Bland's pivot
 rule makes the solver deterministic and guarantees termination on the
 degenerate systems that weight-space boundaries produce routinely.
 
-Free variables (lower bound ``None``) are split into a difference of
-two nonnegative variables inside the kernel; nonzero lower bounds are
-shifted out.  The solver is pure: identical programs yield identical
+Programs come in one form: minimize or maximize over x >= 0, subject
+to ``<=``, ``=`` and ``>=`` rows.  Every program this package builds is
+over nonnegative unknowns (simplex weights, max-min margins, convex
+multipliers), so the variables are the tableau's structural columns as
+they stand.  The solver is pure: identical programs yield identical
 outcomes, and concurrent invocations share no state.
 
 Not built for speed beyond desk scale (a few hundred constraints): the
@@ -98,16 +100,12 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A linear program over variables with default lower bound 0.
-
-    ``lower_bounds`` may override per-variable bounds; an entry of
-    ``None`` makes that variable free.
-    """
+    """``sense`` ('min' or 'max') of ``objective . x`` over x >= 0,
+    subject to ``constraints``."""
 
     sense: str
     objective: tuple[Fraction, ...]
     constraints: tuple[LinearConstraint, ...]
-    lower_bounds: Optional[tuple[Optional[Fraction], ...]] = None
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
@@ -124,15 +122,6 @@ class LinearProgram:
                 raise ValidationError(
                     f"constraint {idx} has {len(con.coeffs)} coefficients, expected {n}"
                 )
-        if self.lower_bounds is not None:
-            lbs = tuple(
-                None if b is None else rational(b) for b in self.lower_bounds
-            )
-            if len(lbs) != n:
-                raise ValidationError(
-                    f"{len(lbs)} lower bounds for {n} variables"
-                )
-            object.__setattr__(self, "lower_bounds", lbs)
 
     @property
     def num_vars(self) -> int:
@@ -234,47 +223,19 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     dimensions at construction.
     """
     n = program.num_vars
-    lbs = program.lower_bounds or (_ZERO,) * n
-
-    # Column layout for the nonnegative standard form: bounded variables
-    # are shifted by their lower bound, free variables split in two.
-    col_of_var: list[tuple[int, Optional[int]]] = []
-    std_cols = 0
-    for lb in lbs:
-        if lb is None:
-            col_of_var.append((std_cols, std_cols + 1))
-            std_cols += 2
-        else:
-            col_of_var.append((std_cols, None))
-            std_cols += 1
-
-    def standardize(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        row = [_ZERO] * std_cols
-        for i, c in enumerate(coeffs):
-            if c:
-                pos, neg = col_of_var[i]
-                row[pos] = c
-                if neg is not None:
-                    row[neg] = -c
-        return row
-
     minimize = program.objective
     if program.sense == MAXIMIZE:
         minimize = tuple(-c for c in minimize)
 
     # One slack/surplus column per inequality.
     num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
-    cost = standardize(minimize) + [_ZERO] * num_slack
+    cost = list(minimize) + [_ZERO] * num_slack
     rows: list[list[Fraction]] = []
-    slack_col = std_cols
+    slack_col = n
     slack_of_row: list[Optional[int]] = []
     for con in program.constraints:
-        row = standardize(con.coeffs)
+        row = list(con.coeffs)
         rhs = con.rhs
-        for i, c in enumerate(con.coeffs):
-            lb = lbs[i]
-            if lb is not None and lb != 0 and c:
-                rhs -= c * lb
         row.extend([_ZERO] * num_slack)
         slack_sign = _ZERO
         if con.relation == LESS_EQUAL:
@@ -295,7 +256,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
         row.append(rhs)
         rows.append(row)
 
-    base_cols = std_cols + num_slack
+    base_cols = n + num_slack
 
     # Reuse slack columns with coefficient +1 as the starting basis;
     # only the remaining rows need artificial variables.
@@ -357,18 +318,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     for i, b in enumerate(tab.basis):
         std_solution[b] = tab.rows[i][-1]
 
-    solution = []
-    for i in range(n):
-        pos, neg = col_of_var[i]
-        v = std_solution[pos]
-        if neg is not None:
-            v -= std_solution[neg]
-        else:
-            lb = lbs[i]
-            if lb:
-                v += lb
-        solution.append(v)
-
+    solution = std_solution[:n]
     value = sum(c * v for c, v in zip(program.objective, solution))
     outcome = LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
     _certify(program, outcome)
@@ -379,12 +329,9 @@ def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
     """Exact feasibility re-check of an optimal solution."""
     x = outcome.solution
     assert x is not None
-    lbs = program.lower_bounds or (_ZERO,) * program.num_vars
-    for i, lb in enumerate(lbs):
-        if lb is not None and x[i] < lb:
-            raise ConsistencyError(
-                f"solver returned x[{i}] = {x[i]} below its lower bound {lb}"
-            )
+    for i, v in enumerate(x):
+        if v < 0:
+            raise ConsistencyError(f"solver returned negative x[{i}] = {v}")
     for idx, con in enumerate(program.constraints):
         if not con.holds_at(x):
             raise ConsistencyError(
@@ -392,26 +339,3 @@ def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
                 f"{con.coeffs} {con.relation} {con.rhs} at {x}"
             )
 
-
-def lp_feasible(
-    constraints: Iterable[LinearConstraint],
-    num_vars: int,
-    lower_bounds: Optional[tuple[Optional[Fraction], ...]] = None,
-) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Phase-one wrapper: does the system have an exact solution?
-
-    Returns (True, witness) with a witness satisfying every constraint
-    exactly, or (False, None).
-    """
-    if num_vars < 1:
-        raise ValidationError("feasibility system needs at least one variable")
-    program = LinearProgram(
-        sense=MINIMIZE,
-        objective=(_ZERO,) * num_vars,
-        constraints=tuple(constraints),
-        lower_bounds=lower_bounds,
-    )
-    outcome = lp_solve(program)
-    if outcome.status == OPTIMAL:
-        return True, outcome.solution
-    return False, None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classify import WeightVector
+from .classify import WeightVector, _require_member
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
 from .ratlp import (
@@ -161,10 +161,7 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     program; the cell is empty exactly when y is unsupported.
     Redundant half-spaces are retained.
     """
-    if y not in yn:
-        raise ValidationError(
-            f"point {y.id!r} with coords {y.coords} is not in the given set"
-        )
+    _require_member(y, yn)
     hrep = _cell_hrep(y, yn)
     outcome = lp_solve(_slack_program(hrep, yn.p))
     if outcome.status == UNBOUNDED:

@@ -9,6 +9,7 @@ from ndsupport.classify import (
     Classification,
     Label,
     WeightVector,
+    _check_weight_certificate,
     barycenter,
     classify_all,
     cross_check,
@@ -19,7 +20,7 @@ from ndsupport.classify import (
     weakly_supported_witness,
 )
 from ndsupport.cli import build_report
-from ndsupport.errors import ValidationError
+from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
 
 
@@ -98,6 +99,14 @@ class TestStrictWitness:
     def test_singleton(self):
         s = validate_instance([[1, 2]])
         assert supported_witness(s.get("y1"), s) == barycenter(2)
+
+    def test_certificate_check_rejects_a_wrong_weight(self, counterexample_set):
+        yn = nondom(counterexample_set)
+        y1 = yn.get("y1")
+        _check_weight_certificate(WeightVector((1, 0, 0)), y1, yn)
+        # Under (0, 1, 0), y1 scores 9 and y2 scores 6.
+        with pytest.raises(ConsistencyError, match="y2 scores below y1"):
+            _check_weight_certificate(WeightVector((0, 1, 0)), y1, yn)
 
 
 class TestFrontier:

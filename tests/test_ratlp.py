@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ndsupport.errors import ValidationError
+from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.ratlp import (
     EQUAL,
     GREATER_EQUAL,
@@ -14,7 +14,7 @@ from ndsupport.ratlp import (
     LpOutcome,
     OPTIMAL,
     UNBOUNDED,
-    lp_feasible,
+    _certify,
     lp_solve,
     rational,
 )
@@ -73,8 +73,8 @@ def test_forced_zero_optimum():
 
 
 def test_feasibility_contradictory_bounds():
-    ok, witness = lp_feasible([ge((1,), 1), le((1,), 0)], 1)
-    assert not ok and witness is None
+    out = lp_solve(LinearProgram("min", (0,), (ge((1,), 1), le((1,), 0))))
+    assert out.status == INFEASIBLE and out.solution is None
 
 
 def test_feasibility_weak_witness_for_y4():
@@ -85,15 +85,15 @@ def test_feasibility_weak_witness_for_y4():
     cons = [eq((1, 1, 1), 1)]
     for other in others:
         cons.append(ge(tuple(o - a for o, a in zip(other, y4)), 0))
-    ok, witness = lp_feasible(cons, 3)
-    assert ok
-    assert witness == (F(0), F(0), F(1))
+    out = lp_solve(LinearProgram("min", (0, 0, 0), tuple(cons)))
+    assert out.status == OPTIMAL
+    assert out.solution == (F(0), F(0), F(1))
 
 
 def test_feasibility_vacuous_system():
-    ok, witness = lp_feasible([], 1)
-    assert ok
-    assert witness == (F(0),)
+    out = lp_solve(LinearProgram("min", (0,), ()))
+    assert out.status == OPTIMAL
+    assert out.solution == (F(0),)
 
 
 def test_infeasible_equalities():
@@ -105,24 +105,6 @@ def test_infeasible_equalities():
 def test_unbounded():
     out = lp_solve(LinearProgram("max", (1,), (ge((1,), 0),)))
     assert out.status == UNBOUNDED
-
-
-def test_free_variable():
-    out = lp_solve(
-        LinearProgram("min", (1,), (ge((1,), -5),), lower_bounds=(None,))
-    )
-    assert out.status == OPTIMAL
-    assert out.value == -5
-    assert out.solution == (F(-5),)
-
-
-def test_shifted_lower_bound():
-    out = lp_solve(
-        LinearProgram("min", (1, 1), (le((1, 1), 10),), lower_bounds=(F(2), F(3)))
-    )
-    assert out.status == OPTIMAL
-    assert out.value == 5
-    assert out.solution == (F(2), F(3))
 
 
 def test_rational_coefficients_stay_exact():
@@ -184,8 +166,21 @@ def test_dimension_mismatch_rejected():
         LinearProgram("min", (), ())
     with pytest.raises(ValidationError):
         LinearConstraint((1, 2), "<", 0)
-    with pytest.raises(ValidationError):
-        lp_feasible([], 0)
+
+
+def test_certify_rejects_corrupted_solutions():
+    # Mutations of a certified optimum must not pass the exact re-check.
+    prog = LinearProgram("min", (1, 1), (ge((1, 1), 2),))
+    out = lp_solve(prog)
+    assert out.status == OPTIMAL and out.value == 2
+    # The row still holds at (3, -1); only the sign of x[1] is wrong.
+    negative = LpOutcome(status=OPTIMAL, value=F(2), solution=(F(3), F(-1)))
+    with pytest.raises(ConsistencyError, match=r"negative x\[1\]"):
+        _certify(prog, negative)
+    # (1, 0) is nonnegative but misses the row x0 + x1 >= 2.
+    violating = LpOutcome(status=OPTIMAL, value=F(1), solution=(F(1), F(0)))
+    with pytest.raises(ConsistencyError, match="violates constraint 0"):
+        _certify(prog, violating)
 
 
 def test_floats_rejected():

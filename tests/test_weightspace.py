@@ -15,7 +15,6 @@ from ndsupport.ratlp import (
     OPTIMAL,
     LinearConstraint,
     LinearProgram,
-    lp_feasible,
     lp_solve,
 )
 from ndsupport.weightspace import (
@@ -157,8 +156,8 @@ def two_program_cell_flags(hrep, p):
     """Reference (is_empty, is_full_dimensional) from two programs: a
     feasibility program on hrep, then, for nonempty cells, the
     maximum slack t common to every inequality."""
-    nonempty, _ = lp_feasible(hrep, p)
-    if not nonempty:
+    feasibility = lp_solve(LinearProgram("min", (F(0),) * p, tuple(hrep)))
+    if feasibility.status != OPTIMAL:
         return True, False
     slack = [
         LinearConstraint(
