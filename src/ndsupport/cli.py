@@ -231,6 +231,8 @@ def _load_instance(path: str) -> Instance:
             text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
     return parse_instance(text)
 
 

@@ -149,6 +149,9 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an int over the digit limit
+        raise ParseError(f"cannot read the JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     kinds = [k for k in ("points", "knapsack", "assignment") if k in doc]

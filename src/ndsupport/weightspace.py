@@ -7,12 +7,12 @@ whole non-dominated set.  Cells are kept as exact half-space lists
 objectives the cell is additionally projected to the first two weight
 coordinates and its polygon vertices are enumerated exactly.
 
-Vertex enumeration stays deliberately low-tech: intersect boundary
-line pairs, keep the feasible intersections, take their exact 2-D
-convex hull.  That is robust against redundant half-spaces (which are
-retained, not minimized) and returns degenerate cells - segments or
-single points, the signature of weakly-supported-only points - rather
-than dropping them.
+The polygon is the projected simplex triangle clipped by one
+half-plane at a time (Sutherland & Hodgman 1974), then normalized by
+an exact 2-D convex hull.  That is robust against redundant
+half-spaces (which are retained, not minimized) and returns degenerate
+cells - segments or single points, the signature of
+weakly-supported-only points - rather than dropping them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import WeightVector, _require_member
+from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
 from .ratlp import (
@@ -111,16 +112,11 @@ def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
             upper.pop()
         upper.append(q)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all candidates collinear
-        return tuple(sorted(set(hull)))
-    return tuple(hull)
+    return tuple(lower[:-1] + upper[:-1])
 
 
-def _project_hrep(hrep, p: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Substitute l3 = 1 - l1 - l2: each inequality becomes
-    a*l1 + b*l2 >= c.  Only valid for p = 3."""
-    assert p == 3
+def _project_hrep(hrep) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Substitute l3 = 1 - l1 - l2: each row becomes a*l1 + b*l2 >= c."""
     projected = []
     for con in hrep:
         if con.relation == EQUAL:
@@ -130,28 +126,25 @@ def _project_hrep(hrep, p: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     return projected
 
 
-def _projected_vertices(hrep, p: int) -> tuple[Point2, ...]:
-    ineqs = _project_hrep(hrep, p)
-    for a, b, c in ineqs:
-        if a == 0 and b == 0 and c > 0:
-            return ()  # unsatisfiable row: empty cell
+def _projected_vertices(hrep) -> tuple[Point2, ...]:
+    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order.
 
-    def feasible(q: Point2) -> bool:
-        return all(a * q[0] + b * q[1] >= c for a, b, c in ineqs)
-
-    candidates: list[Point2] = []
-    m = len(ineqs)
-    for i in range(m):
-        a1, b1, c1 = ineqs[i]
-        for j in range(i + 1, m):
-            a2, b2, c2 = ineqs[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            q = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
-            if feasible(q):
-                candidates.append(q)
-    return _convex_hull_ccw(candidates)
+    Each clip keeps the vertices on or inside the half-plane and adds
+    the crossing point of every edge whose ends lie strictly on
+    opposite sides; the hull drops the repeats and collinear points."""
+    polygon = [(_ZERO, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE)]
+    for a, b, c in _project_hrep(hrep):
+        clipped = []
+        for q, r in zip(polygon, polygon[1:] + polygon[:1]):
+            sq = a * q[0] + b * q[1] - c
+            sr = a * r[0] + b * r[1] - c
+            if sq >= 0:
+                clipped.append(q)
+            if sq * sr < 0:
+                t = sq / (sq - sr)
+                clipped.append((q[0] + t * (r[0] - q[0]), q[1] + t * (r[1] - q[1])))
+        polygon = clipped
+    return _convex_hull_ccw(polygon)
 
 
 def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
@@ -169,7 +162,7 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     nonempty = outcome.status == OPTIMAL
     vertices = None
     if yn.p == 3:
-        vertices = _projected_vertices(hrep, 3) if nonempty else ()
+        vertices = _projected_vertices(hrep) if nonempty else ()
     return WeightCell(
         point_id=y.id,
         hrep=hrep,
@@ -205,18 +198,13 @@ def cell_membership(
     the lexicographically smallest non-dominated minimizer, so its
     weight cell is guaranteed to contain lam.
     """
-    if len(lam) != outcome_set.p:
-        raise ValidationError(
-            f"weight vector has {len(lam)} components, instance has {outcome_set.p}"
-        )
-    scores = {pt.id: lam.dot(pt.coords) for pt in outcome_set}
-    best = min(scores.values())
-    ties = tuple(pt.id for pt in outcome_set if scores[pt.id] == best)
     # No Pareto filter needed: a point dominating the lexicographically
     # smallest minimizer would, as lam >= 0, also minimize and be
     # lexicographically smaller.
-    winner = min((pt.coords, pt.id) for pt in outcome_set if scores[pt.id] == best)
-    return winner[1], ties
+    winner = weighted_sum_argmin(lam, outcome_set)
+    best = lam.dot(winner.coords)
+    ties = tuple(pt.id for pt in outcome_set if lam.dot(pt.coords) == best)
+    return winner.id, ties
 
 
 def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:

@@ -60,11 +60,22 @@ class TestClassify:
         assert main(["classify", "/nonexistent/file.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_malformed_instance(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"points": [[1,2],[3]]}', "dimension mismatch"),
+            (b'{"points": [[1, 2]], "note": "\xff"}', "not UTF-8"),
+            (b'{"points": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "error:"),
+            (b'{"points": [[' + b"7" * 5_000 + b", 2]]}", "error:"),
+        ],
+        ids=["dimension-mismatch", "not-utf8", "too-deep", "int-too-long"],
+    )
+    def test_malformed_instance(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"points": [[1,2],[3]]}')
+        bad.write_bytes(body)
         assert main(["classify", str(bad)]) == 2
-        assert "dimension mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     def test_knapsack_spec_classifies(self, tmp_path, capsys):
         spec = tmp_path / "ks.json"

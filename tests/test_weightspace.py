@@ -18,6 +18,9 @@ from ndsupport.ratlp import (
     lp_solve,
 )
 from ndsupport.weightspace import (
+    _cell_hrep,
+    _convex_hull_ccw,
+    _projected_vertices,
     cell_interval,
     cell_membership,
     decompose,
@@ -192,6 +195,72 @@ class TestSlackProgramDifferential:
                     cell.hrep, yn.p
                 )
         assert {Label.WEAKLY_SUPPORTED_ONLY, Label.UNSUPPORTED} <= labels
+
+
+def pairwise_projected_vertices(hrep):
+    """Reference p = 3 polygon: intersect every pair of projected
+    boundary lines a*l1 + b*l2 >= c, keep the intersections that satisfy
+    every row, and take their hull."""
+    ineqs = []
+    for con in hrep:
+        if con.relation != EQUAL:
+            c1, c2, c3 = con.coeffs
+            ineqs.append((c1 - c3, c2 - c3, con.rhs - c3))
+    for a, b, c in ineqs:
+        if a == 0 and b == 0 and c > 0:
+            return ()  # unsatisfiable row: empty cell
+    candidates = []
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(ineqs, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        q = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+        if all(a * q[0] + b * q[1] >= c for a, b, c in ineqs):
+            candidates.append(q)
+    return _convex_hull_ccw(candidates)
+
+
+class TestClipDifferential:
+    def test_clip_matches_pairwise_enumeration(self):
+        rng = random.Random(79)
+        # Points on a common plane (p = 3) or line (lifted p = 2) get
+        # single-point and segment cells; points just above it get empty
+        # or single-point ones.
+        sets = [validate_instance(COUNTEREXAMPLE_ROWS), validate_instance([[5, 5, 5]])]
+        for _ in range(8):
+            sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
+            sets.append(
+                validate_instance(
+                    [
+                        [x, y, 12 - x - y + rng.randint(0, 2)]
+                        for x, y in random_rows(rng, rng.randint(4, 12), 2, 0, 6)
+                    ]
+                )
+            )
+            xs = rng.sample(range(13), rng.randint(3, 10))
+            sets.append(
+                lift_zero_objective(
+                    validate_instance([[x, 12 - x + rng.randint(0, 1)] for x in xs])
+                )
+            )
+            sets.append(
+                validate_instance(
+                    [
+                        [F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(3)]
+                        for _ in range(rng.randint(3, 10))
+                    ]
+                )
+            )
+        kinds = set()
+        for s in sets:
+            yn = nondom(s)
+            for y in yn:
+                hrep = _cell_hrep(y, yn)
+                vertices = _projected_vertices(hrep)
+                assert vertices == pairwise_projected_vertices(hrep)
+                kinds.add(min(len(vertices), 3))
+        # empty, single-point, segment and polygon cells all occur
+        assert kinds == {0, 1, 2, 3}
 
 
 class TestCellMembership:
