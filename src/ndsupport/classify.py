@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import ConsistencyError, ValidationError
@@ -75,9 +76,17 @@ class WeightVector:
         return all(v > 0 for v in self.values)
 
     def dot(self, coords) -> Fraction:
+        """Exact weighted sum, accumulated over one common denominator
+        and reduced once at the end."""
         if len(coords) != len(self.values):
             raise ValidationError("weight/point dimension mismatch")
-        return sum(l * c for l, c in zip(self.values, coords))
+        num, den = 0, 1
+        for l, c in zip(self.values, coords):
+            d = l.denominator * c.denominator
+            common = lcm(den, d)
+            num = num * (common // den) + l.numerator * c.numerator * (common // d)
+            den = common
+        return Fraction(num, den)
 
     def __len__(self):
         return len(self.values)

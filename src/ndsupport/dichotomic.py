@@ -8,18 +8,25 @@ candidate segment.  A probe that beats the segment value exposes a new
 vertex; a probe that matches it certifies the segment as an edge.
 
 The weighted-sum oracle breaks ties lexicographically, which keeps the
-recursion deterministic and vertex-directed.  All weights are exact
-segment normals, so no tolerance enters anywhere.  The result carries
-one certifying weight per extreme: an interior vertex gets the average
-of its two adjacent segment normals (strictly positive, uniquely
-optimal there); the outermost vertices blend their single adjacent
-normal with the matching unit weight.
+recursion deterministic and vertex-directed.  It scores the set's
+integer lattice with integer weights, both positive scalings of the
+exact values, so its argmin and tie-break are those of the exact
+weighted sum; the certificates below are checked on the coordinates
+themselves.  All weights are exact segment normals, so no tolerance
+enters anywhere.  The result carries one certifying weight per
+extreme: an interior vertex gets the average of its two adjacent
+segment normals (strictly positive, uniquely optimal there); the
+outermost vertices blend their single adjacent normal with the
+matching unit weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
+
 from .classify import WeightVector, _check_weight_certificate
 from .errors import ValidationError
 from .outcomes import OutcomePoint, OutcomeSet
@@ -56,12 +63,20 @@ def weighted_sum_argmin(lam: WeightVector, outcome_set: OutcomeSet) -> OutcomePo
         raise ValidationError(
             f"weight vector has {len(lam)} components, instance has {outcome_set.p}"
         )
-    return min(outcome_set, key=lambda pt: (lam.dot(pt.coords), pt.coords))
+    scale = lcm(*(v.denominator for v in lam))
+    weights = [v.numerator * (scale // v.denominator) for v in lam]
+    rows = outcome_set.lattice
+    best = min(
+        range(len(rows)), key=lambda k: (sum(map(mul, weights, rows[k])), rows[k])
+    )
+    return outcome_set.points[best]
 
 
 def _lexmin(outcome_set: OutcomeSet, order: tuple[int, int]) -> OutcomePoint:
     i, j = order
-    return min(outcome_set, key=lambda pt: (pt.coords[i], pt.coords[j]))
+    rows = outcome_set.lattice
+    best = min(range(len(rows)), key=lambda k: (rows[k][i], rows[k][j]))
+    return outcome_set.points[best]
 
 
 def _segment_normal(a: OutcomePoint, b: OutcomePoint) -> WeightVector:
@@ -76,31 +91,35 @@ def _average(u: WeightVector, v: WeightVector) -> WeightVector:
     return WeightVector(tuple((a + b) * _HALF for a, b in zip(u, v)))
 
 
+def _probe(
+    outcome_set: OutcomeSet, a: OutcomePoint, b: OutcomePoint, calls: list[int]
+) -> list[OutcomePoint]:
+    """Extremes strictly between a and b, in coordinate order; adds one
+    to calls[0] per oracle call.  A module-level function rather than a
+    closure: a recursive closure refers to itself through its cell, and
+    that cycle would keep the outcome set alive until a full collection."""
+    lam = _segment_normal(a, b)
+    calls[0] += 1
+    c = weighted_sum_argmin(lam, outcome_set)
+    if lam.dot(c.coords) == lam.dot(a.coords):
+        return []
+    return _probe(outcome_set, a, c, calls) + [c] + _probe(outcome_set, c, b, calls)
+
+
 def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
     """Exact set of extreme supported points of a bi-objective set."""
     if outcome_set.p != 2:
         raise ValidationError(
             f"dichotomic search requires exactly two objectives, got {outcome_set.p}"
         )
-    calls = 2  # the two anchor computations
+    calls = [2]  # the two anchor computations
     left = _lexmin(outcome_set, (0, 1))
     right = _lexmin(outcome_set, (1, 0))
-
-    def probe(a: OutcomePoint, b: OutcomePoint) -> list[OutcomePoint]:
-        """Extremes strictly between a and b, in coordinate order."""
-        nonlocal calls
-        lam = _segment_normal(a, b)
-        calls += 1
-        c = weighted_sum_argmin(lam, outcome_set)
-        if lam.dot(c.coords) == lam.dot(a.coords):
-            return []
-        return probe(a, c) + [c] + probe(c, b)
-
     if left.id == right.id:
         extremes = [left]
         witnesses = [WeightVector((_HALF, _HALF))]
     else:
-        extremes = [left] + probe(left, right) + [right]
+        extremes = [left] + _probe(outcome_set, left, right, calls) + [right]
         normals = [
             _segment_normal(a, b) for a, b in zip(extremes, extremes[1:])
         ]
@@ -114,5 +133,5 @@ def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
     return DichotomicResult(
         extremes=tuple(extremes),
         witness_weights=tuple(witnesses),
-        oracle_calls=calls,
+        oracle_calls=calls[0],
     )

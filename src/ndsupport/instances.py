@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -134,12 +135,12 @@ def _coord(value, where: str) -> Fraction:
             return rational(value)
         except ValidationError as exc:
             raise ParseError(f"{where}: {exc}") from None
-    raise ParseError(f"{where}: cannot read {value!r} as a rational")
+    raise ParseError(f"{where}: cannot read {reprlib.repr(value)} as a rational")
 
 
 def _int_field(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where}: expected an integer, got {reprlib.repr(value)}")
     return value
 
 

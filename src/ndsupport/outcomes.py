@@ -4,13 +4,24 @@ Minimization convention throughout: smaller is better in every
 objective.  Outcome sets are validated and deduplicated at
 construction; distinct feasible solutions sharing an image collapse
 into a single stored point whose multiplicity records the count.
-Everything here is immutable and pure, so concurrent reads are safe.
+
+Each set also has an integer view, its ``lattice``: every coordinate
+times one common denominator.  A positive scaling keeps dominance,
+weighted-sum order and lexicographic order, so order and oracle work
+(the Pareto filter here, the weighted-sum oracle in ``dichotomic``)
+runs on ints; certificates read the exact coordinates.  Everything
+here is immutable and pure (the lattice is computed once and cached),
+so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -83,6 +94,16 @@ class OutcomeSet:
     def coord_rows(self) -> list[tuple[Fraction, ...]]:
         return [pt.coords for pt in self.points]
 
+    @cached_property
+    def lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's coordinates times the lcm of all coordinate
+        denominators, as int tuples in point order."""
+        scale = lcm(*(c.denominator for pt in self.points for c in pt.coords))
+        return tuple(
+            tuple(c.numerator * (scale // c.denominator) for c in pt.coords)
+            for pt in self.points
+        )
+
 
 def validate_instance(
     raw_points: Iterable[Sequence], p: Optional[int] = None
@@ -147,26 +168,32 @@ class ParetoFilterResult:
 
 
 def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
-    """Pairwise Pareto filter; idempotent, O(n^2) on purpose.
+    """Sort-filter-skyline Pareto filter (Chomicki et al. 2003); idempotent.
 
-    Keeps exactly the points not dominated by any other stored point.
+    Keeps exactly the points not dominated by any other stored point,
+    in input order.  Points are visited by lattice row sum: a dominator
+    has a strictly smaller sum, so it is visited first.  Each point is
+    compared only with the window of kept points, which suffices because
+    a dominated dominator is itself dominated by a kept point.  The
+    window is held in input order, so a removed point's witness is the
+    first kept point in input order that dominates it.
     """
     pts = outcome_set.points
-    keep: list[OutcomePoint] = []
-    removed: list[OutcomePoint] = []
-    for pt in pts:
-        if any(dominates(other, pt) for other in pts if other is not pt):
-            removed.append(pt)
-        else:
-            keep.append(pt)
-    # Finiteness and transitivity guarantee every removed point has a
-    # dominator among the retained ones.
-    dominated_by: dict[str, str] = {}
-    for pt in removed:
-        for winner in keep:
-            if dominates(winner, pt):
-                dominated_by[pt.id] = winner.id
+    rows = outcome_set.lattice
+    sums = [sum(row) for row in rows]
+    window: list[int] = []
+    witness: dict[int, int] = {}
+    for i in sorted(range(len(rows)), key=sums.__getitem__):
+        row = rows[i]
+        for k in window:
+            # stored points are distinct, so <= everywhere is dominance
+            if all(map(le, rows[k], row)):
+                witness[i] = k
                 break
+        else:
+            insort(window, i)
+    keep = [pts[k] for k in window]
+    dominated_by = {pts[i].id: pts[witness[i]].id for i in sorted(witness)}
     subset = OutcomeSet(
         p=outcome_set.p,
         points=tuple(keep),

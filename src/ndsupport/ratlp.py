@@ -19,6 +19,7 @@ tableau is dense and nothing is factorized or reused.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -55,8 +56,12 @@ def rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational literal: {value!r}") from exc
-    raise ValidationError(f"not an exact rational: {value!r} (floats are not accepted)")
+            raise ValidationError(
+                f"not a rational literal: {reprlib.repr(value)}"
+            ) from exc
+    raise ValidationError(
+        f"not an exact rational: {reprlib.repr(value)} (floats are not accepted)"
+    )
 
 
 def rational_vector(values: Iterable) -> tuple[Fraction, ...]:

@@ -33,6 +33,14 @@ def random_rows(rng, n, p, lo=0, hi=100):
     return [[rng.randint(lo, hi) for _ in range(p)] for _ in range(n)]
 
 
+def random_rational_rows(rng, n, p):
+    """Rows of signed rationals with mixed denominators."""
+    return [
+        [F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 12))) for _ in range(p)]
+        for _ in range(n)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

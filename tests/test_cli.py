@@ -67,8 +67,23 @@ class TestClassify:
             (b'{"points": [[1, 2]], "note": "\xff"}', "not UTF-8"),
             (b'{"points": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "error:"),
             (b'{"points": [[' + b"7" * 5_000 + b", 2]]}", "error:"),
+            (b'{"points": [["' + b"x" * 3_000 + b'", 2]]}', "not a rational literal"),
+            (b'{"points": [[{"' + b"k" * 2_000 + b'": 1}, 2]]}', "cannot read"),
+            (
+                b'{"knapsack": {"capacity": "' + b"c" * 3_000
+                + b'", "items": [{"weight": 1, "costs": [1, 2]}]}}',
+                "expected an integer",
+            ),
         ],
-        ids=["dimension-mismatch", "not-utf8", "too-deep", "int-too-long"],
+        ids=[
+            "dimension-mismatch",
+            "not-utf8",
+            "too-deep",
+            "int-too-long",
+            "long-string",
+            "long-dict-key",
+            "long-int-field",
+        ],
     )
     def test_malformed_instance(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.json"
@@ -76,6 +91,8 @@ class TestClassify:
         assert main(["classify", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+        # one short line: a large malformed value is not echoed whole
+        assert len(err.splitlines()) == 1 and len(err) <= 200
 
     def test_knapsack_spec_classifies(self, tmp_path, capsys):
         spec = tmp_path / "ks.json"

@@ -1,13 +1,35 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import hull_labels_2d, random_rows
+from conftest import hull_labels_2d, random_rational_rows, random_rows
 from ndsupport.classify import Label, WeightVector, classify_all
 from ndsupport.dichotomic import dichotomic_extremes, weighted_sum_argmin
 from ndsupport.errors import ValidationError
 from ndsupport.outcomes import validate_instance
+
+
+def fraction_argmin(lam, outcome_set):
+    """The Fraction-arithmetic oracle the lattice oracle replaced, kept as
+    the reference: exact weighted sum, ties to the lexicographically
+    smallest coordinates."""
+    return min(
+        outcome_set,
+        key=lambda pt: (sum(l * c for l, c in zip(lam, pt.coords)), pt.coords),
+    )
+
+
+def _weights(rng, p):
+    """Random exact weights, some with zero components."""
+    raw = [rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(p)]
+    if not any(raw):
+        raw[rng.randrange(p)] = 1
+    total = sum(raw)
+    return WeightVector(tuple(F(r, total) for r in raw))
 
 
 class TestWeightedSumArgmin:
@@ -30,6 +52,67 @@ class TestWeightedSumArgmin:
             weighted_sum_argmin(WeightVector((F(1, 2), F(1, 2))), counterexample_set)
         with pytest.raises(ValidationError):
             WeightVector((F(2), F(-1)))
+
+
+class TestLatticeOracleDifferential:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(109)
+        for trial in range(60):
+            p = rng.randint(2, 4)
+            n = rng.randint(1, 40)
+            if trial % 3 == 0:
+                rows = random_rational_rows(rng, n, p)
+            else:
+                # a small grid, so exact weighted-sum ties are common
+                rows = random_rows(rng, n, p, -3, 3)
+            s = validate_instance(rows)
+            units = [
+                WeightVector(tuple(int(k == i) for k in range(p))) for i in range(p)
+            ]
+            weights = units + [_weights(rng, p) for _ in range(8)]
+            if p == 2 and len(s) > 1:
+                # the exact normal of a segment between two stored points
+                # makes both score the same
+                a, b = rng.sample(s.points, 2)
+                d1, d2 = a.coords[1] - b.coords[1], b.coords[0] - a.coords[0]
+                if d1 * d2 > 0:
+                    weights.append(WeightVector((d1 / (d1 + d2), d2 / (d1 + d2))))
+            for lam in weights:
+                got = weighted_sum_argmin(lam, s)
+                assert got == fraction_argmin(lam, s), f"trial {trial}, {tuple(lam)}"
+
+    def test_outcome_set_is_freed_without_a_collection(self):
+        # A reference cycle through the recursion would keep the set (and
+        # its lattice) alive until the cyclic collector ran.
+        s = validate_instance([[0, 10], [1, 6], [3, 3], [6, 1], [10, 0], [5, 5]])
+        ref = weakref.ref(s)
+        gc.disable()
+        try:
+            assert len(dichotomic_extremes(s).extremes) == 5
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+nonnegative = st.fractions(min_value=0, max_value=50, max_denominator=60)
+coordinate = st.one_of(
+    st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90)
+)
+
+
+@given(st.lists(st.tuples(nonnegative, coordinate), min_size=1, max_size=6))
+def test_dot_equals_plain_fraction_sum(pairs):
+    raw = [w for w, _ in pairs]
+    total = sum(raw)
+    if total:
+        lam = WeightVector(tuple(w / total for w in raw))
+    else:
+        lam = WeightVector((1,) + (0,) * (len(raw) - 1))
+    coords = tuple(c for _, c in pairs)
+    got = lam.dot(coords)
+    assert type(got) is F
+    assert got == sum(l * c for l, c in zip(lam, coords))
 
 
 class TestDichotomicExtremes:

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import oracle_nondominated, random_rows
+from conftest import oracle_nondominated, random_rational_rows, random_rows
 from ndsupport.errors import ValidationError
+from ndsupport.instances import enumerate_instance, generate_knapsack
 from ndsupport.outcomes import (
     OutcomePoint,
     OutcomeSet,
+    ParetoFilterResult,
     dominates,
     filter_nondominated,
     validate_instance,
@@ -164,3 +167,74 @@ class TestFilterNondominated:
             base = filter_nondominated(validate_instance(rows))
             image = filter_nondominated(validate_instance(mapped))
             assert set(base.dominated_by) == set(image.dominated_by)
+
+
+def pairwise_filter(outcome_set: OutcomeSet) -> ParetoFilterResult:
+    """The pairwise O(n^2) filter that the sort-filter-skyline replaced,
+    kept as the reference: a point is removed when any other point
+    dominates it, and its witness is the first kept point in input
+    order that dominates it."""
+    pts = outcome_set.points
+    keep, removed = [], []
+    for pt in pts:
+        if any(dominates(other, pt) for other in pts if other is not pt):
+            removed.append(pt)
+        else:
+            keep.append(pt)
+    dominated_by = {}
+    for pt in removed:
+        for winner in keep:
+            if dominates(winner, pt):
+                dominated_by[pt.id] = winner.id
+                break
+    subset = OutcomeSet(
+        p=outcome_set.p,
+        points=tuple(keep),
+        multiplicity={pt.id: outcome_set.multiplicity[pt.id] for pt in keep},
+    )
+    return ParetoFilterResult(nondominated=subset, dominated_by=dominated_by)
+
+
+def _differential_corpus():
+    rng = random.Random(23)
+    sets = []
+    for p in (2, 3, 4, 5):
+        for _ in range(6):
+            for rows in (
+                random_rows(rng, rng.randint(2, 60), p, -20, 20),
+                random_rows(rng, rng.randint(20, 80), p, 0, 4),
+                random_rational_rows(rng, rng.randint(2, 50), p),
+            ):
+                sets.append(validate_instance(rows))
+        # antichain: a common coordinate sum, so no point dominates another
+        rows = {tuple(rng.randint(-9, 9) for _ in range(p - 1)) for _ in range(30)}
+        sets.append(validate_instance([[*r, -sum(r)] for r in rows]))
+        # chain, shuffled: every point dominates all later ones in the chain
+        chain = [[i + k for k in range(p)] for i in range(25)]
+        rng.shuffle(chain)
+        sets.append(validate_instance(chain))
+        sets.append(validate_instance([[F(rng.randint(-9, 9), 5) for _ in range(p)]]))
+    for seed in range(3):
+        sets.append(enumerate_instance(generate_knapsack(10, 2, seed)))
+    return sets
+
+
+class TestSortFilterDifferential:
+    def test_matches_pairwise_reference(self):
+        for trial, s in enumerate(_differential_corpus()):
+            got, ref = filter_nondominated(s), pairwise_filter(s)
+            assert [pt.id for pt in got.nondominated] == [
+                pt.id for pt in ref.nondominated
+            ], f"trial {trial}"
+            assert got.nondominated == ref.nondominated, f"trial {trial}"
+            assert list(got.dominated_by.items()) == list(
+                ref.dominated_by.items()
+            ), f"trial {trial}"
+
+    def test_lattice_is_coordinates_times_common_denominator(self):
+        for s in _differential_corpus():
+            scale = math.lcm(*(c.denominator for pt in s for c in pt.coords))
+            assert len(s.lattice) == len(s)
+            for pt, row in zip(s, s.lattice):
+                assert all(type(v) is int for v in row)
+                assert row == tuple(c * scale for c in pt.coords)
