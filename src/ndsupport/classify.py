@@ -15,7 +15,18 @@ return anything if the tests disagree where they provably must agree.
 Each non-dominated record keeps the cross-check row computed while
 labelling it, so a caller that needs both the labels and the verdicts
 solves every program once; ``cross_check`` computes the same rows
-without labelling and without raising.
+without labelling and without raising, with every program full width.
+
+``classify_all`` finds the vertex set V of the upper image first and
+solves every other program over it.  The upper image conv(Y_N) + R^p_+
+equals conv(V) + R^p_+, so the frontier and boundary programs have the
+same optimal values with V columns, and a witness program with V rows
+has the same feasible weights (lambda . y over the upper image is
+minimal at a vertex).  Points on the boundary keep their full-row
+witness program all the same: under Bland's rule fewer rows may pick a
+different optimal weight when the optimum is not unique, and that
+weight is printed.  A supported point is extreme exactly when it is in
+V, and a point of V off the frontier is a consistency failure.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -24,8 +35,9 @@ is a tolerance-free stand-in for the open condition "some strictly
 positive witness exists", and the optimizer at t = 0 necessarily
 carries a zero weight, certifying the weakly-supported-only case.
 
-All functions are pure; per-point tests are independent of each other
-and safe to evaluate concurrently.
+All functions are pure.  Once the vertex pass has fixed V, the
+per-point tests are independent of each other and safe to evaluate
+concurrently; the vertex pass itself runs in input order.
 """
 
 from __future__ import annotations
@@ -166,19 +178,19 @@ def _require_member(y: OutcomePoint, yn: OutcomeSet) -> None:
         )
 
 
-def _witness_program(y: OutcomePoint, yn: OutcomeSet) -> LinearProgram:
+def _witness_program(y: OutcomePoint, p: int, rows) -> LinearProgram:
     """maximize t  s.t.  sum(lambda) = 1,  lambda_i >= t,
-    lambda . (y' - y) >= 0 for every other point y'.  All variables
-    (including t) are nonnegative, so feasibility alone decides weak
-    supportedness and the sign of the optimum decides supportedness."""
-    p = yn.p
+    lambda . (y' - y) >= 0 for every other point y' of rows.  All
+    variables (including t) are nonnegative, so feasibility alone
+    decides weak supportedness and the sign of the optimum decides
+    supportedness."""
     cons = [LinearConstraint((_ONE,) * p + (_ZERO,), EQUAL, _ONE)]
     for i in range(p):
         coeffs = [_ZERO] * (p + 1)
         coeffs[i] = _ONE
         coeffs[p] = -_ONE
         cons.append(LinearConstraint(coeffs, GREATER_EQUAL, _ZERO))
-    for other in yn:
+    for other in rows:
         if other.id == y.id:
             continue
         diff = tuple(o - a for o, a in zip(other.coords, y.coords)) + (_ZERO,)
@@ -188,11 +200,12 @@ def _witness_program(y: OutcomePoint, yn: OutcomeSet) -> LinearProgram:
 
 
 def _solve_witness(
-    y: OutcomePoint, yn: OutcomeSet
+    y: OutcomePoint, yn: OutcomeSet, rows=None
 ) -> Optional[tuple[WeightVector, Fraction]]:
     """Optimizing weight vector and optimal t, or None if no weight in
-    the closed simplex makes y weighted-sum minimal."""
-    outcome = lp_solve(_witness_program(y, yn))
+    the closed simplex makes y weighted-sum minimal.  The comparison
+    rows default to all of yn; the certificate is checked over yn."""
+    outcome = lp_solve(_witness_program(y, yn.p, yn if rows is None else rows))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])
@@ -257,6 +270,25 @@ def _optimal_value(program: LinearProgram, name: str) -> Fraction:
     return outcome.value
 
 
+def _on_frontier(y: OutcomePoint, pts) -> bool:
+    costs = (sum(pt.coords) for pt in pts)
+    program = _below_program(y, pts, MINIMIZE, costs)
+    return _optimal_value(program, "frontier") == sum(y.coords)
+
+
+def _on_boundary(y: OutcomePoint, pts) -> bool:
+    program = _below_program(y, pts, MAXIMIZE, (_ZERO,) * len(pts), margin=True)
+    return _optimal_value(program, "boundary") == 0
+
+
+def _is_vertex(y: OutcomePoint, pts) -> bool:
+    others = [pt for pt in pts if pt.id != y.id]
+    if not others:
+        return True
+    program = _below_program(y, others, MINIMIZE, (_ZERO,) * len(others))
+    return lp_solve(program).status != OPTIMAL
+
+
 def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     """Is y on the non-dominated frontier of conv(yn)?
 
@@ -265,9 +297,7 @@ def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     when no convex combination other than y itself sits weakly below y.
     """
     _require_member(y, yn)
-    costs = (sum(pt.coords) for pt in yn)
-    program = _below_program(y, yn.points, MINIMIZE, costs)
-    return _optimal_value(program, "frontier") == sum(y.coords)
+    return _on_frontier(y, yn.points)
 
 
 def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -279,8 +309,7 @@ def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
     optimum of exactly zero puts y on the boundary.
     """
     _require_member(y, yn)
-    program = _below_program(y, yn.points, MAXIMIZE, (_ZERO,) * len(yn), margin=True)
-    return _optimal_value(program, "boundary") == 0
+    return _on_boundary(y, yn.points)
 
 
 def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -291,11 +320,24 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
     system over weights mu on yn minus y is infeasible.
     """
     _require_member(y, yn)
-    others = [pt for pt in yn if pt.id != y.id]
-    if not others:
-        return True
-    program = _below_program(y, others, MINIMIZE, (_ZERO,) * len(others))
-    return lp_solve(program).status != OPTIMAL
+    return _is_vertex(y, yn.points)
+
+
+def _vertex_set(yn: OutcomeSet) -> list[OutcomePoint]:
+    """The vertices V of the upper image, in input order.
+
+    The candidate list starts as yn and only ever loses points that are
+    not vertices, so it always contains V; a non-vertex lies in
+    conv(V) + R^p_+ and hence its program over the candidates is
+    feasible, while a vertex stays infeasible over any subset of the
+    other points.  Each verdict therefore equals the full-width one, and
+    the order affects only the program sizes.
+    """
+    candidates = list(yn)
+    for y in yn:
+        if not _is_vertex(y, candidates):
+            candidates = [pt for pt in candidates if pt.id != y.id]
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -334,13 +376,24 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet
+    y: OutcomePoint, yn: OutcomeSet, vertices=None
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
-    solved = _solve_witness(y, yn)
+    """Solve the witness, boundary and frontier programs for y.  Without
+    a vertex set every program is full width; with the vertex set V of
+    yn, boundary and frontier use V columns, and the witness program of
+    a point off the boundary uses V rows.  A boundary point keeps all of
+    yn's rows, so its witness is the one the full program prints."""
+    if vertices is None:
+        boundary = is_on_boundary_upper_image(y, yn)
+        frontier = is_on_frontier(y, yn)
+        rows = yn
+    else:
+        boundary = _on_boundary(y, vertices)
+        frontier = _on_frontier(y, vertices)
+        rows = yn if boundary else vertices
+    solved = _solve_witness(y, yn, rows)
     weak = solved is not None
     strict = weak and solved[1] > 0
-    boundary = is_on_boundary_upper_image(y, yn)
-    frontier = is_on_frontier(y, yn)
     check = PointCheck(
         point_id=y.id,
         weakly_supported=weak,
@@ -374,17 +427,27 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
 
     Dominated points are retained and labelled; each non-dominated
     point runs the decision cascade extreme-supported > supported >
-    weakly-supported-only > unsupported.  The independently computed
-    frontier/boundary flags must agree with the witness tests; any
-    disagreement raises ConsistencyError with a diagnostic dump.  Each
+    weakly-supported-only > unsupported, with the vertex set found
+    first and every later program solved over it.  The independently
+    computed frontier/boundary flags must agree with the witness tests;
+    any disagreement raises ConsistencyError with a diagnostic dump, as
+    does a vertex off the frontier.  Each
     non-dominated record carries its cross-check row, in the order
     ``cross_check`` reports them.
     """
     filtered = filter_nondominated(outcome_set)
     yn = filtered.nondominated
+    vertices = _vertex_set(yn)
+    vertex_ids = {v.id for v in vertices}
     results: dict[str, Classification] = {}
     for y in yn:
-        check, solved = _point_check(y, yn)
+        check, solved = _point_check(y, yn, vertices)
+        if y.id in vertex_ids and not check.on_frontier:
+            raise ConsistencyError(
+                "a vertex of the upper image is off the frontier: "
+                f"{check!r} for point {y.id} {y.coords} in instance "
+                f"{outcome_set.coord_rows()}"
+            )
         if not check.ok:
             raise ConsistencyError(
                 "supportedness tests disagree on a proven equivalence: "
@@ -400,9 +463,7 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
                 strict = lam
                 weak = lam
                 label = (
-                    Label.EXTREME_SUPPORTED
-                    if is_extreme_supported(y, yn)
-                    else Label.SUPPORTED
+                    Label.EXTREME_SUPPORTED if y.id in vertex_ids else Label.SUPPORTED
                 )
             else:
                 weak, strict = lam, None

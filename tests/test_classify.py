@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import hull_labels_2d, random_rows
+import ndsupport.classify
+from conftest import hull_labels_2d, random_rational_rows, random_rows
 from ndsupport.classify import (
     Classification,
     Label,
     WeightVector,
     _check_weight_certificate,
+    _point_check,
     barycenter,
     classify_all,
     cross_check,
@@ -21,7 +23,9 @@ from ndsupport.classify import (
 )
 from ndsupport.cli import build_report
 from ndsupport.errors import ConsistencyError, ValidationError
+from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
+from ndsupport.ratlp import GREATER_EQUAL, MAXIMIZE
 
 
 def nondom(s):
@@ -349,3 +353,159 @@ class TestClassificationInvariants:
                 frontier=False,
                 boundary=True,
             )
+
+
+def full_width_classify(outcome_set):
+    """The classify cascade with every program over all of Y_N: the
+    full-width cross-check row for each point, plus the vertex test
+    over Y_N for points with a strictly positive witness."""
+    yn = nondom(outcome_set)
+    records = {}
+    for y in yn:
+        check, solved = _point_check(y, yn)
+        assert check.ok
+        weak = strict = None
+        if solved is None:
+            label = Label.UNSUPPORTED
+        else:
+            lam, t = solved
+            weak = lam
+            if t > 0:
+                strict = lam
+                label = (
+                    Label.EXTREME_SUPPORTED
+                    if is_extreme_supported(y, yn)
+                    else Label.SUPPORTED
+                )
+            else:
+                label = Label.WEAKLY_SUPPORTED_ONLY
+        records[y.id] = Classification(
+            point_id=y.id,
+            label=label,
+            weak_witness=weak,
+            strict_witness=strict,
+            frontier=check.on_frontier,
+            boundary=check.on_boundary,
+            check=check,
+        )
+    return [
+        records.get(pt.id)
+        or Classification(
+            point_id=pt.id,
+            label=Label.DOMINATED,
+            weak_witness=None,
+            strict_witness=None,
+            frontier=False,
+            boundary=False,
+        )
+        for pt in outcome_set
+    ]
+
+
+def anticorrelated_rows(rng, n, p, noise=15):
+    """First p - 1 coordinates uniform in 0..100, the last one within
+    noise of 100 (p - 1) minus their sum, so most points are
+    non-dominated; with no noise every point is on one hyperplane."""
+    rows = []
+    for _ in range(n):
+        head = [rng.randint(0, 100) for _ in range(p - 1)]
+        rows.append(head + [100 * (p - 1) - sum(head) + rng.randint(-noise, noise)])
+    return rows
+
+
+def differential_corpus():
+    """Seeded base sets for p = 2..5 of four kinds, each followed by
+    its zero-objective lift."""
+    rng = random.Random(53)
+    sets = []
+    for p in (2, 3, 4, 5):
+        for kind in ("anticorrelated", "hyperplane", "rational", "small-range"):
+            for _ in range(4 if p < 4 else 3):
+                n = rng.randint(5, 14 if p < 4 else 10)
+                if kind == "anticorrelated":
+                    rows = anticorrelated_rows(rng, n, p)
+                elif kind == "hyperplane":
+                    rows = anticorrelated_rows(rng, n, p, noise=0)
+                elif kind == "rational":
+                    rows = random_rational_rows(rng, n, p)
+                else:
+                    rows = random_rows(rng, n, p, 0, 3)
+                base = validate_instance(rows, p)
+                sets.append(base)
+                sets.append(lift_zero_objective(base))
+    # Two larger p = 3 sets on which a vertex's max-min witness is not
+    # unique and a Bland path over the vertex rows alone ends at another
+    # optimum: they keep the comparison sensitive to the rows of the
+    # witness programs of boundary points.
+    for seed, noise in ((31, 3), (133, 1)):
+        rng = random.Random(seed)
+        rows = anticorrelated_rows(rng, rng.randint(20, 30), 3, noise)
+        base = validate_instance(rows, 3)
+        sets.append(base)
+        sets.append(lift_zero_objective(base))
+    return sets
+
+
+class TestVertexPruningDifferential:
+    def test_records_equal_full_width_cascade(self):
+        sets = differential_corpus()
+        assert len(sets) >= 100
+        labels = set()
+        for s in sets:
+            pruned = classify_all(s)
+            assert pruned == full_width_classify(s), s.coord_rows()
+            labels.update(c.label for c in pruned)
+        assert labels == set(Label)
+
+
+def record_programs(monkeypatch) -> list:
+    """Every program the classify module passes to lp_solve."""
+    programs = []
+    solve = ndsupport.classify.lp_solve
+
+    def recorded(program):
+        programs.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(ndsupport.classify, "lp_solve", recorded)
+    return programs
+
+
+def program_kind(program):
+    if program.constraints[-1].relation == GREATER_EQUAL:
+        return "witness"
+    if program.sense == MAXIMIZE:
+        return "boundary"
+    return "frontier" if any(program.objective) else "vertex"
+
+
+class TestVertexPruning:
+    def test_programs_after_the_vertex_pass_use_vertex_columns_and_rows(
+        self, monkeypatch
+    ):
+        # (6, 5) is interior; (4, 27/5) lies on the open segment between
+        # (3, 6) and (8, 3), so it is on the boundary but not a vertex.
+        s = validate_instance([[2, 9], [3, 6], [8, 3], [6, 5], [4, "27/5"]])
+        vertices = 3
+        programs = record_programs(monkeypatch)
+        report = {c.point_id: c for c in classify_all(s)}
+        assert report["y4"].label == Label.UNSUPPORTED
+        assert report["y5"].label == Label.SUPPORTED
+        kinds = [program_kind(program) for program in programs]
+        assert kinds[: len(s)] == ["vertex"] * len(s)
+        for kind in ("vertex", "frontier", "boundary", "witness"):
+            assert kinds.count(kind) == len(s)
+        for program, kind in zip(programs, kinds):
+            if kind == "frontier":
+                assert program.num_vars == vertices
+            elif kind == "boundary":
+                assert program.num_vars == vertices + 1
+        witness_rows = [
+            len(program.constraints)
+            for program, kind in zip(programs, kinds)
+            if kind == "witness"
+        ]
+        # Boundary points keep every other point as a row; the interior
+        # y4 compares against the vertices only.
+        full = 1 + s.p + len(s) - 1
+        assert witness_rows == [full, full, full, vertices + s.p + 1, full]

@@ -121,6 +121,15 @@ class TestClassify:
         assert main(["classify", fig2d_file, "--svg", str(again)]) == 0
         assert again.read_text() == body  # deterministic bytes
 
+    def test_vertex_off_the_frontier_exits_3(self, counterexample_file, monkeypatch, capsys):
+        # A vertex of the upper image always has a strictly positive
+        # witness; sabotage the frontier verdict classify_all uses.
+        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts: False)
+        assert main(["classify", counterexample_file]) == 3
+        err = capsys.readouterr().err
+        assert "a vertex of the upper image is off the frontier" in err
+        assert "point y1" in err
+
     def test_svg_refused_for_three_objectives(self, counterexample_file, tmp_path, capsys):
         svg = tmp_path / "nope.svg"
         assert main(["classify", counterexample_file, "--svg", str(svg)]) == 0
@@ -146,9 +155,9 @@ def count_classify_solves(monkeypatch) -> list:
 
 
 class TestSolveCount:
-    """Each per-point program is solved once per classify run: witness,
-    boundary and frontier for every non-dominated point, plus the
-    vertex test for supported ones."""
+    """Each per-point program is solved once per classify run: one
+    vertex test for every non-dominated point, then witness, boundary
+    and frontier for every non-dominated point."""
 
     def test_at_most_four_solves_per_nondominated_point(
         self, counterexample_file, fig2d_file, monkeypatch, capsys
