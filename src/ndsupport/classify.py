@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import ConsistencyError, ValidationError
@@ -59,6 +58,7 @@ from .ratlp import (
     MAXIMIZE,
     MINIMIZE,
     OPTIMAL,
+    _dot,
     lp_solve,
     rational,
 )
@@ -92,13 +92,7 @@ class WeightVector:
         and reduced once at the end."""
         if len(coords) != len(self.values):
             raise ValidationError("weight/point dimension mismatch")
-        num, den = 0, 1
-        for l, c in zip(self.values, coords):
-            d = l.denominator * c.denominator
-            common = lcm(den, d)
-            num = num * (common // den) + l.numerator * c.numerator * (common // d)
-            den = common
-        return Fraction(num, den)
+        return Fraction(*_dot(self.values, coords))
 
     def __len__(self):
         return len(self.values)
@@ -258,7 +252,8 @@ def _below_program(
     pad = (_ONE,) if margin else ()
     cons = [LinearConstraint((_ONE,) * len(pts) + (_ZERO,) * len(pad), EQUAL, _ONE)]
     for k, bound in enumerate(y.coords):
-        coeffs = tuple(pt.coords[k] for pt in pts) + pad
+        # Built from a list for the reason ratlp.rational_vector gives.
+        coeffs = tuple([pt.coords[k] for pt in pts]) + pad
         cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
     return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
 

@@ -1,10 +1,11 @@
 """Exact rational linear programming via a two-phase primal simplex.
 
-Every quantity is a ``fractions.Fraction``: statuses, optimal values and
-solution vectors are exact, and each optimal result is re-substituted
-into the original constraints before it is returned.  Bland's pivot
-rule makes the solver deterministic and guarantees termination on the
-degenerate systems that weight-space boundaries produce routinely.
+Programs, statuses, optimal values and solution vectors are exact
+``fractions.Fraction``s, and each optimal result is re-substituted into
+the original constraints, in ``Fraction``s, before it is returned.
+Bland's pivot rule makes the solver deterministic and guarantees
+termination on the degenerate systems that weight-space boundaries
+produce routinely.
 
 Programs come in one form: minimize or maximize over x >= 0, subject
 to ``<=``, ``=`` and ``>=`` rows.  Every program this package builds is
@@ -13,8 +14,19 @@ multipliers), so the variables are the tableau's structural columns as
 they stand.  The solver is pure: identical programs yield identical
 outcomes, and concurrent invocations share no state.
 
+Inside the kernel the tableau holds Python ints.  Each row is scaled by
+the lcm of its denominators, with its slack and artificial variables
+scaled alike, so the starting basis is the identity.  The true tableau
+is the int tableau over one common divisor d > 0, which starts at 1.
+Each pivot is a fraction-free Bareiss step (Edmonds 1967; Bareiss
+1968): every other row becomes (p * row - f * pivot row) / d, an exact
+division, and d becomes the pivot p.  Positive row and column scales
+change neither the sign of a reduced cost nor the order of the ratios,
+so Bland's rule takes the pivots a ``Fraction`` tableau would take, and
+every outcome is the same.
+
 Not built for speed beyond desk scale (a few hundred constraints): the
-tableau is dense and nothing is factorized or reused.
+tableau is dense and nothing is factorized or reused across solves.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, ValidationError
@@ -41,7 +54,6 @@ MINIMIZE = "min"
 MAXIMIZE = "max"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rational(value) -> Fraction:
@@ -65,7 +77,22 @@ def rational(value) -> Fraction:
 
 
 def rational_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rational(v) for v in values)
+    # From a list, the tuple is allocated once at its final size.  Grown
+    # from a generator past ten items it is reallocated, and such tuples
+    # pile up on CPython's free lists between full collections.
+    return tuple([rational(v) for v in values])
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[int, int]:
+    """Exact inner product as (numerator, denominator > 0), accumulated
+    over one common denominator and not reduced."""
+    num, den = 0, 1
+    for u, v in zip(a, b):
+        d = u.denominator * v.denominator
+        common = lcm(den, d)
+        num = num * (common // den) + u.numerator * v.numerator * (common // d)
+        den = common
+    return num, den
 
 
 def format_rational(value: Fraction):
@@ -95,12 +122,16 @@ class LinearConstraint:
             raise ValidationError(
                 f"constraint has {len(self.coeffs)} coefficients, point has {len(x)}"
             )
-        lhs = sum(c * v for c, v in zip(self.coeffs, x))
+        num, den = _dot(self.coeffs, x)
+        # Compare num / den with rhs by cross-multiplying: both
+        # denominators are positive.
+        lhs = num * self.rhs.denominator
+        rhs = self.rhs.numerator * den
         if self.relation == LESS_EQUAL:
-            return lhs <= self.rhs
+            return lhs <= rhs
         if self.relation == GREATER_EQUAL:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return lhs >= rhs
+        return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -156,44 +187,62 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau: rows of length ncols+1 with the rhs last."""
+    """Fraction-free dense simplex tableau.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    ``rows`` hold Python ints, with the rhs last, and the true tableau is
+    ``rows / d`` for one common divisor ``d > 0``.  With the identity as
+    the starting basis, ``d`` is the determinant of the current basis up
+    to sign, and every entry is a minor of the scaled integer program
+    (Edmonds 1967), so each Bareiss update divides exactly.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows
         self.basis = basis
+        self.d = 1
 
-    def reduced_cost_row(self, cost: list[Fraction]) -> list[Fraction]:
-        r = list(cost) + [_ZERO]
+    def reduced_cost_row(self, cost: list[int]) -> list[int]:
+        """``d`` times the reduced costs of ``cost``, and minus ``d``
+        times its value at the basic solution, last."""
+        d = self.d
+        r = [d * c for c in cost] + [0]
         for i, b in enumerate(self.basis):
-            cb = r[b]
+            cb = cost[b]
             if cb:
-                row = self.rows[i]
-                for j, v in enumerate(row):
-                    if v:
-                        r[j] -= cb * v
+                r = [a - cb * v if v else a for a, v in zip(r, self.rows[i])]
         return r
 
-    def pivot(self, r: list[Fraction], pi: int, pj: int) -> None:
+    def pivot(self, r: Optional[list[int]], pi: int, pj: int) -> None:
+        """Bareiss step on (pi, pj): every other row, the objective row
+        ``r`` included, becomes ``(p * row - row[pj] * prow) // d`` and
+        ``d`` becomes the pivot ``p``.  A negative pivot (only a
+        drive-out after phase one meets one) negates the pivot row and
+        ``p`` first, which negates every updated row alike and keeps
+        ``d`` positive."""
         prow = self.rows[pi]
-        piv = prow[pj]
-        if piv != 1:
-            prow[:] = [v / piv for v in prow]
-        for row in self.rows:
+        p = prow[pj]
+        if p < 0:
+            p = -p
+            prow[:] = [-v for v in prow]
+        d = self.d
+        others = self.rows if r is None else self.rows + [r]
+        for row in others:
             if row is prow:
                 continue
             f = row[pj]
             if f:
-                row[:] = [a - f * b if b else a for a, b in zip(row, prow)]
-        f = r[pj]
-        if f:
-            r[:] = [a - f * b if b else a for a, b in zip(r, prow)]
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                row[:] = [p * a // d for a in row]
+        self.d = p
         self.basis[pi] = pj
 
-    def run(self, r: list[Fraction], ncols: int) -> str:
+    def run(self, r: list[int], ncols: int) -> str:
         """Minimize with Bland's rule; returns 'optimal' or 'unbounded'.
 
         Entering: smallest column index with negative reduced cost.
         Leaving: minimum ratio, ties broken by smallest basic index.
+        Ratios rhs / a with a > 0 are compared by cross-multiplying.
         """
         rows = self.rows
         basis = self.basis
@@ -206,19 +255,26 @@ class _Tableau:
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best: Optional[Fraction] = None
+            best_rhs = best_a = 0
             for i, row in enumerate(rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, row[-1], a
+                        continue
+                    lhs = row[-1] * best_a
+                    rhs = best_rhs * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
             self.pivot(r, leave, enter)
+
+
+def _scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values times it."""
+    s = lcm(*[v.denominator for v in values])
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def lp_solve(program: LinearProgram) -> LpOutcome:
@@ -228,25 +284,28 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     dimensions at construction.
     """
     n = program.num_vars
-    minimize = program.objective
+    _, minimize = _scale(program.objective)
     if program.sense == MAXIMIZE:
-        minimize = tuple(-c for c in minimize)
+        minimize = [-c for c in minimize]
 
-    # One slack/surplus column per inequality.
+    # Each row is scaled to integers by the lcm of its denominators; its
+    # slack and artificial variables are scaled by the same factor, so
+    # their columns stay +-1.  One slack/surplus column per inequality.
     num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
-    cost = list(minimize) + [_ZERO] * num_slack
-    rows: list[list[Fraction]] = []
+    cost = minimize + [0] * num_slack
+    rows: list[list[int]] = []
+    scales: list[int] = []
     slack_col = n
     slack_of_row: list[Optional[int]] = []
     for con in program.constraints:
-        row = list(con.coeffs)
-        rhs = con.rhs
-        row.extend([_ZERO] * num_slack)
-        slack_sign = _ZERO
+        scale, row = _scale(con.coeffs + (con.rhs,))
+        rhs = row.pop()
+        row.extend([0] * num_slack)
+        slack_sign = 0
         if con.relation == LESS_EQUAL:
-            slack_sign = _ONE
+            slack_sign = 1
         elif con.relation == GREATER_EQUAL:
-            slack_sign = -_ONE
+            slack_sign = -1
         if slack_sign:
             row[slack_col] = slack_sign
             slack_of_row.append(slack_col)
@@ -260,6 +319,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             rhs = -rhs
         row.append(rhs)
         rows.append(row)
+        scales.append(scale)
 
     base_cols = n + num_slack
 
@@ -277,23 +337,26 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     ncols = base_cols + len(artificial_rows)
     for row in rows:
         rhs = row.pop()
-        row.extend([_ZERO] * len(artificial_rows))
+        row.extend([0] * len(artificial_rows))
         row.append(rhs)
     for k, i in enumerate(artificial_rows):
-        rows[i][base_cols + k] = _ONE
+        rows[i][base_cols + k] = 1
         basis[i] = base_cols + k
 
     tab = _Tableau(rows, basis)
 
     if artificial_rows:
-        phase1_cost = [_ZERO] * ncols
-        for k in range(len(artificial_rows)):
-            phase1_cost[base_cols + k] = _ONE
+        # Phase one minimizes the sum of the unscaled artificials: the
+        # artificial of a row scaled by s weighs 1/s, here lcm / s.
+        weight = lcm(*[scales[i] for i in artificial_rows])
+        phase1_cost = [0] * ncols
+        for k, i in enumerate(artificial_rows):
+            phase1_cost[base_cols + k] = weight // scales[i]
         r = tab.reduced_cost_row(phase1_cost)
         status = tab.run(r, ncols)
         if status != OPTIMAL:  # sum of artificials is bounded below by 0
             raise ConsistencyError("phase one cannot be unbounded")
-        if -r[-1] != 0:
+        if r[-1] != 0:
             return LpOutcome(status=INFEASIBLE)
         # Drive leftover artificials out of the basis (degenerate rows).
         for i in range(len(tab.rows) - 1, -1, -1):
@@ -302,8 +365,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             prow = tab.rows[i]
             for j in range(base_cols):
                 if prow[j]:
-                    dummy = [_ZERO] * (ncols + 1)
-                    tab.pivot(dummy, i, j)
+                    tab.pivot(None, i, j)
                     break
             else:
                 # Redundant constraint: drop the row entirely.
@@ -314,17 +376,17 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             row[base_cols:-1] = []
         ncols = base_cols
 
-    r = tab.reduced_cost_row(cost + [_ZERO] * (ncols - base_cols))
+    r = tab.reduced_cost_row(cost)
     status = tab.run(r, ncols)
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
 
-    std_solution = [_ZERO] * base_cols
+    solution = [_ZERO] * n
     for i, b in enumerate(tab.basis):
-        std_solution[b] = tab.rows[i][-1]
+        if b < n:
+            solution[b] = Fraction(tab.rows[i][-1], tab.d)
 
-    solution = std_solution[:n]
-    value = sum(c * v for c, v in zip(program.objective, solution))
+    value = Fraction(*_dot(program.objective, solution))
     outcome = LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
     _certify(program, outcome)
     return outcome

@@ -2,8 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+import ndsupport.classify
+import ndsupport.weightspace
+from conftest import random_rational_rows, random_rows
+from ndsupport.classify import classify_all, cross_check
 from ndsupport.errors import ConsistencyError, ValidationError
+from ndsupport.instances import lift_zero_objective
+from ndsupport.outcomes import validate_instance
 from ndsupport.ratlp import (
     EQUAL,
     GREATER_EQUAL,
@@ -18,6 +25,7 @@ from ndsupport.ratlp import (
     lp_solve,
     rational,
 )
+from ndsupport.weightspace import decompose
 
 
 def ge(coeffs, rhs):
@@ -183,6 +191,27 @@ def test_certify_rejects_corrupted_solutions():
         _certify(prog, violating)
 
 
+exact = st.one_of(st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90))
+
+
+@given(
+    st.lists(st.tuples(exact, exact), min_size=1, max_size=6),
+    st.sampled_from((LESS_EQUAL, EQUAL, GREATER_EQUAL)),
+    exact,
+    st.sampled_from((None, -1, 0, 1)),
+)
+def test_holds_at_equals_plain_fraction_comparison(pairs, relation, rhs, offset):
+    coeffs = tuple(c for c, _ in pairs)
+    x = tuple(F(v) for _, v in pairs)
+    lhs = sum(F(c) * v for c, v in zip(coeffs, x))
+    if offset is not None:
+        # Land on, or just beside, the row's boundary.
+        rhs = lhs + F(offset, 7)
+    con = LinearConstraint(coeffs, relation, rhs)
+    plain = {LESS_EQUAL: lhs <= rhs, EQUAL: lhs == rhs, GREATER_EQUAL: lhs >= rhs}
+    assert con.holds_at(x) is plain[relation]
+
+
 def test_floats_rejected():
     with pytest.raises(ValidationError):
         rational(0.5)
@@ -241,3 +270,301 @@ def test_duality_spot_check():
             assert pout.status == INFEASIBLE
             assert dout.status == UNBOUNDED
     assert optimal_pairs >= 20
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the integer kernel against the Fraction kernel it
+# replaced.  Bland's rule picks the same pivots in both, so every
+# LpOutcome must be equal, witness vectors included.
+# ---------------------------------------------------------------------------
+
+_ZERO = F(0)
+_ONE = F(1)
+
+
+class _FractionTableau:
+    """Dense simplex tableau: rows of length ncols+1 with the rhs last."""
+
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.basis = basis
+
+    def reduced_cost_row(self, cost):
+        r = list(cost) + [_ZERO]
+        for i, b in enumerate(self.basis):
+            cb = r[b]
+            if cb:
+                row = self.rows[i]
+                for j, v in enumerate(row):
+                    if v:
+                        r[j] -= cb * v
+        return r
+
+    def pivot(self, r, pi, pj):
+        prow = self.rows[pi]
+        piv = prow[pj]
+        if piv != 1:
+            prow[:] = [v / piv for v in prow]
+        for row in self.rows:
+            if row is prow:
+                continue
+            f = row[pj]
+            if f:
+                row[:] = [a - f * b if b else a for a, b in zip(row, prow)]
+        f = r[pj]
+        if f:
+            r[:] = [a - f * b if b else a for a, b in zip(r, prow)]
+        self.basis[pi] = pj
+
+    def run(self, r, ncols):
+        rows = self.rows
+        basis = self.basis
+        while True:
+            enter = -1
+            for j in range(ncols):
+                if r[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            self.pivot(r, leave, enter)
+
+
+def fraction_lp_solve(program, paths=None):
+    """The two-phase Bland simplex in Fraction arithmetic, as the package
+    ran it before the integer kernel.  Adds the name of each rare path
+    it takes to ``paths`` when given."""
+    paths = set() if paths is None else paths
+    n = program.num_vars
+    minimize = program.objective
+    if program.sense == "max":
+        minimize = tuple(-c for c in minimize)
+
+    num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
+    cost = list(minimize) + [_ZERO] * num_slack
+    rows = []
+    slack_col = n
+    slack_of_row = []
+    for con in program.constraints:
+        row = list(con.coeffs)
+        rhs = con.rhs
+        row.extend([_ZERO] * num_slack)
+        slack_sign = _ZERO
+        if con.relation == LESS_EQUAL:
+            slack_sign = _ONE
+        elif con.relation == GREATER_EQUAL:
+            slack_sign = -_ONE
+        if slack_sign:
+            row[slack_col] = slack_sign
+            slack_of_row.append(slack_col)
+            slack_col += 1
+        else:
+            slack_of_row.append(None)
+        if rhs < 0 or (rhs == 0 and slack_sign < 0):
+            row = [-v for v in row]
+            rhs = -rhs
+        row.append(rhs)
+        rows.append(row)
+
+    base_cols = n + num_slack
+    basis = [-1] * len(rows)
+    artificial_rows = []
+    for i, row in enumerate(rows):
+        sc = slack_of_row[i]
+        if sc is not None and row[sc] == 1:
+            basis[i] = sc
+        else:
+            artificial_rows.append(i)
+
+    ncols = base_cols + len(artificial_rows)
+    for row in rows:
+        rhs = row.pop()
+        row.extend([_ZERO] * len(artificial_rows))
+        row.append(rhs)
+    for k, i in enumerate(artificial_rows):
+        rows[i][base_cols + k] = _ONE
+        basis[i] = base_cols + k
+
+    tab = _FractionTableau(rows, basis)
+
+    if artificial_rows:
+        phase1_cost = [_ZERO] * ncols
+        for k in range(len(artificial_rows)):
+            phase1_cost[base_cols + k] = _ONE
+        r = tab.reduced_cost_row(phase1_cost)
+        status = tab.run(r, ncols)
+        assert status == OPTIMAL
+        if -r[-1] != 0:
+            paths.add("phase-one infeasible")
+            return LpOutcome(status=INFEASIBLE)
+        for i in range(len(tab.rows) - 1, -1, -1):
+            if tab.basis[i] < base_cols:
+                continue
+            prow = tab.rows[i]
+            for j in range(base_cols):
+                if prow[j]:
+                    paths.add(
+                        "drive-out pivot on a negative element"
+                        if prow[j] < 0
+                        else "drive-out pivot on a positive element"
+                    )
+                    dummy = [_ZERO] * (ncols + 1)
+                    tab.pivot(dummy, i, j)
+                    break
+            else:
+                paths.add("redundant row dropped")
+                del tab.rows[i]
+                del tab.basis[i]
+        for row in tab.rows:
+            row[base_cols:-1] = []
+        ncols = base_cols
+
+    r = tab.reduced_cost_row(cost + [_ZERO] * (ncols - base_cols))
+    status = tab.run(r, ncols)
+    if status == UNBOUNDED:
+        paths.add("unbounded")
+        return LpOutcome(status=UNBOUNDED)
+
+    std_solution = [_ZERO] * base_cols
+    for i, b in enumerate(tab.basis):
+        std_solution[b] = tab.rows[i][-1]
+    solution = std_solution[:n]
+    value = sum(c * v for c, v in zip(program.objective, solution))
+    return LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
+
+
+_RARE_PATHS = {
+    "phase-one infeasible",
+    "unbounded",
+    "redundant row dropped",
+    "drive-out pivot on a negative element",
+}
+
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12)
+
+
+def _random_fraction(rng, lo=-6, hi=6):
+    return F(rng.randint(lo, hi), rng.choice(_DENOMINATORS))
+
+
+def random_program(rng):
+    """A small program with mixed denominators, every relation, signed
+    right-hand sides, either sense and the odd all-zero row."""
+    n = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.1:
+            coeffs = (0,) * n
+        else:
+            coeffs = tuple(
+                0 if rng.random() < 0.3 else _random_fraction(rng) for _ in range(n)
+            )
+        relation = rng.choice((LESS_EQUAL, EQUAL, GREATER_EQUAL))
+        rhs = 0 if rng.random() < 0.25 else _random_fraction(rng)
+        rows.append(LinearConstraint(coeffs, relation, rhs))
+    if rng.random() < 0.6:
+        # A positive row bounds the region, so most programs that are
+        # feasible have an optimum.
+        coeffs = tuple(_random_fraction(rng, 1, 6) for _ in range(n))
+        rows.append(LinearConstraint(coeffs, LESS_EQUAL, _random_fraction(rng, 1, 9)))
+        rng.shuffle(rows)
+    objective = tuple(_random_fraction(rng, -4, 4) for _ in range(n))
+    return LinearProgram(rng.choice(("min", "max")), objective, tuple(rows))
+
+
+def random_equality_system(rng):
+    """Three or four ``=`` / ``>=`` rows with nonnegative coefficients and
+    positive right-hand sides, so every row starts with an artificial,
+    and a zero or nonnegative objective.  The optimum is often not
+    unique, and then the vertex phase one ends at is the one returned:
+    the weights of the artificials in the phase-one cost decide it."""
+    n = rng.randint(4, 8)
+    rows = tuple(
+        LinearConstraint(
+            tuple(_random_fraction(rng, 0, 6) for _ in range(n)),
+            rng.choice((EQUAL, GREATER_EQUAL)),
+            _random_fraction(rng, 1, 9),
+        )
+        for _ in range(rng.randint(3, 4))
+    )
+    if rng.random() < 0.5:
+        objective = (0,) * n
+    else:
+        objective = tuple(_random_fraction(rng, 0, 3) for _ in range(n))
+    return LinearProgram("min", objective, rows)
+
+
+def classify_corpus_programs(monkeypatch):
+    """Every program classify_all, cross_check and decompose pass to
+    lp_solve on seeded sets, p = 2..5, integer and rational, each with
+    its zero-objective lift."""
+    programs = []
+    for module in (ndsupport.classify, ndsupport.weightspace):
+        def recorded(program, solve=module.lp_solve):
+            programs.append(program)
+            return solve(program)
+
+        monkeypatch.setattr(module, "lp_solve", recorded)
+    rng = random.Random(71)
+    for p in (2, 3, 4, 5):
+        for rational_rows in (False, True):
+            for _ in range(2):
+                n = rng.randint(5, 9)
+                if rational_rows:
+                    rows = random_rational_rows(rng, n, p)
+                else:
+                    rows = random_rows(rng, n, p, 0, 6)
+                base = validate_instance(rows, p)
+                for s in (base, lift_zero_objective(base)):
+                    classify_all(s)
+                    cross_check(s)
+                    decompose(s)
+    monkeypatch.undo()
+    return programs
+
+
+class TestIntegerKernelDifferential:
+    def test_classify_corpus_programs(self, monkeypatch):
+        programs = classify_corpus_programs(monkeypatch)
+        assert len(programs) >= 1000
+        statuses = set()
+        for prog in programs:
+            out = lp_solve(prog)
+            assert out == fraction_lp_solve(prog), prog
+            statuses.add(out.status)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_random_programs(self):
+        rng = random.Random(20261018)
+        paths = set()
+        statuses = set()
+        for _ in range(3000):
+            prog = random_program(rng)
+            out = lp_solve(prog)
+            assert out == fraction_lp_solve(prog, paths), prog
+            statuses.add(out.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        assert _RARE_PATHS <= paths
+
+    def test_random_equality_systems(self):
+        rng = random.Random(1968)
+        optimal = 0
+        for _ in range(1000):
+            prog = random_equality_system(rng)
+            out = lp_solve(prog)
+            assert out == fraction_lp_solve(prog), prog
+            optimal += out.status == OPTIMAL
+        assert optimal >= 500
