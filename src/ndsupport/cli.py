@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
 
 from .classify import (
@@ -221,8 +221,11 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -334,7 +337,10 @@ def _cmd_dichotomic(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one shared parser tree (parsing does not change it); a tree
+    per call would leave its reference cycles to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="ndsupport",
         description="Exact supportedness classification of finite outcome sets",
@@ -400,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -25,13 +25,15 @@ import json
 import os
 import random
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 from typing import Union
 
 from .errors import EnumerationCapError, ParseError, ValidationError
-from .outcomes import OutcomeSet, validate_instance
+from .outcomes import OutcomeSet, _collapse, validate_instance
 from .ratlp import format_rational, rational
 
 DEFAULT_KNAPSACK_ITEM_CAP = 20
@@ -290,31 +292,23 @@ def enumerate_knapsack(spec: KnapsackSpec) -> OutcomeSet:
             f"knapsack with {n} items exceeds the enumeration cap of {cap} "
             f"(set {ENUM_CAP_ENV_VAR} to override)"
         )
-    zero = (0,) * spec.p
-    partial: list[tuple[int, tuple[int, ...]]] = [(0, zero)]
+    partial: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * spec.p)]
     for weight, costs in spec.items:
-        extended = []
-        for total, vec in partial:
-            new_total = total + weight
-            if new_total <= spec.capacity:
-                extended.append(
-                    (new_total, tuple(a + b for a, b in zip(vec, costs)))
-                )
-        partial.extend(extended)
-    return validate_instance([vec for _, vec in partial], spec.p)
+        partial += [
+            (total + weight, tuple(map(add, vec, costs)))
+            for total, vec in partial
+            if total + weight <= spec.capacity
+        ]
+    return _collapse(Counter(vec for _, vec in partial), spec.p)
 
 
 def enumerate_assignment(spec: AssignmentSpec) -> OutcomeSet:
     """Outcome vectors of all n! complete assignments."""
-    rows = []
+    counts: Counter[tuple[int, ...]] = Counter()
     for perm in permutations(range(spec.n)):
-        total = [0] * spec.p
-        for agent, task in enumerate(perm):
-            cell = spec.costs[agent][task]
-            for k in range(spec.p):
-                total[k] += cell[k]
-        rows.append(tuple(total))
-    return validate_instance(rows, spec.p)
+        cells = [spec.costs[agent][task] for agent, task in enumerate(perm)]
+        counts[tuple(map(sum, zip(*cells)))] += 1
+    return _collapse(counts, spec.p)
 
 
 def enumerate_instance(instance: Instance) -> OutcomeSet:
@@ -334,11 +328,8 @@ def lift_zero_objective(outcome_set: OutcomeSet) -> OutcomeSet:
     lifted instance (the constant coordinate supplies a flat face of
     the upper image).
     """
-    rows = []
-    for pt in outcome_set:
-        row = pt.coords + (Fraction(0),)
-        rows.extend([row] * outcome_set.multiplicity[pt.id])
-    return validate_instance(rows, outcome_set.p + 1)
+    counts = {pt.coords + (0,): outcome_set.multiplicity[pt.id] for pt in outcome_set}
+    return _collapse(counts, outcome_set.p + 1)
 
 
 # Documented generator ranges: knapsack weights 1..30 with capacity half

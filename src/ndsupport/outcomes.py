@@ -1,22 +1,24 @@
 """Outcome-space data model, component-wise order and Pareto filtering.
 
 Minimization convention throughout: smaller is better in every
-objective.  Outcome sets are validated and deduplicated at
-construction; distinct feasible solutions sharing an image collapse
-into a single stored point whose multiplicity records the count.
+objective.  One builder, ``_collapse``, makes every set built from
+rows: each distinct row is converted to ``Fraction``s once and becomes
+a point ``y1, y2, ...`` in order of first occurrence, and the number of
+solutions sharing that image becomes its multiplicity.
 
 Each set also has an integer view, its ``lattice``: every coordinate
-times one common denominator.  A positive scaling keeps dominance,
-weighted-sum order and lexicographic order, so order and oracle work
-(the Pareto filter here, the weighted-sum oracle in ``dichotomic``)
-runs on ints; certificates read the exact coordinates.  Everything
-here is immutable and pure (the lattice is computed once and cached),
-so concurrent reads are safe.
+times one common denominator.  A positive scaling keeps equality,
+dominance, weighted-sum order and lexicographic order, so the
+distinctness check at construction, the Pareto filter here and the
+weighted-sum oracle in ``dichotomic`` run on ints; certificates read
+the exact coordinates.  Everything here is immutable and pure, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,9 +56,9 @@ class OutcomeSet:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValidationError("empty outcome set")
-        seen_coords: dict[tuple, str] = {}
+        first_id: dict[tuple[int, ...], str] = {}
         index: dict[str, OutcomePoint] = {}
-        for pt in self.points:
+        for pt, row in zip(self.points, self.lattice):
             if len(pt.coords) != self.p:
                 raise ValidationError(
                     f"dimension mismatch: point {pt.id} has {len(pt.coords)} "
@@ -64,12 +66,11 @@ class OutcomeSet:
                 )
             if pt.id in index:
                 raise ValidationError(f"duplicate point id {pt.id!r}")
-            if pt.coords in seen_coords:
+            if first_id.setdefault(row, pt.id) != pt.id:
                 raise ValidationError(
-                    f"points {seen_coords[pt.coords]!r} and {pt.id!r} share "
+                    f"points {first_id[row]!r} and {pt.id!r} share "
                     "coordinates; collapse duplicates via validate_instance"
                 )
-            seen_coords[pt.coords] = pt.id
             index[pt.id] = pt
         mult = {pt.id: int(self.multiplicity.get(pt.id, 1)) for pt in self.points}
         object.__setattr__(self, "multiplicity", mult)
@@ -97,7 +98,8 @@ class OutcomeSet:
     @cached_property
     def lattice(self) -> tuple[tuple[int, ...], ...]:
         """Each point's coordinates times the lcm of all coordinate
-        denominators, as int tuples in point order."""
+        denominators, as int tuples in point order.  Construction builds
+        it: equal rows are equal coordinates, so it is the distinctness key."""
         scale = lcm(*(c.denominator for pt in self.points for c in pt.coords))
         return tuple(
             tuple(c.numerator * (scale // c.denominator) for c in pt.coords)
@@ -105,14 +107,26 @@ class OutcomeSet:
         )
 
 
+def _collapse(counts: Mapping[tuple, int], p: int) -> OutcomeSet:
+    """The one builder of sets from rows: ``counts`` maps each distinct
+    row, in order of first occurrence, to how many solutions share it."""
+    points, multiplicity = [], {}
+    for row, count in counts.items():
+        pid = f"y{len(points) + 1}"
+        points.append(OutcomePoint(pid, row))
+        multiplicity[pid] = count
+    return OutcomeSet(p=p, points=tuple(points), multiplicity=multiplicity)
+
+
 def validate_instance(
     raw_points: Iterable[Sequence], p: Optional[int] = None
 ) -> OutcomeSet:
     """Build an OutcomeSet from raw coordinate rows.
 
-    Duplicates collapse with their count retained in ``multiplicity``.
-    Rejects fewer than two objectives, empty input and ragged rows.
-    Coordinates may be ints, Fractions or exact literals like "9/2".
+    Coordinates may be ints, Fractions or exact literals like "9/2";
+    floats are rejected, as are fewer than two objectives, empty input
+    and ragged rows.  Equal rows, however written, collapse once (see
+    ``_collapse``), their count retained in ``multiplicity``.
     """
     rows = [tuple(rational(c) for c in row) for row in raw_points]
     if not rows:
@@ -126,18 +140,7 @@ def validate_instance(
             raise ValidationError(
                 f"dimension mismatch: row {i} has {len(row)} coordinates, expected {p}"
             )
-    points: list[OutcomePoint] = []
-    counts: dict[str, int] = {}
-    first_id: dict[tuple, str] = {}
-    for row in rows:
-        if row in first_id:
-            counts[first_id[row]] += 1
-            continue
-        pid = f"y{len(points) + 1}"
-        first_id[row] = pid
-        counts[pid] = 1
-        points.append(OutcomePoint(pid, row))
-    return OutcomeSet(p=p, points=tuple(points), multiplicity=counts)
+    return _collapse(Counter(rows), p)
 
 
 def dominates(a: OutcomePoint, b: OutcomePoint) -> bool:

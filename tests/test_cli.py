@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -135,6 +136,43 @@ class TestClassify:
         assert main(["classify", counterexample_file, "--svg", str(svg)]) == 0
         assert not svg.exists()
         assert "no SVG written" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "points", "5", "2", "--out"],
+            ["lift", "FIG2D", "--out"],
+            ["wsd", "FIG2D", "--out"],
+            ["wsd", "FIG2D", "--svg"],
+            ["classify", "FIG2D", "--svg"],
+        ],
+        ids=["gen-out", "lift-out", "wsd-out", "wsd-svg", "classify-svg"],
+    )
+    def test_unwritable_output_exits_2(self, fig2d_file, tmp_path, capsys, argv, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.out"
+        argv = [fig2d_file if a == "FIG2D" else a for a in argv] + [str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["dichotomic", fig2d_file]) == 0
+    first_call = len(built)
+    assert main(["dichotomic", fig2d_file]) == 0
+    assert len(built) == first_call
 
 
 def count_classify_solves(monkeypatch) -> list:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +8,19 @@ from hypothesis import given, strategies as st
 
 from conftest import oracle_nondominated, random_rational_rows, random_rows
 from ndsupport.errors import ValidationError
-from ndsupport.instances import enumerate_instance, generate_knapsack
+from ndsupport.cli import main
+from ndsupport.instances import (
+    AssignmentSpec,
+    KnapsackSpec,
+    enumerate_assignment,
+    enumerate_instance,
+    enumerate_knapsack,
+    generate_assignment,
+    generate_knapsack,
+    lift_zero_objective,
+    serialize_instance,
+)
+from ndsupport.ratlp import rational
 from ndsupport.outcomes import (
     OutcomePoint,
     OutcomeSet,
@@ -238,3 +251,166 @@ class TestSortFilterDifferential:
             for pt, row in zip(s, s.lattice):
                 assert all(type(v) is int for v in row)
                 assert row == tuple(c * scale for c in pt.coords)
+
+
+def two_pass_validate_instance(raw_points, p=None) -> OutcomeSet:
+    """The ``validate_instance`` that the single collapse replaced, kept
+    as the reference: rows are converted to ``Fraction`` tuples, the
+    first occurrence of each gets the next id and later ones add to its
+    count."""
+    rows = [tuple(rational(c) for c in row) for row in raw_points]
+    if not rows:
+        raise ValidationError("empty outcome set")
+    if p is None:
+        p = len(rows[0])
+    if p < 2:
+        raise ValidationError(f"bi-objective minimum violated: p = {p}")
+    for i, row in enumerate(rows):
+        if len(row) != p:
+            raise ValidationError(
+                f"dimension mismatch: row {i} has {len(row)} coordinates, expected {p}"
+            )
+    points, counts, first_id = [], {}, {}
+    for row in rows:
+        if row in first_id:
+            counts[first_id[row]] += 1
+            continue
+        pid = f"y{len(points) + 1}"
+        first_id[row] = pid
+        counts[pid] = 1
+        points.append(OutcomePoint(pid, row))
+    return OutcomeSet(p=p, points=tuple(points), multiplicity=counts)
+
+
+def knapsack_rows(spec):
+    """Images of the feasible selections, in order of their bitmask
+    (item k is bit k), which is the order the enumerator meets them in."""
+    rows = []
+    for mask in range(1 << len(spec.items)):
+        chosen = [item for k, item in enumerate(spec.items) if mask >> k & 1]
+        if sum(w for w, _ in chosen) <= spec.capacity:
+            rows.append(
+                tuple(sum(costs[i] for _, costs in chosen) for i in range(spec.p))
+            )
+    return rows
+
+
+def assignment_rows(spec):
+    return [
+        tuple(
+            sum(spec.costs[agent][task][i] for agent, task in enumerate(perm))
+            for i in range(spec.p)
+        )
+        for perm in itertools.permutations(range(spec.n))
+    ]
+
+
+def lifted_rows(s):
+    return [
+        pt.coords + (F(0),) for pt in s for _ in range(s.multiplicity[pt.id])
+    ]
+
+
+def respelled(rng, value):
+    """One of the ways to write the rational ``value``."""
+    value = F(value)
+    k = rng.randint(2, 5)
+    forms = [value, f"{value.numerator * k}/{value.denominator * k}", str(value)]
+    if value.denominator == 1:
+        forms += [value.numerator, F(value.numerator)]
+    return rng.choice(forms)
+
+
+def _collapse_corpus():
+    """(label, built set, raw rows, p) over every path that builds a set
+    from rows."""
+    rng = random.Random(29)
+    cases = []
+    for p in (2, 3, 4):
+        for trial in range(4):
+            rows = random_rows(rng, 40, p, 0, 3)
+            rows += [rng.choice(rows) for _ in range(20)]
+            rng.shuffle(rows)
+            cases.append((f"int p{p} t{trial}", validate_instance(rows), rows, None))
+            base = random_rational_rows(rng, 15, p)
+            rows = [
+                [respelled(rng, c) for c in rng.choice(base)] for _ in range(45)
+            ]
+            cases.append((f"spelled p{p} t{trial}", validate_instance(rows, p), rows, p))
+    rows = [["1/2", 3], ["2/4", F(3)], [F(1, 2), "6/2"]]
+    cases.append(("one half, three", validate_instance(rows), rows, None))
+    for n in range(0, 11, 2):
+        for p in (2, 3):
+            for seed in range(2):
+                spec = generate_knapsack(n, p, seed)
+                cases.append((f"knapsack {n} {p} {seed}", enumerate_knapsack(spec), knapsack_rows(spec), p))
+    # coinciding selections: equal items, and a free item doubling every count
+    spec = KnapsackSpec(
+        p=2,
+        capacity=4,
+        items=((1, (-1, -2)), (1, (-1, -2)), (2, (-2, -4)), (0, (0, 0)), (3, (-5, 1))),
+    )
+    cases.append(("knapsack coinciding", enumerate_knapsack(spec), knapsack_rows(spec), 2))
+    for n in range(1, 6):
+        for p in (2, 3):
+            spec = generate_assignment(n, p, n)
+            cases.append((f"assignment {n} {p}", enumerate_assignment(spec), assignment_rows(spec), p))
+    spec = AssignmentSpec(p=2, costs=(((1, 1), (1, 1), (2, 0)),) * 3)
+    cases.append(("assignment coinciding", enumerate_assignment(spec), assignment_rows(spec), 2))
+    for label, s, _, p in list(cases):
+        if max(s.multiplicity.values()) > 1:
+            lifted = lift_zero_objective(s)
+            cases.append((f"lift of {label}", lifted, lifted_rows(s), s.p + 1))
+    return cases
+
+
+class TestSingleCollapseDifferential:
+    def test_matches_two_pass_reference(self):
+        cases = _collapse_corpus()
+        seen_repeats = 0
+        for label, got, rows, p in cases:
+            ref = two_pass_validate_instance(rows, p)
+            assert [pt.id for pt in got] == [pt.id for pt in ref], label
+            assert [pt.coords for pt in got] == [pt.coords for pt in ref], label
+            assert list(got.multiplicity.items()) == list(ref.multiplicity.items()), label
+            assert got.lattice == ref.lattice, label
+            assert got == ref, label
+            seen_repeats += max(got.multiplicity.values()) > 1
+        labels = [label for label, *_ in cases]
+        assert any(label.startswith("lift of knapsack") for label in labels)
+        assert any(label.startswith("lift of assignment") for label in labels)
+        assert seen_repeats > len(cases) // 2
+
+    def test_float_still_rejected(self):
+        with pytest.raises(ValidationError):
+            validate_instance([[1, 2], [1.0, 2]])
+
+    def test_equal_coordinates_rejected_naming_both_ids(self):
+        with pytest.raises(ValidationError, match="'a' and 'b' share coordinates"):
+            OutcomeSet(p=2, points=(pt(1, 2, pid="a"), pt(F(2, 2), 2, pid="b")))
+
+
+class TestEachJobOnce:
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        calls = []
+        original = F.__hash__
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(F, "__hash__", counting)
+        return calls
+
+    def test_enumerated_classify_hashes_no_fraction(self, tmp_path, capsys, hash_calls):
+        path = tmp_path / "k13.json"
+        path.write_text(serialize_instance(generate_knapsack(13, 2, 0)))
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out
+        assert len(hash_calls) == 0
+
+    def test_explicit_rows_hash_each_fraction_once(self, hash_calls):
+        rows = random_rational_rows(random.Random(31), 200, 3)
+        validate_instance(rows + rows[:50])
+        assert 0 < len(hash_calls) <= 250 * 3
