@@ -194,12 +194,12 @@ def _witness_program(y: OutcomePoint, p: int, rows) -> LinearProgram:
 
 
 def _solve_witness(
-    y: OutcomePoint, yn: OutcomeSet, rows=None
+    y: OutcomePoint, yn: OutcomeSet, rows
 ) -> Optional[tuple[WeightVector, Fraction]]:
     """Optimizing weight vector and optimal t, or None if no weight in
-    the closed simplex makes y weighted-sum minimal.  The comparison
-    rows default to all of yn; the certificate is checked over yn."""
-    outcome = lp_solve(_witness_program(y, yn.p, yn if rows is None else rows))
+    the closed simplex makes y weighted-sum minimal over rows; the
+    certificate is checked over all of yn."""
+    outcome = lp_solve(_witness_program(y, yn.p, rows))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])
@@ -226,7 +226,7 @@ def weakly_supported_witness(
     over yn, or None (then y is unsupported).  yn must be an antichain
     containing y."""
     _require_member(y, yn)
-    solved = _solve_witness(y, yn)
+    solved = _solve_witness(y, yn, yn)
     return None if solved is None else solved[0]
 
 
@@ -235,7 +235,7 @@ def supported_witness(y: OutcomePoint, yn: OutcomeSet) -> Optional[WeightVector]
     attainable minimum weight component is exactly zero (or no witness
     exists at all)."""
     _require_member(y, yn)
-    solved = _solve_witness(y, yn)
+    solved = _solve_witness(y, yn, yn)
     if solved is None:
         return None
     lam, t = solved
@@ -371,22 +371,16 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet, vertices=None
+    y: OutcomePoint, yn: OutcomeSet, vertices
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
-    """Solve the witness, boundary and frontier programs for y.  Without
-    a vertex set every program is full width; with the vertex set V of
-    yn, boundary and frontier use V columns, and the witness program of
-    a point off the boundary uses V rows.  A boundary point keeps all of
-    yn's rows, so its witness is the one the full program prints."""
-    if vertices is None:
-        boundary = is_on_boundary_upper_image(y, yn)
-        frontier = is_on_frontier(y, yn)
-        rows = yn
-    else:
-        boundary = _on_boundary(y, vertices)
-        frontier = _on_frontier(y, vertices)
-        rows = yn if boundary else vertices
-    solved = _solve_witness(y, yn, rows)
+    """Solve the boundary and frontier programs for y over the columns
+    vertices (V for classify; all of yn gives the full-width programs
+    ``check`` runs), then the witness program with them as rows.  A
+    boundary point keeps all of yn's rows, so its witness is the one
+    the full program prints."""
+    boundary = _on_boundary(y, vertices)
+    frontier = _on_frontier(y, vertices)
+    solved = _solve_witness(y, yn, yn if boundary else vertices)
     weak = solved is not None
     strict = weak and solved[1] > 0
     check = PointCheck(
@@ -413,7 +407,7 @@ def cross_check(outcome_set: OutcomeSet) -> CrossCheckReport:
     implementation bug, not a property of the instance.
     """
     yn = filter_nondominated(outcome_set).nondominated
-    checks = tuple(_point_check(y, yn)[0] for y in yn)
+    checks = tuple(_point_check(y, yn, yn.points)[0] for y in yn)
     return CrossCheckReport(p=outcome_set.p, checks=checks)
 
 

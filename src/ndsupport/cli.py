@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
@@ -217,15 +218,19 @@ def wsd_to_json(cells: Sequence[WeightCell], p: int) -> dict:
     return {"objectives": p, "cells": doc_cells}
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+@contextmanager
+def _output(path: Optional[str]):
+    """The text stream for path, stdout for None or '-'.  Commands open
+    every output before they compute, so an unwritable path exits 2
+    before any work is done."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -251,20 +256,21 @@ def _json_dumps(doc) -> str:
 
 def _cmd_classify(args) -> int:
     outcomes = _load_outcomes(args.path)
-    report = build_report(outcomes)
-    if args.format == "json":
-        _write_text(None, _json_dumps(report_to_json(report)))
-    else:
-        _write_text(None, report_to_table(report))
-    if args.svg:
-        if outcomes.p == 2:
-            _write_text(args.svg, svg_objective_space(outcomes, report.classifications))
+    draw = args.svg and outcomes.p == 2
+    with _output(args.svg) if draw else nullcontext() as svg:
+        report = build_report(outcomes)
+        if args.format == "json":
+            sys.stdout.write(_json_dumps(report_to_json(report)))
         else:
-            print(
-                f"note: objective-space figure needs 2 objectives, instance has "
-                f"{outcomes.p}; no SVG written",
-                file=sys.stderr,
-            )
+            sys.stdout.write(report_to_table(report))
+        if draw:
+            svg.write(svg_objective_space(outcomes, report.classifications))
+    if args.svg and not draw:
+        print(
+            f"note: objective-space figure needs 2 objectives, instance has "
+            f"{outcomes.p}; no SVG written",
+            file=sys.stderr,
+        )
     return 0 if report.checks.all_ok else 3
 
 
@@ -272,31 +278,33 @@ def _cmd_check(args) -> int:
     outcomes = _load_outcomes(args.path)
     checks = cross_check(outcomes)
     if args.format == "json":
-        _write_text(None, _json_dumps(cross_check_to_json(checks)))
+        sys.stdout.write(_json_dumps(cross_check_to_json(checks)))
     else:
-        _write_text(None, cross_check_to_table(checks))
+        sys.stdout.write(cross_check_to_table(checks))
     return 0 if checks.all_ok else 3
 
 
 def _cmd_wsd(args) -> int:
     outcomes = _load_outcomes(args.path)
-    cells = decompose(outcomes)
-    _write_text(args.out, _json_dumps(wsd_to_json(cells, outcomes.p)))
-    if args.svg:
-        if outcomes.p in (2, 3):
-            _write_text(args.svg, svg_weight_space(cells, outcomes.p))
-        else:
-            print(
-                f"note: weight-space figure needs 2 or 3 objectives, instance "
-                f"has {outcomes.p}; no SVG written",
-                file=sys.stderr,
-            )
+    draw = args.svg and outcomes.p in (2, 3)
+    with _output(args.out) as out, _output(args.svg) if draw else nullcontext() as svg:
+        cells = decompose(outcomes)
+        out.write(_json_dumps(wsd_to_json(cells, outcomes.p)))
+        if draw:
+            svg.write(svg_weight_space(cells, outcomes.p))
+    if args.svg and not draw:
+        print(
+            f"note: weight-space figure needs 2 or 3 objectives, instance "
+            f"has {outcomes.p}; no SVG written",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _cmd_lift(args) -> int:
     outcomes = _load_outcomes(args.path)
-    _write_text(args.out, serialize_instance(lift_zero_objective(outcomes)))
+    with _output(args.out) as out:
+        out.write(serialize_instance(lift_zero_objective(outcomes)))
     return 0
 
 
@@ -307,7 +315,8 @@ def _cmd_gen(args) -> int:
         instance = generate_assignment(args.size, args.objectives, args.seed)
     else:
         instance = generate_points(args.size, args.objectives, args.seed)
-    _write_text(args.out, serialize_instance(instance))
+    with _output(args.out) as out:
+        out.write(serialize_instance(instance))
     return 0
 
 
@@ -326,14 +335,14 @@ def _cmd_dichotomic(args) -> int:
             ],
             "oracle_calls": result.oracle_calls,
         }
-        _write_text(None, _json_dumps(doc))
+        sys.stdout.write(_json_dumps(doc))
     else:
         lines = [
             f"{pt.id}  {_coords_str(pt.coords)}  witness {_coords_str(lam.values)}"
             for pt, lam in zip(result.extremes, result.witness_weights)
         ]
         lines.append(f"extremes: {len(result.extremes)}, oracle calls: {result.oracle_calls}")
-        _write_text(None, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -14,16 +14,21 @@ multipliers), so the variables are the tableau's structural columns as
 they stand.  The solver is pure: identical programs yield identical
 outcomes, and concurrent invocations share no state.
 
-Inside the kernel the tableau holds Python ints.  Each row is scaled by
-the lcm of its denominators, with its slack and artificial variables
-scaled alike, so the starting basis is the identity.  The true tableau
-is the int tableau over one common divisor d > 0, which starts at 1.
-Each pivot is a fraction-free Bareiss step (Edmonds 1967; Bareiss
-1968): every other row becomes (p * row - f * pivot row) / d, an exact
-division, and d becomes the pivot p.  Positive row and column scales
-change neither the sign of a reduced cost nor the order of the ratios,
-so Bland's rule takes the pivots a ``Fraction`` tableau would take, and
-every outcome is the same.
+Inside the kernel the tableau holds Python ints.  Each row is scaled
+by the lcm of its denominators, with its slack and artificial
+variables scaled alike, so the starting basis is the identity.  A row
+is negated when its scaled rhs is negative, or zero on a ``>=`` row,
+and it seeds the basis with its slack exactly when that slack is then
++1; every other row gets an artificial.  The columns (variables |
+slacks | artificials | rhs) are fixed first, and each row is built
+once at that width.  The true tableau is the int tableau over one
+common divisor d > 0, which starts at 1.  Each pivot is a
+fraction-free Bareiss step (Edmonds 1967; Bareiss 1968): every other
+row becomes (p * row - f * pivot row) / d, an exact division, and d
+becomes the pivot p.  Positive row and column scales change neither
+the sign of a reduced cost nor the order of the ratios, so Bland's
+rule takes the pivots a ``Fraction`` tableau would take, and every
+outcome is the same.
 
 Not built for speed beyond desk scale (a few hundred constraints): the
 tableau is dense and nothing is factorized or reused across solves.
@@ -39,11 +44,13 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, ValidationError
 
-# Relations accepted in constraints.
+# Relations accepted in constraints, and the coefficient each gives its
+# row's slack column before any sign flip.
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SLACK_SIGN = {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}
 
 # Solver statuses.
 OPTIMAL = "optimal"
@@ -288,71 +295,47 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     if program.sense == MAXIMIZE:
         minimize = [-c for c in minimize]
 
-    # Each row is scaled to integers by the lcm of its denominators; its
-    # slack and artificial variables are scaled by the same factor, so
-    # their columns stay +-1.  One slack/surplus column per inequality.
-    num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
-    cost = minimize + [0] * num_slack
-    rows: list[list[int]] = []
-    scales: list[int] = []
-    slack_col = n
-    slack_of_row: list[Optional[int]] = []
+    # Scale and sign every row; a zero-rhs surplus row is negated too,
+    # so that its slack can seed the basis.
+    scaled: list[tuple[list[int], int]] = []
+    art_scales: list[int] = []
     for con in program.constraints:
         scale, row = _scale(con.coeffs + (con.rhs,))
-        rhs = row.pop()
-        row.extend([0] * num_slack)
-        slack_sign = 0
-        if con.relation == LESS_EQUAL:
-            slack_sign = 1
-        elif con.relation == GREATER_EQUAL:
-            slack_sign = -1
-        if slack_sign:
-            row[slack_col] = slack_sign
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        else:
-            slack_of_row.append(None)
-        # Negate rows to keep the rhs nonnegative; a zero-rhs surplus row
-        # is also negated so its slack column can seed the basis.
-        if rhs < 0 or (rhs == 0 and slack_sign < 0):
+        slack = _SLACK_SIGN[con.relation]
+        if row[-1] < 0 or (row[-1] == 0 and slack < 0):
             row = [-v for v in row]
-            rhs = -rhs
-        row.append(rhs)
-        rows.append(row)
-        scales.append(scale)
+            slack = -slack
+        scaled.append((row, slack))
+        if slack != 1:
+            art_scales.append(scale)
 
+    num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
+    cost = minimize + [0] * num_slack
     base_cols = n + num_slack
-
-    # Reuse slack columns with coefficient +1 as the starting basis;
-    # only the remaining rows need artificial variables.
-    basis = [-1] * len(rows)
-    artificial_rows: list[int] = []
-    for i, row in enumerate(rows):
-        sc = slack_of_row[i]
-        if sc is not None and row[sc] == 1:
-            basis[i] = sc
+    ncols = base_cols + len(art_scales)
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    slack_col, art_col = n, base_cols
+    for row, slack in scaled:
+        full = row[:-1] + [0] * (ncols - n) + row[-1:]
+        if slack == 1:
+            basis.append(slack_col)
         else:
-            artificial_rows.append(i)
-
-    ncols = base_cols + len(artificial_rows)
-    for row in rows:
-        rhs = row.pop()
-        row.extend([0] * len(artificial_rows))
-        row.append(rhs)
-    for k, i in enumerate(artificial_rows):
-        rows[i][base_cols + k] = 1
-        basis[i] = base_cols + k
+            full[art_col] = 1
+            basis.append(art_col)
+            art_col += 1
+        if slack:
+            full[slack_col] = slack
+            slack_col += 1
+        rows.append(full)
 
     tab = _Tableau(rows, basis)
 
-    if artificial_rows:
+    if art_scales:
         # Phase one minimizes the sum of the unscaled artificials: the
         # artificial of a row scaled by s weighs 1/s, here lcm / s.
-        weight = lcm(*[scales[i] for i in artificial_rows])
-        phase1_cost = [0] * ncols
-        for k, i in enumerate(artificial_rows):
-            phase1_cost[base_cols + k] = weight // scales[i]
-        r = tab.reduced_cost_row(phase1_cost)
+        weight = lcm(*art_scales)
+        r = tab.reduced_cost_row([0] * base_cols + [weight // s for s in art_scales])
         status = tab.run(r, ncols)
         if status != OPTIMAL:  # sum of artificials is bounded below by 0
             raise ConsistencyError("phase one cannot be unbounded")

@@ -222,14 +222,8 @@ def svg_objective_space(
             f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" font-size="11" '
             f'font-family="sans-serif">{pt.id}</text>'
         )
-    legend = [
-        ("extreme supported", "circle"),
-        ("supported", "square"),
-        ("unsupported", "cross"),
-        ("dominated", "diamond"),
-    ]
     ly = margin
-    for name, _marker in legend:
+    for name in ("extreme supported", "supported", "unsupported", "dominated"):
         body.append(
             f'<text x="{size - margin - 130}" y="{ly}" font-size="11" '
             f'font-family="sans-serif">{name}</text>'

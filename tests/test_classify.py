@@ -362,7 +362,7 @@ def full_width_classify(outcome_set):
     yn = nondom(outcome_set)
     records = {}
     for y in yn:
-        check, solved = _point_check(y, yn)
+        check, solved = _point_check(y, yn, yn.points)
         assert check.ok
         weak = strict = None
         if solved is None:
@@ -479,13 +479,16 @@ def program_kind(program):
     return "frontier" if any(program.objective) else "vertex"
 
 
+# (6, 5) is interior; (4, 27/5) lies on the open segment between (3, 6)
+# and (8, 3), so it is on the boundary but not a vertex.
+PRUNING_ROWS = [[2, 9], [3, 6], [8, 3], [6, 5], [4, "27/5"]]
+
+
 class TestVertexPruning:
     def test_programs_after_the_vertex_pass_use_vertex_columns_and_rows(
         self, monkeypatch
     ):
-        # (6, 5) is interior; (4, 27/5) lies on the open segment between
-        # (3, 6) and (8, 3), so it is on the boundary but not a vertex.
-        s = validate_instance([[2, 9], [3, 6], [8, 3], [6, 5], [4, "27/5"]])
+        s = validate_instance(PRUNING_ROWS)
         vertices = 3
         programs = record_programs(monkeypatch)
         report = {c.point_id: c for c in classify_all(s)}
@@ -509,3 +512,20 @@ class TestVertexPruning:
         # y4 compares against the vertices only.
         full = 1 + s.p + len(s) - 1
         assert witness_rows == [full, full, full, vertices + s.p + 1, full]
+
+    def test_cross_check_programs_are_full_width(self, monkeypatch):
+        # The standalone cross-check runs no vertex pass, and every
+        # point, the interior y4 included, gets all of Y_N as columns
+        # and as witness rows.
+        s = validate_instance(PRUNING_ROWS)
+        programs = record_programs(monkeypatch)
+        assert cross_check(s).all_ok
+        kinds = [program_kind(program) for program in programs]
+        assert kinds == ["boundary", "frontier", "witness"] * len(s)
+        for program, kind in zip(programs, kinds):
+            if kind == "boundary":
+                assert program.num_vars == len(s) + 1
+            elif kind == "frontier":
+                assert program.num_vars == len(s)
+            else:
+                assert len(program.constraints) == 1 + s.p + len(s) - 1

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ndsupport.classify
+import ndsupport.cli
 from ndsupport.cli import main
 from ndsupport.instances import parse_instance
 
@@ -159,6 +160,31 @@ class TestOutputPaths:
         assert err.startswith(f"error: cannot write {out}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["classify", "FIG2D", "--svg"], "build_report"),
+            (["wsd", "FIG2D", "--out"], "decompose"),
+            (["wsd", "FIG2D", "--svg"], "decompose"),
+        ],
+        ids=["classify-svg", "wsd-out", "wsd-svg"],
+    )
+    def test_unwritable_output_is_refused_before_any_work(
+        self, fig2d_file, tmp_path, monkeypatch, capsys, argv, work, target
+    ):
+        def refuse(*args):
+            raise AssertionError(f"{work} ran before the output path was opened")
+
+        monkeypatch.setattr(ndsupport.cli, work, refuse)
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.out"
+        argv = [fig2d_file if a == "FIG2D" else a for a in argv] + [str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys):
     built = []
@@ -176,19 +202,15 @@ def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys
 
 
 def count_classify_solves(monkeypatch) -> list:
-    """Record every LP the classify module solves, through whichever
-    ratlp entry points it binds."""
+    """Record every LP the classify module solves."""
     calls = []
-    for name in ("lp_solve", "lp_feasible"):
-        solve = getattr(ndsupport.classify, name, None)
-        if solve is None:
-            continue
+    solve = ndsupport.classify.lp_solve
 
-        def counted(*args, _solve=solve, _name=name, **kwargs):
-            calls.append(_name)
-            return _solve(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("lp_solve")
+        return solve(*args, **kwargs)
 
-        monkeypatch.setattr(ndsupport.classify, name, counted)
+    monkeypatch.setattr(ndsupport.classify, "lp_solve", counted)
     return calls
 
 
@@ -233,9 +255,7 @@ class TestCheck:
 
     def test_forced_violation_exits_3(self, counterexample_file, capsys, monkeypatch):
         # Sabotage one side of an equivalence to prove code 3 is wired up.
-        monkeypatch.setattr(
-            ndsupport.classify, "is_on_frontier", lambda y, yn: True
-        )
+        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts: True)
         assert main(["check", counterexample_file]) == 3
         assert "FAIL" in capsys.readouterr().out
 

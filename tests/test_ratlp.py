@@ -551,13 +551,24 @@ class TestIntegerKernelDifferential:
         rng = random.Random(20261018)
         paths = set()
         statuses = set()
+        # Relation and rhs sign decide a row's sign flip and whether it
+        # seeds the basis with its slack or needs an artificial.
+        row_kinds = set()
         for _ in range(3000):
             prog = random_program(rng)
             out = lp_solve(prog)
             assert out == fraction_lp_solve(prog, paths), prog
             statuses.add(out.status)
+            row_kinds.update(
+                (c.relation, (c.rhs > 0) - (c.rhs < 0)) for c in prog.constraints
+            )
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
         assert _RARE_PATHS <= paths
+        assert row_kinds == {
+            (relation, sign)
+            for relation in (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+            for sign in (-1, 0, 1)
+        }
 
     def test_random_equality_systems(self):
         rng = random.Random(1968)
