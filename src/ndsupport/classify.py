@@ -34,6 +34,8 @@ point weighted-sum-minimal.  Over this closed region "optimal t > 0"
 is a tolerance-free stand-in for the open condition "some strictly
 positive witness exists", and the optimizer at t = 0 necessarily
 carries a zero weight, certifying the weakly-supported-only case.
+Its builder, ``_cell_program``, also gives ``weightspace`` the cell
+program (t on every cut) and the H-representation: the rows without t.
 
 All functions are pure.  Once the vertex pass has fixed V, the
 per-point tests are independent of each other and safe to evaluate
@@ -172,25 +174,33 @@ def _require_member(y: OutcomePoint, yn: OutcomeSet) -> None:
         )
 
 
-def _witness_program(y: OutcomePoint, p: int, rows) -> LinearProgram:
-    """maximize t  s.t.  sum(lambda) = 1,  lambda_i >= t,
-    lambda . (y' - y) >= 0 for every other point y' of rows.  All
-    variables (including t) are nonnegative, so feasibility alone
-    decides weak supportedness and the sign of the optimum decides
-    supportedness."""
-    cons = [LinearConstraint((_ONE,) * p + (_ZERO,), EQUAL, _ONE)]
+def _cell_program(y: OutcomePoint, p: int, rows, cut_margin: int) -> LinearProgram:
+    """The weight cell of y over rows, with one more column t:
+
+        maximize t  s.t.  lambda_i - t >= 0  (i = 1..p),  sum(lambda) = 1,
+        lambda . (y' - y) - cut_margin * t >= 0  for every other y' of rows,
+
+    in that row order, over lambda, t >= 0; its rows without t are the
+    cell's H-representation.  t = 0 gives the cell, so the program is
+    feasible exactly when y is weakly supported over rows, and its first
+    p + 1 rows bound t <= 1/p.  With cut_margin 0 a positive optimum is
+    a strictly positive weight in the cell: y is supported.  With
+    cut_margin 1 every inequality holds with slack t, and a positive
+    optimum means the cell is full-dimensional in the simplex."""
+    cons = []
     for i in range(p):
         coeffs = [_ZERO] * (p + 1)
         coeffs[i] = _ONE
         coeffs[p] = -_ONE
         cons.append(LinearConstraint(coeffs, GREATER_EQUAL, _ZERO))
+    cons.append(LinearConstraint((_ONE,) * p + (_ZERO,), EQUAL, _ONE))
+    margin = (Fraction(-cut_margin),)
     for other in rows:
         if other.id == y.id:
             continue
-        diff = tuple(o - a for o, a in zip(other.coords, y.coords)) + (_ZERO,)
+        diff = tuple(o - a for o, a in zip(other.coords, y.coords)) + margin
         cons.append(LinearConstraint(diff, GREATER_EQUAL, _ZERO))
-    objective = (_ZERO,) * p + (_ONE,)
-    return LinearProgram("max", objective, tuple(cons))
+    return LinearProgram(MAXIMIZE, (_ZERO,) * p + (_ONE,), tuple(cons))
 
 
 def _solve_witness(
@@ -199,7 +209,7 @@ def _solve_witness(
     """Optimizing weight vector and optimal t, or None if no weight in
     the closed simplex makes y weighted-sum minimal over rows; the
     certificate is checked over all of yn."""
-    outcome = lp_solve(_witness_program(y, yn.p, rows))
+    outcome = lp_solve(_cell_program(y, yn.p, rows, 0))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])

@@ -10,10 +10,11 @@ a property of the instance.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
@@ -233,6 +234,29 @@ def _output(path: Optional[str]):
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _same_output(a: Optional[str], b: Optional[str]) -> bool:
+    """Would outputs a and b land in one file (stdout for None or '-')?"""
+    if a in (None, "-") or b in (None, "-"):
+        return a in (None, "-") and b in (None, "-")
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:  # samefile needs both files to exist
+        return False
+
+
+@contextmanager
+def _outputs(paths: Sequence[Optional[str]]):
+    """The streams of ``_output`` for paths, in order; two that would land
+    in one file are refused before any is opened."""
+    for i, path in enumerate(paths):
+        for other in paths[:i]:
+            if _same_output(path, other):
+                where = "stdout" if path in (None, "-") else path
+                raise ValidationError(f"two outputs would both be written to {where}")
+    with ExitStack() as stack:
+        yield [stack.enter_context(_output(path)) for path in paths]
+
+
 def _load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -257,14 +281,14 @@ def _json_dumps(doc) -> str:
 def _cmd_classify(args) -> int:
     outcomes = _load_outcomes(args.path)
     draw = args.svg and outcomes.p == 2
-    with _output(args.svg) if draw else nullcontext() as svg:
+    with _outputs((None, args.svg) if draw else (None,)) as streams:
         report = build_report(outcomes)
         if args.format == "json":
-            sys.stdout.write(_json_dumps(report_to_json(report)))
+            streams[0].write(_json_dumps(report_to_json(report)))
         else:
-            sys.stdout.write(report_to_table(report))
+            streams[0].write(report_to_table(report))
         if draw:
-            svg.write(svg_objective_space(outcomes, report.classifications))
+            streams[1].write(svg_objective_space(outcomes, report.classifications))
     if args.svg and not draw:
         print(
             f"note: objective-space figure needs 2 objectives, instance has "
@@ -287,11 +311,11 @@ def _cmd_check(args) -> int:
 def _cmd_wsd(args) -> int:
     outcomes = _load_outcomes(args.path)
     draw = args.svg and outcomes.p in (2, 3)
-    with _output(args.out) as out, _output(args.svg) if draw else nullcontext() as svg:
+    with _outputs((args.out, args.svg) if draw else (args.out,)) as streams:
         cells = decompose(outcomes)
-        out.write(_json_dumps(wsd_to_json(cells, outcomes.p)))
+        streams[0].write(_json_dumps(wsd_to_json(cells, outcomes.p)))
         if draw:
-            svg.write(svg_weight_space(cells, outcomes.p))
+            streams[1].write(svg_weight_space(cells, outcomes.p))
     if args.svg and not draw:
         print(
             f"note: weight-space figure needs 2 or 3 objectives, instance "

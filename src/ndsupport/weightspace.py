@@ -3,9 +3,10 @@
 For a non-dominated point y, its cell is the set of normalized
 nonnegative weights under which y is weighted-sum minimal over the
 whole non-dominated set.  Cells are kept as exact half-space lists
-(over the full weight space, simplex equality included); for three
-objectives the cell is additionally projected to the first two weight
-coordinates and its polygon vertices are enumerated exactly.
+over the full weight space, simplex equality included: the rows of the
+program that decides the cell, ``classify._cell_program``, without its
+column t.  For three objectives the cell is also projected to the first
+two weight coordinates and its polygon vertices are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
@@ -21,20 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classify import WeightVector, _require_member
+from .classify import WeightVector, _cell_program, _require_member
 from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
-from .ratlp import (
-    EQUAL,
-    GREATER_EQUAL,
-    LinearConstraint,
-    LinearProgram,
-    MAXIMIZE,
-    OPTIMAL,
-    UNBOUNDED,
-    lp_solve,
-)
+from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, lp_solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,38 +49,6 @@ class WeightCell:
     projected_vertices: Optional[tuple[Point2, ...]]
     is_full_dimensional: bool
     is_empty: bool
-
-
-def _cell_hrep(y: OutcomePoint, yn: OutcomeSet) -> tuple[LinearConstraint, ...]:
-    p = yn.p
-    cons = []
-    for i in range(p):
-        coeffs = [_ZERO] * p
-        coeffs[i] = _ONE
-        cons.append(LinearConstraint(coeffs, GREATER_EQUAL, _ZERO))
-    cons.append(LinearConstraint((_ONE,) * p, EQUAL, _ONE))
-    for other in yn:
-        if other.id == y.id:
-            continue
-        diff = tuple(o - a for o, a in zip(other.coords, y.coords))
-        cons.append(LinearConstraint(diff, GREATER_EQUAL, _ZERO))
-    return tuple(cons)
-
-
-def _slack_program(hrep, p: int) -> LinearProgram:
-    """maximize t  s.t.  every inequality of hrep holds with slack t.
-
-    With t >= 0 this is feasible exactly when hrep is (t = 0 recovers
-    hrep), and bounded because lambda_i - t >= 0 with sum(lambda) = 1
-    forces t <= 1/p.  So one solve decides emptiness (its status) and
-    full dimension relative to the simplex (optimal t > 0).
-    """
-    cons = []
-    for con in hrep:
-        coeffs = con.coeffs + (_ZERO,) if con.relation == EQUAL else con.coeffs + (-_ONE,)
-        cons.append(LinearConstraint(coeffs, con.relation, con.rhs))
-    objective = (_ZERO,) * p + (_ONE,)
-    return LinearProgram(MAXIMIZE, objective, tuple(cons))
 
 
 def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
@@ -150,13 +110,18 @@ def _projected_vertices(hrep) -> tuple[Point2, ...]:
 def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     """The cell of weights under which y is weighted-sum minimal.
 
-    Emptiness and full dimension are decided by one exact slack
-    program; the cell is empty exactly when y is unsupported.
-    Redundant half-spaces are retained.
+    Emptiness and full dimension are decided by one exact program, the
+    cell program with margin t on every cut, whose rows without t are
+    the H-representation (redundant half-spaces retained).  The cell
+    is empty exactly when y is unsupported.
     """
     _require_member(y, yn)
-    hrep = _cell_hrep(y, yn)
-    outcome = lp_solve(_slack_program(hrep, yn.p))
+    program = _cell_program(y, yn.p, yn, 1)
+    hrep = tuple(
+        LinearConstraint(con.coeffs[:-1], con.relation, con.rhs)
+        for con in program.constraints
+    )
+    outcome = lp_solve(program)
     if outcome.status == UNBOUNDED:
         raise ConsistencyError("cell slack program is always bounded")
     nonempty = outcome.status == OPTIMAL

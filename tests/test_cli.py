@@ -185,6 +185,65 @@ class TestOutputPaths:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("svg", ["P", "link to P"])
+    def test_document_and_figure_in_one_file_are_refused(
+        self, tmp_path, monkeypatch, capsys, svg
+    ):
+        # The 895-byte figure of this set is longer than its 888-byte
+        # document, so writing both into P would leave neither.
+        instance = tmp_path / "single.json"
+        instance.write_text('{"objectives": 3, "points": [[5, 5, 5]]}\n')
+        target = tmp_path / "P"
+        target.write_bytes(b"left as it was\n")
+        figure = target
+        if svg == "link to P":
+            figure = tmp_path / "link"
+            figure.symlink_to(target)
+
+        def refuse(*args):
+            raise AssertionError("decompose ran before the outputs were checked")
+
+        monkeypatch.setattr(ndsupport.cli, "decompose", refuse)
+        argv = ["wsd", str(instance), "--out", str(target), "--svg", str(figure)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert target.read_bytes() == b"left as it was\n"
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["wsd", "P3", "--svg", "-"], "decompose"),
+            (["classify", "FIG2D", "--svg", "-"], "build_report"),
+        ],
+        ids=["wsd-svg-stdout", "classify-svg-stdout"],
+    )
+    def test_two_outputs_on_stdout_are_refused(
+        self, counterexample_file, fig2d_file, monkeypatch, capsys, argv, work
+    ):
+        def refuse(*args):
+            raise AssertionError(f"{work} ran before the outputs were checked")
+
+        monkeypatch.setattr(ndsupport.cli, work, refuse)
+        files = {"P3": counterexample_file, "FIG2D": fig2d_file}
+        assert main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_document_to_file_and_figure_to_stdout(
+        self, counterexample_file, tmp_path, capsys
+    ):
+        doc = tmp_path / "doc.json"
+        argv = ["wsd", counterexample_file, "--out", str(doc), "--svg", "-"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+        assert len(json.loads(doc.read_text())["cells"]) == 4
+
 
 def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys):
     built = []

@@ -4,8 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import COUNTEREXAMPLE_ROWS, random_rows
-from ndsupport.classify import Label, WeightVector, classify_all
+from conftest import COUNTEREXAMPLE_ROWS, random_rational_rows, random_rows
+from ndsupport.classify import (
+    Label,
+    WeightVector,
+    _cell_program,
+    _solve_witness,
+    _vertex_set,
+    classify_all,
+)
 from ndsupport.errors import ValidationError
 from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
@@ -18,7 +25,6 @@ from ndsupport.ratlp import (
     lp_solve,
 )
 from ndsupport.weightspace import (
-    _cell_hrep,
     _convex_hull_ccw,
     _projected_vertices,
     cell_interval,
@@ -30,6 +36,13 @@ from ndsupport.weightspace import (
 
 def nondom(s):
     return filter_nondominated(s).nondominated
+
+
+WEAKLY_SUPPORTED = (
+    Label.EXTREME_SUPPORTED,
+    Label.SUPPORTED,
+    Label.WEAKLY_SUPPORTED_ONLY,
+)
 
 
 def lift3(vertex):
@@ -146,13 +159,74 @@ class TestVertexSoundness:
 
     def test_full_dimensional_iff_extreme_supported(self):
         rng = random.Random(59)
+        # Lifted sets and small p = 4 ranges give weakly-supported-only
+        # points; at p = 4 only the cell program decides a cell.
+        sets = []
         for _ in range(8):
             p = rng.choice([2, 3])
-            s = validate_instance(random_rows(rng, rng.randint(3, 12), p, 0, 20))
+            sets.append(validate_instance(random_rows(rng, rng.randint(3, 12), p, 0, 20)))
+        sets += [lift_zero_objective(s) for s in sets]
+        for _ in range(8):
+            sets.append(validate_instance(random_rows(rng, rng.randint(3, 12), 4, 0, 5)))
+        seen = set()
+        for s in sets:
             labels = {c.point_id: c.label for c in classify_all(s)}
-            for cell in decompose(s):
+            weak = {pid for pid, label in labels.items() if label in WEAKLY_SUPPORTED}
+            cells = decompose(s)
+            assert [cell.point_id for cell in cells] == [
+                pid for pid in labels if pid in weak
+            ]
+            for cell in cells:
                 expected = labels[cell.point_id] == Label.EXTREME_SUPPORTED
                 assert cell.is_full_dimensional == expected
+                seen.add((s.p, labels[cell.point_id]))
+        assert {(4, Label.EXTREME_SUPPORTED), (4, Label.WEAKLY_SUPPORTED_ONLY)} <= seen
+
+
+def reference_witness_program(y, p, rows):
+    """The witness program as it was built on its own: the simplex
+    equality first, then lambda_i - t >= 0, then the cuts, with no t."""
+    cons = [LinearConstraint((F(1),) * p + (F(0),), EQUAL, F(1))]
+    for i in range(p):
+        coeffs = [F(0)] * (p + 1)
+        coeffs[i] = F(1)
+        coeffs[p] = F(-1)
+        cons.append(LinearConstraint(coeffs, GREATER_EQUAL, F(0)))
+    for other in rows:
+        if other.id != y.id:
+            diff = tuple(o - a for o, a in zip(other.coords, y.coords)) + (F(0),)
+            cons.append(LinearConstraint(diff, GREATER_EQUAL, F(0)))
+    return LinearProgram("max", (F(0),) * p + (F(1),), tuple(cons))
+
+
+def reference_cell_hrep(y, yn):
+    """The cell's half-spaces as they were built on their own:
+    lambda_i >= 0, the simplex equality, then one cut per other point."""
+    p = yn.p
+    cons = []
+    for i in range(p):
+        coeffs = [F(0)] * p
+        coeffs[i] = F(1)
+        cons.append(LinearConstraint(coeffs, GREATER_EQUAL, F(0)))
+    cons.append(LinearConstraint((F(1),) * p, EQUAL, F(1)))
+    for other in yn:
+        if other.id != y.id:
+            diff = tuple(o - a for o, a in zip(other.coords, y.coords))
+            cons.append(LinearConstraint(diff, GREATER_EQUAL, F(0)))
+    return tuple(cons)
+
+
+def reference_slack_program(hrep, p):
+    """maximize t with every inequality of hrep holding with slack t."""
+    cons = [
+        LinearConstraint(
+            con.coeffs + ((F(0),) if con.relation == EQUAL else (F(-1),)),
+            con.relation,
+            con.rhs,
+        )
+        for con in hrep
+    ]
+    return LinearProgram("max", (F(0),) * p + (F(1),), tuple(cons))
 
 
 def two_program_cell_flags(hrep, p):
@@ -162,15 +236,7 @@ def two_program_cell_flags(hrep, p):
     feasibility = lp_solve(LinearProgram("min", (F(0),) * p, tuple(hrep)))
     if feasibility.status != OPTIMAL:
         return True, False
-    slack = [
-        LinearConstraint(
-            con.coeffs + ((F(0),) if con.relation == EQUAL else (F(-1),)),
-            con.relation,
-            con.rhs,
-        )
-        for con in hrep
-    ]
-    outcome = lp_solve(LinearProgram("max", (F(0),) * p + (F(1),), tuple(slack)))
+    outcome = lp_solve(reference_slack_program(hrep, p))
     return False, outcome.status == OPTIMAL and outcome.value > 0
 
 
@@ -185,7 +251,14 @@ class TestSlackProgramDifferential:
             sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 2, 0, 15)))
             sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
             sets.append(lift_zero_objective(sets[-2]))
+        # Points on or just above a common plane give segment cells.
+        for _ in range(6):
+            rows = random_rows(rng, rng.randint(4, 12), 2, 0, 6)
+            sets.append(
+                validate_instance([[x, y, 12 - x - y + rng.randint(0, 2)] for x, y in rows])
+            )
         labels = set()
+        polygons = set()
         for s in sets:
             labels.update(c.label for c in classify_all(s))
             yn = nondom(s)
@@ -194,7 +267,73 @@ class TestSlackProgramDifferential:
                 assert (cell.is_empty, cell.is_full_dimensional) == two_program_cell_flags(
                     cell.hrep, yn.p
                 )
+                if yn.p == 3 and not cell.is_empty:
+                    # A nonempty cell has a polygon, and it is a proper
+                    # polygon exactly when the cell is full-dimensional.
+                    sides = len(cell.projected_vertices)
+                    assert sides >= 1
+                    assert (sides >= 3) == cell.is_full_dimensional
+                    polygons.add(min(sides, 3))
         assert {Label.WEAKLY_SUPPORTED_ONLY, Label.UNSUPPORTED} <= labels
+        assert polygons == {1, 2, 3}
+
+
+def cell_builder_corpus(rng, count):
+    """Seeded sets for p = 2..5: integer rows down to the range 0..4
+    (ties), rationals, and lifts of a set with one objective fewer."""
+    for k in range(count):
+        p = 2 + k % 4
+        n = rng.randint(2, 10)
+        kind = (k // 4) % 3
+        if kind == 0:
+            yield validate_instance(random_rows(rng, n, p, 0, rng.choice((4, 6, 20))))
+        elif kind == 1:
+            yield validate_instance(random_rational_rows(rng, n, p))
+        else:
+            base = validate_instance(random_rows(rng, n, max(p - 1, 2), 0, 6))
+            yield lift_zero_objective(base) if p > 2 else base
+
+
+class TestOneCellBuilder:
+    def test_cell_program_matches_the_reference_builders(self):
+        rng = random.Random(89)
+        witness_kinds = set()
+        pruned = set()
+        for s in cell_builder_corpus(rng, 120):
+            yn = nondom(s)
+            p = yn.p
+            vertices = _vertex_set(yn)
+            for y in yn:
+                # cut_margin 0 is the witness program, over Y_N rows and
+                # over V rows, with the simplex equality moved.
+                for rows in (yn, vertices):
+                    got = lp_solve(_cell_program(y, p, rows, 0))
+                    assert got == lp_solve(reference_witness_program(y, p, rows))
+                    assert _solve_witness(y, yn, rows) == (
+                        None
+                        if got.status != OPTIMAL
+                        else (WeightVector(got.solution[:p]), got.value)
+                    )
+                    witness_kinds.add(
+                        got.status if got.status != OPTIMAL else got.value > 0
+                    )
+                # cut_margin 1 is the slack program, and its rows without
+                # t are the H-representation, in order.
+                hrep = reference_cell_hrep(y, yn)
+                cell = weight_cell(y, yn)
+                assert cell.hrep == hrep
+                got = lp_solve(_cell_program(y, p, yn, 1))
+                ref = lp_solve(reference_slack_program(hrep, p))
+                assert (got.status, got.value) == (ref.status, ref.value)
+                assert cell.is_empty == (ref.status != OPTIMAL)
+                assert cell.is_full_dimensional == (
+                    ref.status == OPTIMAL and ref.value > 0
+                )
+            pruned.add(len(vertices) < len(yn))
+        # infeasible, t = 0 and t > 0 witness programs all occur, and so
+        # do sets whose vertex set is smaller than Y_N.
+        assert witness_kinds == {"infeasible", False, True}
+        assert pruned == {False, True}
 
 
 def pairwise_projected_vertices(hrep):
@@ -255,7 +394,7 @@ class TestClipDifferential:
         for s in sets:
             yn = nondom(s)
             for y in yn:
-                hrep = _cell_hrep(y, yn)
+                hrep = weight_cell(y, yn).hrep
                 vertices = _projected_vertices(hrep)
                 assert vertices == pairwise_projected_vertices(hrep)
                 kinds.add(min(len(vertices), 3))
