@@ -376,9 +376,6 @@ class CrossCheckReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[PointCheck]:
-        return [c for c in self.checks if not c.ok]
-
 
 def _point_check(
     y: OutcomePoint, yn: OutcomeSet, vertices

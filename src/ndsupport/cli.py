@@ -234,10 +234,20 @@ def _output(path: Optional[str]):
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _is_stdout(path: Optional[str]) -> bool:
+    """Is path stdout: None, '-', or a name of the file stdout writes to?"""
+    if path in (None, "-"):
+        return True
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or stdout has no descriptor
+        return False
+
+
 def _same_output(a: Optional[str], b: Optional[str]) -> bool:
-    """Would outputs a and b land in one file (stdout for None or '-')?"""
-    if a in (None, "-") or b in (None, "-"):
-        return a in (None, "-") and b in (None, "-")
+    """Would outputs a and b land in one file?"""
+    if _is_stdout(a) or _is_stdout(b):
+        return _is_stdout(a) and _is_stdout(b)
     try:
         return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
     except OSError:  # samefile needs both files to exist

@@ -166,9 +166,6 @@ class ParetoFilterResult:
     nondominated: OutcomeSet
     dominated_by: Mapping[str, str]
 
-    def is_dominated(self, point_id: str) -> bool:
-        return point_id in self.dominated_by
-
 
 def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
     """Sort-filter-skyline Pareto filter (Chomicki et al. 2003); idempotent.

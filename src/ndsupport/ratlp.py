@@ -10,28 +10,28 @@ produce routinely.
 Programs come in one form: minimize or maximize over x >= 0, subject
 to ``<=``, ``=`` and ``>=`` rows.  Every program this package builds is
 over nonnegative unknowns (simplex weights, max-min margins, convex
-multipliers), so the variables are the tableau's structural columns as
-they stand.  The solver is pure: identical programs yield identical
+multipliers), so the program's variables enter the simplex as they
+stand.  The solver is pure: identical programs yield identical
 outcomes, and concurrent invocations share no state.
 
-Inside the kernel the tableau holds Python ints.  Each row is scaled
-by the lcm of its denominators, with its slack and artificial
-variables scaled alike, so the starting basis is the identity.  A row
-is negated when its scaled rhs is negative, or zero on a ``>=`` row,
-and it seeds the basis with its slack exactly when that slack is then
-+1; every other row gets an artificial.  The columns (variables |
-slacks | artificials | rhs) are fixed first, and each row is built
-once at that width.  The true tableau is the int tableau over one
-common divisor d > 0, which starts at 1.  Each pivot is a
+Inside the kernel the simplex is an integer dictionary (Chvatal 1983,
+ch. 2), pivoted as in Avis's lrs.  Each row is scaled by the lcm of its
+denominators and negated when its scaled rhs is negative, or zero on a
+``>=`` row.  Variables are labelled in order: the program's variables,
+the slacks, then one artificial per row whose slack is not then +1.
+Only nonbasic variables have a column, the rhs last; a pivot swaps two
+labels, so the width never changes.  The true dictionary is the int one
+over a common divisor d > 0, which starts at 1.  Each pivot is a
 fraction-free Bareiss step (Edmonds 1967; Bareiss 1968): every other
 row becomes (p * row - f * pivot row) / d, an exact division, and d
-becomes the pivot p.  Positive row and column scales change neither
-the sign of a reduced cost nor the order of the ratios, so Bland's
-rule takes the pivots a ``Fraction`` tableau would take, and every
-outcome is the same.
+becomes |p|.  Bland's rule enters the smallest label below a bar with a
+negative reduced cost; phase two bars the artificials.  Positive row
+and column scales change neither the sign of a reduced cost nor the
+order of the ratios, so the pivots and outcomes are those a
+``Fraction`` tableau would give.
 
 Not built for speed beyond desk scale (a few hundred constraints): the
-tableau is dense and nothing is factorized or reused across solves.
+dictionary is dense and nothing is factorized or reused across solves.
 """
 
 from __future__ import annotations
@@ -193,43 +193,43 @@ class LpOutcome:
             )
 
 
-class _Tableau:
-    """Fraction-free dense simplex tableau.
-
-    ``rows`` hold Python ints, with the rhs last, and the true tableau is
-    ``rows / d`` for one common divisor ``d > 0``.  With the identity as
-    the starting basis, ``d`` is the determinant of the current basis up
-    to sign, and every entry is a minor of the scaled integer program
-    (Edmonds 1967), so each Bareiss update divides exactly.
+class _Dictionary:
+    """Fraction-free simplex dictionary: ``rows[i]`` holds the basic
+    label ``basic[i]`` and column j the nonbasic label ``nonbasic[j]``,
+    over the common divisor ``d``.  With the identity as the starting
+    basis, ``d`` is the determinant of the current basis up to sign, and
+    every entry is a minor of the scaled integer program (Edmonds 1967),
+    so each Bareiss update divides exactly.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int]):
+    def __init__(self, rows: list[list[int]], basic: list[int], nonbasic: list[int]):
         self.rows = rows
-        self.basis = basis
+        self.basic = basic
+        self.nonbasic = nonbasic
         self.d = 1
 
     def reduced_cost_row(self, cost: list[int]) -> list[int]:
-        """``d`` times the reduced costs of ``cost``, and minus ``d``
-        times its value at the basic solution, last."""
+        """``d`` times the reduced costs of ``cost``, one per label, on the
+        columns, and minus ``d`` times its value at the basic solution."""
         d = self.d
-        r = [d * c for c in cost] + [0]
-        for i, b in enumerate(self.basis):
+        r = [d * cost[label] for label in self.nonbasic] + [0]
+        for row, b in zip(self.rows, self.basic):
             cb = cost[b]
             if cb:
-                r = [a - cb * v if v else a for a, v in zip(r, self.rows[i])]
+                r = [a - cb * v if v else a for a, v in zip(r, row)]
         return r
 
     def pivot(self, r: Optional[list[int]], pi: int, pj: int) -> None:
-        """Bareiss step on (pi, pj): every other row, the objective row
-        ``r`` included, becomes ``(p * row - row[pj] * prow) // d`` and
-        ``d`` becomes the pivot ``p``.  A negative pivot (only a
-        drive-out after phase one meets one) negates the pivot row and
-        ``p`` first, which negates every updated row alike and keeps
-        ``d`` positive."""
+        """Bareiss step on (pi, pj): every other row, ``r`` included,
+        becomes ``(p * row - f * prow) // d`` with ``f = row[pj]``, and d
+        becomes |p|.  The leaving label takes column pj: ``s * d`` in the
+        pivot row, ``-s * f`` elsewhere, with s the sign of p (negative
+        only in a drive-out, which negates the pivot row first)."""
         prow = self.rows[pi]
         p = prow[pj]
+        s = 1
         if p < 0:
-            p = -p
+            p, s = -p, -1
             prow[:] = [-v for v in prow]
         d = self.d
         others = self.rows if r is None else self.rows + [r]
@@ -239,28 +239,29 @@ class _Tableau:
             f = row[pj]
             if f:
                 row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[pj] = -s * f
             elif p != d:
                 row[:] = [p * a // d for a in row]
+        prow[pj] = s * d
         self.d = p
-        self.basis[pi] = pj
+        self.basic[pi], self.nonbasic[pj] = self.nonbasic[pj], self.basic[pi]
 
-    def run(self, r: list[int], ncols: int) -> str:
-        """Minimize with Bland's rule; returns 'optimal' or 'unbounded'.
+    def run(self, r: list[int], bar: int) -> str:
+        """Minimize with Bland's rule over the labels below ``bar``;
+        returns 'optimal' or 'unbounded'.
 
-        Entering: smallest column index with negative reduced cost.
-        Leaving: minimum ratio, ties broken by smallest basic index.
+        Entering: smallest label with negative reduced cost.
+        Leaving: minimum ratio, ties broken by smallest basic label.
         Ratios rhs / a with a > 0 are compared by cross-multiplying.
         """
         rows = self.rows
-        basis = self.basis
+        basic = self.basic
+        nonbasic = self.nonbasic
         while True:
-            enter = -1
-            for j in range(ncols):
-                if r[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            candidates = [j for j, v in enumerate(nonbasic) if v < bar and r[j] < 0]
+            if not candidates:
                 return OPTIMAL
+            enter = min(candidates, key=nonbasic.__getitem__)
             leave = -1
             best_rhs = best_a = 0
             for i, row in enumerate(rows):
@@ -271,7 +272,7 @@ class _Tableau:
                         continue
                     lhs = row[-1] * best_a
                     rhs = best_rhs * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    if lhs < rhs or (lhs == rhs and basic[i] < basic[leave]):
                         leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED
@@ -295,79 +296,71 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     if program.sense == MAXIMIZE:
         minimize = [-c for c in minimize]
 
-    # Scale and sign every row; a zero-rhs surplus row is negated too,
-    # so that its slack can seed the basis.
-    scaled: list[tuple[list[int], int]] = []
+    num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
+    base_cols = n + num_slack
+    # A surplus keeps slack -1 after the sign flip below: a ``>=`` row
+    # with rhs > 0 or a ``<=`` row with rhs < 0.  It starts as a column.
+    num_surplus = sum(_SLACK_SIGN[c.relation] * c.rhs < 0 for c in program.constraints)
+    rows: list[list[int]] = []
+    basic: list[int] = []
+    nonbasic = list(range(n))
     art_scales: list[int] = []
+    slack_label = n
     for con in program.constraints:
+        # Scale and sign the row; a zero-rhs surplus row is negated too,
+        # so that its slack can seed the basis.
         scale, row = _scale(con.coeffs + (con.rhs,))
         slack = _SLACK_SIGN[con.relation]
         if row[-1] < 0 or (row[-1] == 0 and slack < 0):
             row = [-v for v in row]
             slack = -slack
-        scaled.append((row, slack))
-        if slack != 1:
-            art_scales.append(scale)
-
-    num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
-    cost = minimize + [0] * num_slack
-    base_cols = n + num_slack
-    ncols = base_cols + len(art_scales)
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    slack_col, art_col = n, base_cols
-    for row, slack in scaled:
-        full = row[:-1] + [0] * (ncols - n) + row[-1:]
+        full = row[:-1] + [0] * num_surplus + row[-1:]
         if slack == 1:
-            basis.append(slack_col)
+            basic.append(slack_label)
         else:
-            full[art_col] = 1
-            basis.append(art_col)
-            art_col += 1
+            basic.append(base_cols + len(art_scales))
+            art_scales.append(scale)
+        if slack < 0:
+            full[len(nonbasic)] = -1
+            nonbasic.append(slack_label)
         if slack:
-            full[slack_col] = slack
-            slack_col += 1
+            slack_label += 1
         rows.append(full)
 
-    tab = _Tableau(rows, basis)
+    tab = _Dictionary(rows, basic, nonbasic)
 
     if art_scales:
         # Phase one minimizes the sum of the unscaled artificials: the
         # artificial of a row scaled by s weighs 1/s, here lcm / s.
         weight = lcm(*art_scales)
         r = tab.reduced_cost_row([0] * base_cols + [weight // s for s in art_scales])
-        status = tab.run(r, ncols)
-        if status != OPTIMAL:  # sum of artificials is bounded below by 0
+        # The sum of the artificials is bounded below by 0.
+        if tab.run(r, base_cols + len(art_scales)) != OPTIMAL:
             raise ConsistencyError("phase one cannot be unbounded")
         if r[-1] != 0:
             return LpOutcome(status=INFEASIBLE)
         # Drive leftover artificials out of the basis (degenerate rows).
-        for i in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[i] < base_cols:
+        for i in range(len(rows) - 1, -1, -1):
+            if basic[i] < base_cols:
                 continue
-            prow = tab.rows[i]
-            for j in range(base_cols):
-                if prow[j]:
-                    tab.pivot(None, i, j)
-                    break
+            prow = rows[i]
+            columns = [j for j, v in enumerate(nonbasic) if v < base_cols and prow[j]]
+            if columns:
+                tab.pivot(None, i, min(columns, key=nonbasic.__getitem__))
             else:
                 # Redundant constraint: drop the row entirely.
-                del tab.rows[i]
-                del tab.basis[i]
-        # Forbid artificial columns from re-entering.
-        for row in tab.rows:
-            row[base_cols:-1] = []
-        ncols = base_cols
+                del rows[i]
+                del basic[i]
 
-    r = tab.reduced_cost_row(cost)
-    status = tab.run(r, ncols)
-    if status == UNBOUNDED:
+    # Phase two bars the artificials from entering; their columns stay.
+    r = tab.reduced_cost_row(minimize + [0] * (num_slack + len(art_scales)))
+    if tab.run(r, base_cols) == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
 
     solution = [_ZERO] * n
-    for i, b in enumerate(tab.basis):
+    for i, b in enumerate(basic):
         if b < n:
-            solution[b] = Fraction(tab.rows[i][-1], tab.d)
+            solution[b] = Fraction(rows[i][-1], tab.d)
 
     value = Fraction(*_dot(program.objective, solution))
     outcome = LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))

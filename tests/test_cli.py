@@ -234,6 +234,41 @@ class TestOutputPaths:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "stdout, svg",
+        [("file", "/dev/stdout"), ("pipe", "/dev/stdout"), ("file", "the stdout file")],
+        ids=["dev-stdout-to-file", "dev-stdout-to-pipe", "stdout-file-by-name"],
+    )
+    def test_figure_to_the_file_of_stdout_is_refused(self, tmp_path, stdout, svg):
+        # Both outputs would land in stdout's file: into a file the figure
+        # overwrites the document, through a pipe they come out joined.
+        instance = tmp_path / "single.json"
+        instance.write_text('{"objectives": 3, "points": [[5, 5, 5]]}\n')
+        target = tmp_path / "out"
+        figure = str(target) if svg == "the stdout file" else svg
+        argv = [sys.executable, "-m", "ndsupport", "wsd", str(instance), "--svg", figure]
+        with open(target, "w") as handle:
+            proc = subprocess.run(
+                argv,
+                stdout=handle if stdout == "file" else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not proc.stdout
+        assert target.read_text() == ""
+
+    def test_named_figure_next_to_captured_stdout(
+        self, counterexample_file, tmp_path, capsys
+    ):
+        # Captured stdout has no file descriptor, so no named path is it.
+        svg = tmp_path / "fig.svg"
+        assert main(["wsd", counterexample_file, "--svg", str(svg)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cells"]) == 4
+        assert svg.read_text().startswith("<svg")
+
     def test_document_to_file_and_figure_to_stdout(
         self, counterexample_file, tmp_path, capsys
     ):

@@ -1,0 +1,114 @@
+"""Output bytes at scale: sha256 of what ``classify``, ``check`` and
+``wsd`` print on five seeded instances, recorded before the simplex
+kernel kept only its nonbasic columns.
+
+Every label, witness and cell is an exact LP verdict, and Bland's rule
+fixes which optimal vertex a degenerate program returns, so a kernel
+that pivots differently changes these bytes even when every label
+stays right.
+"""
+
+import hashlib
+import json
+import random
+import re
+
+import pytest
+
+from conftest import random_rational_rows
+from ndsupport.cli import main
+from ndsupport.ratlp import format_rational
+
+# The substitution bench/workloads.py applies: timing is not output.
+_ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*\n')
+
+
+def _anticorr_rows(seed, n, p):
+    """Anti-correlated points: the first p - 1 coordinates are uniform in
+    0..100 and the last is 100 (p - 1) - sum +- 15."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        head = [rng.randint(0, 100) for _ in range(p - 1)]
+        rows.append(head + [100 * (p - 1) - sum(head) + rng.randint(-15, 15)])
+    return rows
+
+
+def _points_file(path, rows, p):
+    doc = {"objectives": p, "points": [[format_rational(c) for c in r] for r in rows]}
+    path.write_text(json.dumps(doc) + "\n")
+
+
+def _instance(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    if name == "points-300-5":
+        assert main(["gen", "points", "300", "5", "--out", str(path)]) == 0
+    elif name == "knapsack-15-2":
+        assert main(["gen", "knapsack", "15", "2", "--out", str(path)]) == 0
+    elif name == "assignment-7-3-lifted":
+        spec = tmp_path / "assignment.json"
+        assert main(["gen", "assignment", "7", "3", "--out", str(spec)]) == 0
+        assert main(["lift", str(spec), "--out", str(path)]) == 0
+    elif name == "anticorr-60-3":
+        _points_file(path, _anticorr_rows(1, 60, 3), 3)
+    else:
+        _points_file(path, random_rational_rows(random.Random(3), 60, 4), 4)
+    capsys.readouterr()
+    return str(path)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def output_digests(name, tmp_path, capsys):
+    """sha256 of classify --format json (elapsed removed), check --format
+    json, the wsd document and, for p = 2 or 3, the wsd figure."""
+    path = _instance(name, tmp_path, capsys)
+    digests = []
+    assert main(["classify", "--format", "json", path]) == 0
+    digests.append(_sha(_ELAPSED.sub("\n", capsys.readouterr().out)))
+    assert main(["check", "--format", "json", path]) == 0
+    digests.append(_sha(capsys.readouterr().out))
+    svg = tmp_path / "wsd.svg"
+    assert main(["wsd", path, "--svg", str(svg)]) == 0
+    digests.append(_sha(capsys.readouterr().out))
+    if svg.exists():
+        digests.append(hashlib.sha256(svg.read_bytes()).hexdigest())
+    return digests
+
+
+GOLDEN = {
+    "points-300-5": [
+        "07936a8f45f60fd2c2e4afebeb9a69987371e0c4c0ca5129d628553214055590",
+        "6ccabe92af095a25b7f011b5424788910b557ec2551595bfb4cec19a1eb727cc",
+        "d3a9318c639a6702828c399d47a06c153a9312d60d1e5a827a6ada7dd0e2f3ce",
+    ],
+    "knapsack-15-2": [
+        "aa449fa403fd53ebbb28695eb50bb83213d441876ee6eed687e5d00fd91fdd04",
+        "d6a0c6ce6dbcc5282d8b92c637649582520fef9a7a91ac12c729ee874406f286",
+        "6a8ef3de4e770690a7f5d662185227ad163e0f3e24e365a701dafe5c863d1be0",
+        "8d76f4ed5c0949ffe16ec598131465a9de55bea7c2072cecf28220695d68ecee",
+    ],
+    "assignment-7-3-lifted": [
+        "1e1b740f47480217bfd85b019dc116991256bfa5c0955ccab71dc33803517c49",
+        "c6badc5574d51ec6d94f824d6718320402fc4bcc1e88c90a86edc751d264ed0d",
+        "0f98455f49ba9ea8ee6848e37375587f5aaba6c2d034674d8d65a04a540ed668",
+    ],
+    "anticorr-60-3": [
+        "619786e4234fcd047191c3ef96f1e3545016c7d0248d2911f6248308237ab73b",
+        "9da7cfb8f3b249a88b88d3c771c8425eb558d54ddc9f8805df084a008054d715",
+        "d8e10fc92d2bdcefecd3ed6759429d2f46131edb746f5daee1e35f71c0575a54",
+        "b619f42ee43b122af0d35d2649b2038e3358a79f2f50dfa714faf5c1c1972579",
+    ],
+    "rational-60-4": [
+        "0e5256da5a41ffb218f14b1bcc51c01a53c578a0e658a7851d57ded6ce5887bc",
+        "71ed9a0ce31e8d08500e9e5efcf5d5a09c6f332bd91d78ecd82658b7be6df8d7",
+        "2feb119597be8e475bb3d79e4e3c425598ea575915b9269aa85729b103b4e5b3",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_recorded_digests(name, tmp_path, capsys):
+    assert output_digests(name, tmp_path, capsys) == GOLDEN[name]

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ndsupport.classify
+import ndsupport.ratlp
 import ndsupport.weightspace
 from conftest import random_rational_rows, random_rows
-from ndsupport.classify import classify_all, cross_check
+from ndsupport.classify import _cell_program, classify_all, cross_check
 from ndsupport.errors import ConsistencyError, ValidationError
-from ndsupport.instances import lift_zero_objective
+from ndsupport.instances import generate_points, lift_zero_objective
 from ndsupport.outcomes import validate_instance
 from ndsupport.ratlp import (
     EQUAL,
@@ -536,29 +537,65 @@ def classify_corpus_programs(monkeypatch):
     return programs
 
 
+def record_pivots(monkeypatch):
+    """(entering label, leaving label) of every pivot either kernel takes
+    from now on.  A label is a column index of the Fraction tableau."""
+    seen = {"int": [], "fraction": []}
+    int_pivot = ndsupport.ratlp._Dictionary.pivot
+    fraction_pivot = _FractionTableau.pivot
+
+    def recorded_int(tab, r, pi, pj):
+        seen["int"].append((tab.nonbasic[pj], tab.basic[pi]))
+        int_pivot(tab, r, pi, pj)
+
+    def recorded_fraction(tab, r, pi, pj):
+        seen["fraction"].append((pj, tab.basis[pi]))
+        fraction_pivot(tab, r, pi, pj)
+
+    monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", recorded_int)
+    monkeypatch.setattr(_FractionTableau, "pivot", recorded_fraction)
+    return seen
+
+
+def solve_both(prog, pivots, paths=None):
+    """lp_solve's outcome, after checking that it equals the Fraction
+    kernel's and came by the same pivots."""
+    for sequence in pivots.values():
+        sequence.clear()
+    out = lp_solve(prog)
+    assert out == fraction_lp_solve(prog, paths), prog
+    assert pivots["int"] == pivots["fraction"], prog
+    return out, len(pivots["int"])
+
+
 class TestIntegerKernelDifferential:
     def test_classify_corpus_programs(self, monkeypatch):
         programs = classify_corpus_programs(monkeypatch)
         assert len(programs) >= 1000
+        pivots = record_pivots(monkeypatch)
         statuses = set()
+        total_pivots = 0
         for prog in programs:
-            out = lp_solve(prog)
-            assert out == fraction_lp_solve(prog), prog
+            out, count = solve_both(prog, pivots)
             statuses.add(out.status)
+            total_pivots += count
         assert statuses == {OPTIMAL, INFEASIBLE}
+        assert total_pivots >= 5000
 
-    def test_random_programs(self):
+    def test_random_programs(self, monkeypatch):
+        pivots = record_pivots(monkeypatch)
         rng = random.Random(20261018)
         paths = set()
         statuses = set()
         # Relation and rhs sign decide a row's sign flip and whether it
         # seeds the basis with its slack or needs an artificial.
         row_kinds = set()
+        total_pivots = 0
         for _ in range(3000):
             prog = random_program(rng)
-            out = lp_solve(prog)
-            assert out == fraction_lp_solve(prog, paths), prog
+            out, count = solve_both(prog, pivots, paths)
             statuses.add(out.status)
+            total_pivots += count
             row_kinds.update(
                 (c.relation, (c.rhs > 0) - (c.rhs < 0)) for c in prog.constraints
             )
@@ -569,13 +606,78 @@ class TestIntegerKernelDifferential:
             for relation in (LESS_EQUAL, EQUAL, GREATER_EQUAL)
             for sign in (-1, 0, 1)
         }
+        assert total_pivots >= 3000
 
-    def test_random_equality_systems(self):
+    def test_random_equality_systems(self, monkeypatch):
+        pivots = record_pivots(monkeypatch)
         rng = random.Random(1968)
         optimal = 0
         for _ in range(1000):
-            prog = random_equality_system(rng)
-            out = lp_solve(prog)
-            assert out == fraction_lp_solve(prog), prog
+            out, _ = solve_both(random_equality_system(rng), pivots)
             optimal += out.status == OPTIMAL
         assert optimal >= 500
+
+
+def label_values(tab, nonbasic_values):
+    """Every label's value when the nonbasic labels of tab take
+    nonbasic_values: row i reads d * x[basic[i]] + row . x[nonbasic] = rhs."""
+    values = dict(zip(tab.nonbasic, nonbasic_values))
+    for row, b in zip(tab.rows, tab.basic):
+        lhs = sum(v * values[label] for v, label in zip(row, tab.nonbasic))
+        values[b] = F(row[-1] - lhs, tab.d)
+    return values
+
+
+class TestDictionary:
+    """The kernel stores one column per nonbasic label and nothing for a
+    basic one."""
+
+    def test_cell_program_width_is_p_plus_2(self, monkeypatch):
+        # Every row of a cell program seeds the basis with its slack but
+        # sum(lambda) = 1, which needs an artificial and no surplus.
+        p = 3
+        outcomes = generate_points(150, p, 7)
+        pivot = ndsupport.ratlp._Dictionary.pivot
+        pivots = []
+
+        def checked(tab, r, pi, pj):
+            pivot(tab, r, pi, pj)
+            pivots.append(pj)
+            assert all(len(row) == p + 2 for row in tab.rows)
+            assert len(tab.nonbasic) == p + 1
+            assert not set(tab.basic) & set(tab.nonbasic)
+
+        monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", checked)
+        statuses = set()
+        for y in outcomes.points:
+            for cut_margin in (0, 1):
+                program = _cell_program(y, p, outcomes.points, cut_margin)
+                assert len(program.constraints) == len(outcomes.points) + p
+                statuses.add(lp_solve(program).status)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+        assert len(pivots) >= 500
+
+    def test_every_pivot_keeps_the_solution_set(self, monkeypatch):
+        # The leaving label's column is checked too, though phase two
+        # never reads an artificial's column: it must carry the sign of
+        # a negative drive-out pivot.
+        pivot = ndsupport.ratlp._Dictionary.pivot
+        rng = random.Random(11)
+        negative_pivots = 0
+
+        def checked(tab, r, pi, pj):
+            nonlocal negative_pivots
+            negative_pivots += tab.rows[pi][pj] < 0
+            rows = [list(row) for row in tab.rows]
+            basic, nonbasic, d = list(tab.basic), list(tab.nonbasic), tab.d
+            pivot(tab, r, pi, pj)
+            values = label_values(tab, [rng.randint(-9, 9) for _ in tab.nonbasic])
+            for row, b in zip(rows, basic):
+                lhs = sum(v * values[label] for v, label in zip(row, nonbasic))
+                assert d * values[b] + lhs == row[-1]
+
+        monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", checked)
+        programs = random.Random(20261018)
+        for _ in range(3000):
+            lp_solve(random_program(programs))
+        assert negative_pivots > 0
