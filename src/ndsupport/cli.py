@@ -84,34 +84,6 @@ def _vector_json(vec):
     return None if vec is None else [format_rational(v) for v in vec]
 
 
-def report_to_json(report: Report) -> dict:
-    return {
-        "digest": {
-            "objectives": report.outcomes.p,
-            "points": len(report.outcomes),
-            "counts": {
-                label.value: report.label_counts.get(label.value, 0)
-                for label in LABEL_ORDER
-            },
-        },
-        "points": [
-            {
-                "id": c.point_id,
-                "coords": _vector_json(report.outcomes.get(c.point_id).coords),
-                "multiplicity": report.outcomes.multiplicity[c.point_id],
-                "label": c.label.value,
-                "frontier": c.frontier,
-                "boundary": c.boundary,
-                "weak_witness": _vector_json(c.weak_witness),
-                "strict_witness": _vector_json(c.strict_witness),
-            }
-            for c in report.classifications
-        ],
-        "cross_check": cross_check_to_json(report.checks),
-        "elapsed_seconds": round(report.elapsed_seconds, 6),
-    }
-
-
 def cross_check_to_json(checks: CrossCheckReport) -> dict:
     return {
         "all_ok": checks.all_ok,
@@ -288,13 +260,90 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# Characters of report text buffered before one write to the stream.
+_CHUNK = 1 << 16
+
+# The head and tail of the classify document as json.dumps(doc,
+# indent=2) lays it out; the point records go in between.
+_REPORT_HEAD = """{
+  "digest": {
+    "objectives": %s,
+    "points": %s,
+    "counts": {
+%s
+    }
+  },
+  "points": ["""
+_REPORT_TAIL = """
+  ],
+  "cross_check": %s,
+  "elapsed_seconds": %r
+}
+"""
+
+
+def _vector_text(vec) -> str:
+    """A rational vector, or null for None, as it stands in a classify
+    point record."""
+    if vec is None:
+        return "null"
+    items = []
+    for v in vec:
+        text = format_rational(v)
+        items.append(str(text) if type(text) is int else f'"{text}"')
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _write_report_json(report: Report, out) -> None:
+    """Write the classify document to out, exactly the text of
+    ``json.dumps(doc, indent=2) + "\n"``, one point record at a time from
+    its Classification and OutcomePoint, and in chunks of about _CHUNK
+    characters, so the whole document is never one string."""
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as quote
+
+    outcomes = report.outcomes
+    labels = {label: quote(label.value) for label in LABEL_ORDER}
+    counts = ",\n".join(
+        f"      {labels[label]}: {report.label_counts.get(label.value, 0)}"
+        for label in LABEL_ORDER
+    )
+    pending = [_REPORT_HEAD % (outcomes.p, len(outcomes), counts)]
+    size = 0
+    separator = "\n"
+    for c in report.classifications:
+        record = f"""{separator}    {{
+      "id": {quote(c.point_id)},
+      "coords": {_vector_text(outcomes.get(c.point_id).coords)},
+      "multiplicity": {outcomes.multiplicity[c.point_id]},
+      "label": {labels[c.label]},
+      "frontier": {"true" if c.frontier else "false"},
+      "boundary": {"true" if c.boundary else "false"},
+      "weak_witness": {_vector_text(c.weak_witness)},
+      "strict_witness": {_vector_text(c.strict_witness)}
+    }}"""
+        separator = ",\n"
+        pending.append(record)
+        size += len(record)
+        if size >= _CHUNK:
+            out.write("".join(pending))
+            pending.clear()
+            size = 0
+    cross_check = dumps(cross_check_to_json(report.checks), indent=2)
+    pending.append(
+        _REPORT_TAIL
+        % (cross_check.replace("\n", "\n  "), round(report.elapsed_seconds, 6))
+    )
+    out.write("".join(pending))
+
+
 def _cmd_classify(args) -> int:
     outcomes = _load_outcomes(args.path)
     draw = args.svg and outcomes.p == 2
     with _outputs((None, args.svg) if draw else (None,)) as streams:
         report = build_report(outcomes)
         if args.format == "json":
-            streams[0].write(_json_dumps(report_to_json(report)))
+            _write_report_json(report, streams[0])
         else:
             streams[0].write(report_to_table(report))
         if draw:

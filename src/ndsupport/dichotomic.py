@@ -17,18 +17,20 @@ enters anywhere.  The result carries one certifying weight per
 extreme: an interior vertex gets the average of its two adjacent
 segment normals (strictly positive, uniquely optimal there); the
 outermost vertices blend their single adjacent normal with the
-matching unit weight.
+matching unit weight.  One exact sweep over the set checks the chain
+and every witness at once (``_check_chain``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .classify import WeightVector, _check_weight_certificate
-from .errors import ValidationError
+from .classify import WeightVector
+from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet
 
 _HALF = Fraction(1, 2)
@@ -66,9 +68,9 @@ def weighted_sum_argmin(lam: WeightVector, outcome_set: OutcomeSet) -> OutcomePo
     scale = lcm(*(v.denominator for v in lam))
     weights = [v.numerator * (scale // v.denominator) for v in lam]
     rows = outcome_set.lattice
-    best = min(
-        range(len(rows)), key=lambda k: (sum(map(mul, weights, rows[k])), rows[k])
-    )
+    scores = [sum(map(mul, weights, row)) for row in rows]
+    low = min(scores)
+    best = min((k for k, s in enumerate(scores) if s == low), key=rows.__getitem__)
     return outcome_set.points[best]
 
 
@@ -106,6 +108,78 @@ def _probe(
     return _probe(outcome_set, a, c, calls) + [c] + _probe(outcome_set, c, b, calls)
 
 
+def _check_chain(
+    outcome_set: OutcomeSet,
+    extremes: list[OutcomePoint],
+    witnesses: list[WeightVector],
+) -> None:
+    """Certify every witness in one exact sweep over the set.
+
+    Checked, with e_0 .. e_{k-1} the chain: (a) no point has a first
+    coordinate below e_0's; (b) none has a second coordinate below
+    e_{k-1}'s; (c) the chain strictly descends and its edge slopes
+    strictly increase; (d) each point lies on or above the one edge
+    whose first-coordinate range [x_i, x_{i+1}) holds it.  A convex
+    chain lies above every extended edge line, so (a)-(d) give
+    n . y >= n . e for each edge normal n, each of its ends e and every
+    point y, and likewise for the unit normals (1, 0) at e_0 and (0, 1)
+    at e_{k-1}.  Each witness must be the average of the two normals
+    next to its extreme, so it makes that extreme weighted-sum minimal:
+    O(n log k) work instead of one pass over the set per extreme.
+    """
+    # The normals around each extreme: the unit weights at the two ends,
+    # the exact edge normals in between.
+    normals = [(Fraction(1), Fraction(0))]
+    edges = []  # per edge (A, B, C): A x + B y >= C, scaled to ints
+    for e, f in zip(extremes, extremes[1:]):
+        scale = lcm(*(c.denominator for c in e.coords + f.coords))
+        x0, y0, x1, y1 = (int(c * scale) for c in e.coords + f.coords)
+        a, b = y0 - y1, x1 - x0
+        if not (a > 0 and b > 0):
+            raise ConsistencyError(
+                f"extremes {e.id} and {f.id} do not descend the staircase"
+            )
+        if edges and a * normals[-1][1] >= b * normals[-1][0]:
+            raise ConsistencyError(f"edge slopes do not strictly increase at {e.id}")
+        normals.append((Fraction(a, a + b), Fraction(b, a + b)))
+        edges.append((a * scale, b * scale, a * x0 + b * y0))
+    normals.append((Fraction(0), Fraction(1)))
+    for e, lam, u, v in zip(extremes, witnesses, normals, normals[1:]):
+        if 2 * lam[0] != u[0] + v[0] or 2 * lam[1] != u[1] + v[1]:
+            raise ConsistencyError(
+                f"witness {tuple(lam)} of {e.id} is not the average of its "
+                "neighbouring normals"
+            )
+    # Locate x by bisecting the integer list X_i = x_i * sx: the number of
+    # X_i <= x * sx equals the number of X_i <= floor(x * sx).
+    xs = [e.coords[0] for e in extremes]
+    sx = lcm(*(x.denominator for x in xs))
+    keys = [int(x * sx) for x in xs]
+    last_y = extremes[-1].coords[1]
+    yn_last, yd_last = last_y.numerator, last_y.denominator
+    k = len(extremes)
+    for pt in outcome_set.points:
+        x, y = pt.coords
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        i = bisect_right(keys, xn * sx // xd)
+        if i == 0:
+            raise ConsistencyError(
+                f"{pt.id} lies left of the left anchor {extremes[0].id}"
+            )
+        if i == k:  # right of the chain; above an edge, (d) implies (b)
+            if yn * yd_last < yn_last * yd:
+                raise ConsistencyError(
+                    f"{pt.id} lies below the right anchor {extremes[-1].id}"
+                )
+            continue
+        a, b, c = edges[i - 1]
+        if a * xn * yd + b * yn * xd < c * xd * yd:
+            raise ConsistencyError(
+                f"{pt.id} lies below the edge from {extremes[i - 1].id} "
+                f"to {extremes[i].id}"
+            )
+
+
 def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
     """Exact set of extreme supported points of a bi-objective set."""
     if outcome_set.p != 2:
@@ -115,21 +189,16 @@ def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
     calls = [2]  # the two anchor computations
     left = _lexmin(outcome_set, (0, 1))
     right = _lexmin(outcome_set, (1, 0))
-    if left.id == right.id:
-        extremes = [left]
-        witnesses = [WeightVector((_HALF, _HALF))]
-    else:
-        extremes = [left] + _probe(outcome_set, left, right, calls) + [right]
-        normals = [
-            _segment_normal(a, b) for a, b in zip(extremes, extremes[1:])
-        ]
-        witnesses = (
-            [_average(WeightVector((1, 0)), normals[0])]
-            + [_average(u, v) for u, v in zip(normals, normals[1:])]
-            + [_average(normals[-1], WeightVector((0, 1)))]
-        )
-    for pt, lam in zip(extremes, witnesses):
-        _check_weight_certificate(lam, pt, outcome_set)
+    extremes = [left]
+    if left.id != right.id:
+        extremes += _probe(outcome_set, left, right, calls) + [right]
+    normals = (
+        [WeightVector((1, 0))]
+        + [_segment_normal(a, b) for a, b in zip(extremes, extremes[1:])]
+        + [WeightVector((0, 1))]
+    )
+    witnesses = [_average(u, v) for u, v in zip(normals, normals[1:])]
+    _check_chain(outcome_set, extremes, witnesses)
     return DichotomicResult(
         extremes=tuple(extremes),
         witness_weights=tuple(witnesses),

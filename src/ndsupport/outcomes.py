@@ -2,9 +2,10 @@
 
 Minimization convention throughout: smaller is better in every
 objective.  One builder, ``_collapse``, makes every set built from
-rows: each distinct row is converted to ``Fraction``s once and becomes
-a point ``y1, y2, ...`` in order of first occurrence, and the number of
-solutions sharing that image becomes its multiplicity.
+rows: each distinct row becomes a point ``y1, y2, ...`` in order of
+first occurrence, and the number of solutions sharing that image
+becomes its multiplicity.  Enumerated rows hold ints with few distinct
+values, and each value becomes one ``Fraction``, built once.
 
 Each set also has an integer view, its ``lattice``: every coordinate
 times one common denominator.  A positive scaling keeps equality,
@@ -38,7 +39,7 @@ class OutcomePoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(rational(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(rational, self.coords)))
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,25 @@ class OutcomeSet:
         )
 
 
+class _Interned(dict):
+    """One ``Fraction`` per distinct int, made on first lookup."""
+
+    def __missing__(self, value: int) -> Fraction:
+        exact = self[value] = Fraction(value)
+        return exact
+
+
 def _collapse(counts: Mapping[tuple, int], p: int) -> OutcomeSet:
     """The one builder of sets from rows: ``counts`` maps each distinct
-    row, in order of first occurrence, to how many solutions share it."""
+    row, in order of first occurrence, to how many solutions share it.
+    Each distinct int coordinate becomes one ``Fraction``, shared by
+    every coordinate that holds it; ``Fraction``s pass through unhashed."""
     points, multiplicity = [], {}
+    interned = _Interned()
     for row, count in counts.items():
         pid = f"y{len(points) + 1}"
-        points.append(OutcomePoint(pid, row))
+        exact = tuple([interned[c] if type(c) is int else c for c in row])
+        points.append(OutcomePoint(pid, exact))
         multiplicity[pid] = count
     return OutcomeSet(p=p, points=tuple(points), multiplicity=multiplicity)
 

@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import random
 import subprocess
 import sys
 
@@ -7,8 +9,24 @@ import pytest
 
 import ndsupport.classify
 import ndsupport.cli
-from ndsupport.cli import main
-from ndsupport.instances import parse_instance
+from conftest import random_rational_rows, random_rows
+from ndsupport.classify import Label
+from ndsupport.cli import (
+    LABEL_ORDER,
+    _CHUNK,
+    _write_report_json,
+    build_report,
+    cross_check_to_json,
+    main,
+)
+from ndsupport.instances import (
+    enumerate_knapsack,
+    generate_knapsack,
+    generate_points,
+    parse_instance,
+)
+from ndsupport.outcomes import OutcomePoint, OutcomeSet, validate_instance
+from ndsupport.ratlp import format_rational
 
 COUNTEREXAMPLE_JSON = '{"objectives": 3, "points": [[2,9,1],[3,6,1],[8,3,1],[6,5,1]]}\n'
 FIG2D_JSON = '{"objectives": 2, "points": [[2,9],[3,6],[8,3],[6,5],[3,9],[7,7]]}\n'
@@ -137,6 +155,100 @@ class TestClassify:
         assert main(["classify", counterexample_file, "--svg", str(svg)]) == 0
         assert not svg.exists()
         assert "no SVG written" in capsys.readouterr().err
+
+
+def _vector_json(vec):
+    return None if vec is None else [format_rational(v) for v in vec]
+
+
+def report_to_json(report) -> dict:
+    """The classify document as a dict, as the CLI built it before it
+    streamed the text: the reference for ``_write_report_json``."""
+    return {
+        "digest": {
+            "objectives": report.outcomes.p,
+            "points": len(report.outcomes),
+            "counts": {
+                label.value: report.label_counts.get(label.value, 0)
+                for label in LABEL_ORDER
+            },
+        },
+        "points": [
+            {
+                "id": c.point_id,
+                "coords": _vector_json(report.outcomes.get(c.point_id).coords),
+                "multiplicity": report.outcomes.multiplicity[c.point_id],
+                "label": c.label.value,
+                "frontier": c.frontier,
+                "boundary": c.boundary,
+                "weak_witness": _vector_json(c.weak_witness),
+                "strict_witness": _vector_json(c.strict_witness),
+            }
+            for c in report.classifications
+        ],
+        "cross_check": cross_check_to_json(report.checks),
+        "elapsed_seconds": round(report.elapsed_seconds, 6),
+    }
+
+
+class _Writes(io.StringIO):
+    """A text stream that remembers the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class TestReportWriter:
+    def _written(self, outcome_set):
+        report = build_report(outcome_set)
+        out = _Writes()
+        _write_report_json(report, out)
+        assert out.getvalue() == json.dumps(report_to_json(report), indent=2) + "\n"
+        return report, out
+
+    def test_matches_json_dumps_of_the_dict_document(self):
+        rng = random.Random(113)
+        sets = [
+            # all five labels: weakly-supported-only needs p >= 3
+            validate_instance([[2, 9, 1], [3, 6, 1], [8, 3, 1], [6, 5, 1]]),
+            validate_instance([[2, 9], [3, 6], [8, 3], [6, 5], [3, 9], [7, 7]]),
+            validate_instance([[0, 6], [1, 4], [2, 2], [3, 0], [1, 4], [9, 9]]),
+            enumerate_knapsack(generate_knapsack(8, 2, 3)),
+        ]
+        for p in range(2, 6):
+            sets.append(generate_points(25, p, p))
+            sets.append(validate_instance(random_rows(rng, 20, p, 0, 6)))
+            sets.append(validate_instance(random_rational_rows(rng, 15, p)))
+        labels = set()
+        for s in sets:
+            report, _ = self._written(s)
+            labels |= {c.label for c in report.classifications}
+        assert labels == set(Label)
+        assert any(m > 1 for s in sets for m in s.multiplicity.values())
+
+    def test_quoted_and_non_ascii_ids(self):
+        s = OutcomeSet(
+            p=2,
+            points=(
+                OutcomePoint('say "hi"', (1, 5)),
+                OutcomePoint("caf\u00e9 \u2014 \\ \t", (2, 2)),
+                OutcomePoint("\U0001f600", (5, 1)),
+                OutcomePoint("z", (6, 6)),
+            ),
+            multiplicity={"z": 3},
+        )
+        self._written(s)
+
+    def test_large_report_is_written_in_chunks(self):
+        report, out = self._written(enumerate_knapsack(generate_knapsack(12, 2, 1)))
+        assert len(out.sizes) > 2
+        longest_record = 600  # far above one point record at p = 2
+        assert max(out.sizes) < _CHUNK + longest_record
 
 
 class TestOutputPaths:

@@ -6,10 +6,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+import ndsupport.dichotomic
 from conftest import hull_labels_2d, random_rational_rows, random_rows
-from ndsupport.classify import Label, WeightVector, classify_all
-from ndsupport.dichotomic import dichotomic_extremes, weighted_sum_argmin
-from ndsupport.errors import ValidationError
+from ndsupport.classify import (
+    Label,
+    WeightVector,
+    _check_weight_certificate,
+    classify_all,
+)
+from ndsupport.dichotomic import _check_chain, dichotomic_extremes, weighted_sum_argmin
+from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.outcomes import validate_instance
 
 
@@ -189,3 +195,122 @@ class TestDichotomicExtremes:
             expected = {c for c, lab in labels.items() if lab == "extreme-supported"}
             got = {e.coords for e in dichotomic_extremes(s).extremes}
             assert got == expected
+
+
+def chain_witnesses(extremes):
+    """Averages of the normals next to each extreme, the unit weights at
+    the two ends, written out independently of the module."""
+    normals = [(F(1), F(0))]
+    for a, b in zip(extremes, extremes[1:]):
+        d1, d2 = a.coords[1] - b.coords[1], b.coords[0] - a.coords[0]
+        normals.append((d1 / (d1 + d2), d2 / (d1 + d2)))
+    normals.append((F(0), F(1)))
+    return [
+        WeightVector(((u[0] + v[0]) / 2, (u[1] + v[1]) / 2))
+        for u, v in zip(normals, normals[1:])
+    ]
+
+
+class TestChainSweep:
+    ROWS = [[0, 10], [1, 6], [3, 3], [6, 1], [10, 0], [5, 5], [2, 8]]
+
+    def _chain(self, s, *coords):
+        by_coords = {pt.coords: pt for pt in s}
+        return [by_coords[c] for c in coords]
+
+    def test_accepts_the_found_chain(self):
+        s = validate_instance(self.ROWS)
+        result = dichotomic_extremes(s)
+        _check_chain(s, list(result.extremes), list(result.witness_weights))
+        assert list(result.witness_weights) == chain_witnesses(result.extremes)
+
+    def test_dropped_interior_extreme(self):
+        s = validate_instance(self.ROWS)
+        chain = self._chain(s, (0, 10), (1, 6), (6, 1), (10, 0))
+        with pytest.raises(ConsistencyError, match="y3 lies below the edge"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    def test_dropped_extreme_from_the_search(self, monkeypatch):
+        s = validate_instance(self.ROWS)
+        monkeypatch.setattr(ndsupport.dichotomic, "_probe", lambda *args: [])
+        with pytest.raises(ConsistencyError, match="lies below the edge"):
+            dichotomic_extremes(s)
+
+    def test_non_convex_chain(self):
+        s = validate_instance([[0, 10], [5, 9], [10, 0]])
+        chain = list(s.points)
+        with pytest.raises(ConsistencyError, match="slopes do not strictly increase"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    def test_chain_that_does_not_descend(self):
+        s = validate_instance([[0, 10], [3, 3], [10, 0]])
+        chain = self._chain(s, (3, 3), (0, 10), (10, 0))
+        with pytest.raises(ConsistencyError, match="do not descend"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_tampered_witness(self, index):
+        s = validate_instance(self.ROWS)
+        result = dichotomic_extremes(s)
+        witnesses = list(result.witness_weights)
+        lam = witnesses[index]
+        witnesses[index] = WeightVector((lam[0] + F(1, 97), lam[1] - F(1, 97)))
+        with pytest.raises(ConsistencyError, match="not the average"):
+            _check_chain(s, list(result.extremes), witnesses)
+
+    def test_point_left_of_the_left_anchor(self):
+        s = validate_instance([[0, 10], [3, 3], [10, 0]])
+        chain = self._chain(s, (3, 3), (10, 0))
+        with pytest.raises(ConsistencyError, match="left of the left anchor"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    def test_point_below_the_right_anchor(self):
+        s = validate_instance([[0, 10], [3, 3], [10, 0]])
+        chain = self._chain(s, (0, 10), (3, 3))
+        with pytest.raises(ConsistencyError, match="below the right anchor"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    def test_point_under_the_left_anchor(self):
+        # one unit below the first edge, at the anchor's own first coordinate
+        s = validate_instance([[0, 6], [1, 4], [4, 0], [0, 5]])
+        chain = self._chain(s, (0, 6), (1, 4), (4, 0))
+        with pytest.raises(ConsistencyError, match="y4 lies below the edge"):
+            _check_chain(s, chain, chain_witnesses(chain))
+
+    def test_single_extreme(self):
+        s = validate_instance([[2, 2], [3, 2], [2, 5], [9, 9]])
+        chain = self._chain(s, (2, 2))
+        _check_chain(s, chain, [WeightVector((F(1, 2), F(1, 2)))])
+        with pytest.raises(ConsistencyError, match="not the average"):
+            _check_chain(s, chain, [WeightVector((F(1, 3), F(2, 3)))])
+        low = validate_instance([[2, 2], [5, 1]])
+        with pytest.raises(ConsistencyError, match="below the right anchor"):
+            _check_chain(low, self._chain(low, (2, 2)), [WeightVector((F(1, 2), F(1, 2)))])
+
+    def test_rational_points_on_and_off_an_edge(self):
+        # (1/2, 5) lies exactly on the edge from (0, 6) to (1, 4)
+        on = validate_instance([[0, 6], ["1/2", 5], [1, 4], [3, "7/2"], [4, 0]])
+        result = dichotomic_extremes(on)
+        assert [e.coords for e in result.extremes] == [(0, 6), (1, 4), (4, 0)]
+        below = validate_instance([[0, 6], ["1/2", "9/2"], [1, 4], [4, 0]])
+        chain = self._chain(below, (0, 6), (1, 4), (4, 0))
+        with pytest.raises(ConsistencyError, match="below the edge"):
+            _check_chain(below, chain, chain_witnesses(chain))
+
+    def test_matches_per_extreme_certificates_on_rational_sets(self):
+        rng = random.Random(127)
+        for trial in range(20):
+            s = validate_instance(random_rational_rows(rng, rng.randint(1, 40), 2))
+            result = dichotomic_extremes(s)
+            assert list(result.witness_weights) == chain_witnesses(result.extremes)
+            for pt, lam in zip(result.extremes, result.witness_weights):
+                _check_weight_certificate(lam, pt, s)
+
+    def test_every_point_of_a_convex_curve_is_extreme(self):
+        s = validate_instance([[i, (1200 - i) ** 2] for i in range(1201)])
+        result = dichotomic_extremes(s)
+        assert [e.coords for e in result.extremes] == s.coord_rows()
+        assert list(result.witness_weights) == chain_witnesses(result.extremes)
+        # the check the sweep replaced: one pass over the set per extreme
+        for pt, lam in zip(result.extremes, result.witness_weights):
+            _check_weight_certificate(lam, pt, s)

@@ -414,3 +414,29 @@ class TestEachJobOnce:
         rows = random_rational_rows(random.Random(31), 200, 3)
         validate_instance(rows + rows[:50])
         assert 0 < len(hash_calls) <= 250 * 3
+
+    @staticmethod
+    def _one_object_per_value(outcome_set):
+        shared = {}
+        for pt in outcome_set:
+            for c in pt.coords:
+                assert type(c) is F
+                assert shared.setdefault((c.numerator, c.denominator), c) is c
+        return shared
+
+    def test_enumerated_knapsack_builds_each_value_once(self):
+        s = enumerate_knapsack(generate_knapsack(12, 3, 4))
+        shared = self._one_object_per_value(s)
+        assert len(shared) < len(s) * s.p
+
+    def test_lifted_assignment_builds_each_value_once(self):
+        base = enumerate_assignment(generate_assignment(5, 2, 6))
+        lifted = lift_zero_objective(base)
+        shared = self._one_object_per_value(lifted)
+        assert len(shared) < len(lifted) * lifted.p
+        # the lift passes the base set's Fractions through
+        assert all(
+            a is b
+            for p, q in zip(base, lifted)
+            for a, b in zip(p.coords, q.coords)
+        )
