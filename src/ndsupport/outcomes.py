@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -44,14 +44,20 @@ class OutcomePoint:
 
 @dataclass(frozen=True)
 class OutcomeSet:
-    """A validated, deduplicated, nonempty finite set of outcome points."""
+    """A validated, deduplicated, nonempty finite set of outcome points.
+
+    ``_lattice``, passed by ``_collapse`` only, is the lattice when the
+    rows already are it: int tuples, at scale 1, in point order."""
 
     p: int
     points: tuple[OutcomePoint, ...]
     multiplicity: Mapping[str, int] = field(default_factory=dict)
     _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _lattice: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _lattice):
+        if _lattice is not None:
+            self.__dict__["lattice"] = _lattice
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated: need p >= 2")
         object.__setattr__(self, "points", tuple(self.points))
@@ -120,7 +126,8 @@ def _collapse(counts: Mapping[tuple, int], p: int) -> OutcomeSet:
     """The one builder of sets from rows: ``counts`` maps each distinct
     row, in order of first occurrence, to how many solutions share it.
     Each distinct int coordinate becomes one ``Fraction``, shared by
-    every coordinate that holds it; ``Fraction``s pass through unhashed."""
+    every coordinate that holds it; ``Fraction``s pass through unhashed.
+    Rows of ints are their own lattice, so it is handed over, not rebuilt."""
     points, multiplicity = [], {}
     interned = _Interned()
     for row, count in counts.items():
@@ -128,7 +135,13 @@ def _collapse(counts: Mapping[tuple, int], p: int) -> OutcomeSet:
         exact = tuple([interned[c] if type(c) is int else c for c in row])
         points.append(OutcomePoint(pid, exact))
         multiplicity[pid] = count
-    return OutcomeSet(p=p, points=tuple(points), multiplicity=multiplicity)
+    ints = all(type(c) is int for row in counts for c in row)
+    return OutcomeSet(
+        p=p,
+        points=tuple(points),
+        multiplicity=multiplicity,
+        _lattice=tuple(counts) if ints else None,
+    )
 
 
 def validate_instance(

@@ -10,7 +10,13 @@ two weight coordinates and its polygon vertices are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
-an exact 2-D convex hull.  That is robust against redundant
+an exact 2-D convex hull.  The clip runs in ints: each row is scaled by
+the lcm of its denominators, which keeps every sign, and each vertex is
+a homogeneous triple (X, Y, W) for (X/W, Y/W), with W > 0 and no common
+factor.  A clip keeps the vertices with side value >= 0 and adds the
+crossing of every edge whose ends lie strictly on opposite sides; a row
+that holds on the whole polygon is skipped.  Vertices become
+``Fraction``s only for the hull.  That is robust against redundant
 half-spaces (which are retained, not minimized) and returns degenerate
 cells - segments or single points, the signature of
 weakly-supported-only points - rather than dropping them.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .classify import WeightVector, _cell_program, _require_member
@@ -75,36 +82,29 @@ def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _project_hrep(hrep) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Substitute l3 = 1 - l1 - l2: each row becomes a*l1 + b*l2 >= c."""
-    projected = []
+def _projected_vertices(hrep) -> tuple[Point2, ...]:
+    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order."""
+    polygon = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
     for con in hrep:
         if con.relation == EQUAL:
             continue  # the simplex equality is implicit after substitution
-        c1, c2, c3 = con.coeffs
-        projected.append((c1 - c3, c2 - c3, con.rhs - c3))
-    return projected
-
-
-def _projected_vertices(hrep) -> tuple[Point2, ...]:
-    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order.
-
-    Each clip keeps the vertices on or inside the half-plane and adds
-    the crossing point of every edge whose ends lie strictly on
-    opposite sides; the hull drops the repeats and collinear points."""
-    polygon = [(_ZERO, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE)]
-    for a, b, c in _project_hrep(hrep):
+        row = (*con.coeffs, con.rhs)
+        scale = lcm(*(v.denominator for v in row))
+        c1, c2, c3, rhs = (v.numerator * (scale // v.denominator) for v in row)
+        a, b, c = c1 - c3, c2 - c3, rhs - c3  # l3 = 1 - l1 - l2 substituted
+        ring = [(v, a * v[0] + b * v[1] - c * v[2]) for v in polygon]
+        if all(s >= 0 for _, s in ring):
+            continue  # the row holds on the whole polygon
         clipped = []
-        for q, r in zip(polygon, polygon[1:] + polygon[:1]):
-            sq = a * q[0] + b * q[1] - c
-            sr = a * r[0] + b * r[1] - c
+        for (q, sq), (r, sr) in zip(ring, ring[1:] + ring[:1]):
             if sq >= 0:
                 clipped.append(q)
             if sq * sr < 0:
-                t = sq / (sq - sr)
-                clipped.append((q[0] + t * (r[0] - q[0]), q[1] + t * (r[1] - q[1])))
+                x, y, w = (sq * rv - sr * qv for qv, rv in zip(q, r))
+                g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+                clipped.append((x // g, y // g, w // g))
         polygon = clipped
-    return _convex_hull_ccw(polygon)
+    return _convex_hull_ccw([(Fraction(x, w), Fraction(y, w)) for x, y, w in polygon])
 
 
 def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:

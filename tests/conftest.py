@@ -6,6 +6,7 @@ supportedness is re-derived from the lower convex chain, so they can
 stand as independent ground truth for the LP-based classifier.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,17 @@ def fig2d_set():
 
 def random_rows(rng, n, p, lo=0, hi=100):
     return [[rng.randint(lo, hi) for _ in range(p)] for _ in range(n)]
+
+
+def anticorr_rows(seed, n, p):
+    """Anti-correlated points: the first p - 1 coordinates are uniform in
+    0..100 and the last is 100 (p - 1) - sum +- 15."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        head = [rng.randint(0, 100) for _ in range(p - 1)]
+        rows.append(head + [100 * (p - 1) - sum(head) + rng.randint(-15, 15)])
+    return rows
 
 
 def random_rational_rows(rng, n, p):

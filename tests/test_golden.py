@@ -1,6 +1,8 @@
 """Output bytes at scale: sha256 of what ``classify``, ``check`` and
-``wsd`` print on five seeded instances, recorded before the simplex
-kernel kept only its nonbasic columns.
+``wsd`` print on six seeded instances, recorded before the simplex
+kernel kept only its nonbasic columns; the rational p = 3 instance,
+whose cells are clipped by rows with mixed denominators, was recorded
+before the p = 3 clip moved to integer homogeneous vertices.
 
 Every label, witness and cell is an exact LP verdict, and Bland's rule
 fixes which optimal vertex a degenerate program returns, so a kernel
@@ -15,23 +17,12 @@ import re
 
 import pytest
 
-from conftest import random_rational_rows
+from conftest import anticorr_rows, random_rational_rows
 from ndsupport.cli import main
 from ndsupport.ratlp import format_rational
 
 # The substitution bench/workloads.py applies: timing is not output.
 _ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*\n')
-
-
-def _anticorr_rows(seed, n, p):
-    """Anti-correlated points: the first p - 1 coordinates are uniform in
-    0..100 and the last is 100 (p - 1) - sum +- 15."""
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        head = [rng.randint(0, 100) for _ in range(p - 1)]
-        rows.append(head + [100 * (p - 1) - sum(head) + rng.randint(-15, 15)])
-    return rows
 
 
 def _points_file(path, rows, p):
@@ -50,7 +41,9 @@ def _instance(name, tmp_path, capsys):
         assert main(["gen", "assignment", "7", "3", "--out", str(spec)]) == 0
         assert main(["lift", str(spec), "--out", str(path)]) == 0
     elif name == "anticorr-60-3":
-        _points_file(path, _anticorr_rows(1, 60, 3), 3)
+        _points_file(path, anticorr_rows(1, 60, 3), 3)
+    elif name == "rational-80-3":
+        _points_file(path, random_rational_rows(random.Random(5), 80, 3), 3)
     else:
         _points_file(path, random_rational_rows(random.Random(3), 60, 4), 4)
     capsys.readouterr()
@@ -100,6 +93,12 @@ GOLDEN = {
         "9da7cfb8f3b249a88b88d3c771c8425eb558d54ddc9f8805df084a008054d715",
         "d8e10fc92d2bdcefecd3ed6759429d2f46131edb746f5daee1e35f71c0575a54",
         "b619f42ee43b122af0d35d2649b2038e3358a79f2f50dfa714faf5c1c1972579",
+    ],
+    "rational-80-3": [
+        "5b84059c3431ad82bbec89a89fc361be7dc658210bf3e1ce0ae892d3f9426b86",
+        "9cffb5c1b84727487c4475944f3427631836676bc7ccbdac5e779c5b7f4923c4",
+        "441303a152c162cbbdf5766460b0edd2defe550e8aeca78fd42ab152140906b5",
+        "de8c3709c880337994e892374b3f93db4e53bac9b57fecd82f766a13dcd48b98",
     ],
     "rational-60-4": [
         "0e5256da5a41ffb218f14b1bcc51c01a53c578a0e658a7851d57ded6ce5887bc",

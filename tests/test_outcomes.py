@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from ndsupport.outcomes import (
     OutcomePoint,
     OutcomeSet,
     ParetoFilterResult,
+    _collapse,
     dominates,
     filter_nondominated,
     validate_instance,
@@ -440,3 +442,37 @@ class TestEachJobOnce:
             for p, q in zip(base, lifted)
             for a, b in zip(p.coords, q.coords)
         )
+
+
+def recomputed_lattice(outcome_set):
+    """The lattice rebuilt from the exact coordinates, in point order."""
+    scale = math.lcm(*(c.denominator for pt in outcome_set for c in pt.coords))
+    return tuple(
+        tuple(c.numerator * (scale // c.denominator) for c in pt.coords)
+        for pt in outcome_set
+    )
+
+
+class TestHandedLattice:
+    def test_enumerated_rows_are_the_lattice(self):
+        s = enumerate_knapsack(generate_knapsack(12, 3, 4))
+        assert s.lattice == recomputed_lattice(s)
+        counts = Counter(knapsack_rows(generate_knapsack(9, 2, 1)))
+        s = _collapse(counts, 2)
+        # the set keeps the row tuples it was given, in their order
+        assert len(s.lattice) == len(counts)
+        assert all(a is b for a, b in zip(s.lattice, counts))
+        assert s.lattice == recomputed_lattice(s)
+
+    def test_rational_and_mixed_sets_are_recomputed(self):
+        rational_set = validate_instance(random_rational_rows(random.Random(37), 40, 3))
+        mixed = _collapse({(F(1, 2), 3): 1, (1, F(2, 3)): 2}, 2)
+        assert mixed.lattice == ((3, 18), (6, 4))
+        knapsack = enumerate_knapsack(generate_knapsack(12, 3, 4))
+        for s in (
+            rational_set,
+            lift_zero_objective(rational_set),
+            mixed,
+            filter_nondominated(knapsack).nondominated,
+        ):
+            assert s.lattice == recomputed_lattice(s)

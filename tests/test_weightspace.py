@@ -4,7 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import COUNTEREXAMPLE_ROWS, random_rational_rows, random_rows
+from conftest import (
+    COUNTEREXAMPLE_ROWS,
+    anticorr_rows,
+    random_rational_rows,
+    random_rows,
+)
 from ndsupport.classify import (
     Label,
     WeightVector,
@@ -359,46 +364,98 @@ def pairwise_projected_vertices(hrep):
     return _convex_hull_ccw(candidates)
 
 
+def reference_fraction_clip(hrep):
+    """Reference p = 3 polygon: the simplex triangle in (l1, l2) clipped
+    by one projected row a*l1 + b*l2 >= c at a time, in ``Fraction``s,
+    keeping the vertices with side value >= 0 and adding the crossing of
+    every edge whose ends lie strictly on opposite sides."""
+    polygon = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    for con in hrep:
+        if con.relation == EQUAL:
+            continue
+        c1, c2, c3 = con.coeffs
+        a, b, c = c1 - c3, c2 - c3, con.rhs - c3
+        clipped = []
+        for q, r in zip(polygon, polygon[1:] + polygon[:1]):
+            sq = a * q[0] + b * q[1] - c
+            sr = a * r[0] + b * r[1] - c
+            if sq >= 0:
+                clipped.append(q)
+            if sq * sr < 0:
+                t = sq / (sq - sr)
+                clipped.append((q[0] + t * (r[0] - q[0]), q[1] + t * (r[1] - q[1])))
+        polygon = clipped
+    return _convex_hull_ccw(polygon)
+
+
+def clip_corpus_sets(rng):
+    """p = 3 sets whose cells are empty, single points, segments and
+    polygons.  Points on a common plane (p = 3) or line (lifted p = 2)
+    get single-point and segment cells; points just above it get empty
+    or single-point ones."""
+    sets = [validate_instance(COUNTEREXAMPLE_ROWS), validate_instance([[5, 5, 5]])]
+    for _ in range(8):
+        sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
+        sets.append(
+            validate_instance(
+                [
+                    [x, y, 12 - x - y + rng.randint(0, 2)]
+                    for x, y in random_rows(rng, rng.randint(4, 12), 2, 0, 6)
+                ]
+            )
+        )
+        xs = rng.sample(range(13), rng.randint(3, 10))
+        sets.append(
+            lift_zero_objective(
+                validate_instance([[x, 12 - x + rng.randint(0, 1)] for x in xs])
+            )
+        )
+        sets.append(
+            validate_instance(
+                [
+                    [F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(3)]
+                    for _ in range(rng.randint(3, 10))
+                ]
+            )
+        )
+    return sets
+
+
+def cell_hreps(sets):
+    for s in sets:
+        yn = nondom(s)
+        for y in yn:
+            yield weight_cell(y, yn).hrep
+
+
 class TestClipDifferential:
     def test_clip_matches_pairwise_enumeration(self):
-        rng = random.Random(79)
-        # Points on a common plane (p = 3) or line (lifted p = 2) get
-        # single-point and segment cells; points just above it get empty
-        # or single-point ones.
-        sets = [validate_instance(COUNTEREXAMPLE_ROWS), validate_instance([[5, 5, 5]])]
-        for _ in range(8):
-            sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
-            sets.append(
-                validate_instance(
-                    [
-                        [x, y, 12 - x - y + rng.randint(0, 2)]
-                        for x, y in random_rows(rng, rng.randint(4, 12), 2, 0, 6)
-                    ]
-                )
-            )
-            xs = rng.sample(range(13), rng.randint(3, 10))
-            sets.append(
-                lift_zero_objective(
-                    validate_instance([[x, 12 - x + rng.randint(0, 1)] for x in xs])
-                )
-            )
-            sets.append(
-                validate_instance(
-                    [
-                        [F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(3)]
-                        for _ in range(rng.randint(3, 10))
-                    ]
-                )
-            )
         kinds = set()
-        for s in sets:
-            yn = nondom(s)
-            for y in yn:
-                hrep = weight_cell(y, yn).hrep
-                vertices = _projected_vertices(hrep)
-                assert vertices == pairwise_projected_vertices(hrep)
-                kinds.add(min(len(vertices), 3))
+        for hrep in cell_hreps(clip_corpus_sets(random.Random(79))):
+            vertices = _projected_vertices(hrep)
+            assert vertices == pairwise_projected_vertices(hrep)
+            kinds.add(min(len(vertices), 3))
         # empty, single-point, segment and polygon cells all occur
+        assert kinds == {0, 1, 2, 3}
+
+    def test_integer_clip_matches_fraction_clip(self):
+        rng = random.Random(83)
+        sets = clip_corpus_sets(random.Random(79))
+        for _ in range(20):
+            sets.append(
+                validate_instance(
+                    [
+                        [F(rng.randint(-60, 60), rng.randint(1, 97)) for _ in range(3)]
+                        for _ in range(rng.randint(4, 14))
+                    ]
+                )
+            )
+        sets.append(validate_instance(anticorr_rows(1, 120, 3)))
+        kinds = set()
+        for hrep in cell_hreps(sets):
+            vertices = _projected_vertices(hrep)
+            assert vertices == reference_fraction_clip(hrep)
+            kinds.add(min(len(vertices), 3))
         assert kinds == {0, 1, 2, 3}
 
 
