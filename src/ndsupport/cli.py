@@ -339,7 +339,7 @@ def _write_report_json(report: Report, out) -> None:
 
 def _cmd_classify(args) -> int:
     outcomes = _load_outcomes(args.path)
-    draw = args.svg and outcomes.p == 2
+    draw = args.svg is not None and outcomes.p == 2
     with _outputs((None, args.svg) if draw else (None,)) as streams:
         report = build_report(outcomes)
         if args.format == "json":
@@ -348,7 +348,7 @@ def _cmd_classify(args) -> int:
             streams[0].write(report_to_table(report))
         if draw:
             streams[1].write(svg_objective_space(outcomes, report.classifications))
-    if args.svg and not draw:
+    if args.svg is not None and not draw:
         print(
             f"note: objective-space figure needs 2 objectives, instance has "
             f"{outcomes.p}; no SVG written",
@@ -369,13 +369,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_wsd(args) -> int:
     outcomes = _load_outcomes(args.path)
-    draw = args.svg and outcomes.p in (2, 3)
+    draw = args.svg is not None and outcomes.p in (2, 3)
     with _outputs((args.out, args.svg) if draw else (args.out,)) as streams:
         cells = decompose(outcomes)
         streams[0].write(_json_dumps(wsd_to_json(cells, outcomes.p)))
         if draw:
             streams[1].write(svg_weight_space(cells, outcomes.p))
-    if args.svg and not draw:
+    if args.svg is not None and not draw:
         print(
             f"note: weight-space figure needs 2 or 3 objectives, instance "
             f"has {outcomes.p}; no SVG written",

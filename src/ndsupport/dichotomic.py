@@ -10,10 +10,10 @@ vertex; a probe that matches it certifies the segment as an edge.
 The weighted-sum oracle breaks ties lexicographically, which keeps the
 recursion deterministic and vertex-directed.  It scores the set's
 integer lattice with integer weights, both positive scalings of the
-exact values, so its argmin and tie-break are those of the exact
-weighted sum; the certificates below are checked on the coordinates
-themselves.  All weights are exact segment normals, so no tolerance
-enters anywhere.  The result carries one certifying weight per
+exact values by ``ratlp._scale``, so its argmin and tie-break are those
+of the exact weighted sum; the certificates below are checked on the
+coordinates themselves.  All weights are exact segment normals, so no
+tolerance enters anywhere.  The result carries one certifying weight per
 extreme: an interior vertex gets the average of its two adjacent
 segment normals (strictly positive, uniquely optimal there); the
 outermost vertices blend their single adjacent normal with the
@@ -26,12 +26,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .classify import WeightVector
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet
+from .ratlp import _scale
 
 _HALF = Fraction(1, 2)
 
@@ -65,8 +65,7 @@ def weighted_sum_argmin(lam: WeightVector, outcome_set: OutcomeSet) -> OutcomePo
         raise ValidationError(
             f"weight vector has {len(lam)} components, instance has {outcome_set.p}"
         )
-    scale = lcm(*(v.denominator for v in lam))
-    weights = [v.numerator * (scale // v.denominator) for v in lam]
+    _, weights = _scale(lam.values)
     rows = outcome_set.lattice
     scores = [sum(map(mul, weights, row)) for row in rows]
     low = min(scores)
@@ -127,22 +126,23 @@ def _check_chain(
     next to its extreme, so it makes that extreme weighted-sum minimal:
     O(n log k) work instead of one pass over the set per extreme.
     """
+    # The chain in one int frame: (X_i, Y_i) = (x_i, y_i) * s.
+    s, ints = _scale([c for e in extremes for c in e.coords])
+    xs, ys = ints[0::2], ints[1::2]
     # The normals around each extreme: the unit weights at the two ends,
     # the exact edge normals in between.
     normals = [(Fraction(1), Fraction(0))]
-    edges = []  # per edge (A, B, C): A x + B y >= C, scaled to ints
-    for e, f in zip(extremes, extremes[1:]):
-        scale = lcm(*(c.denominator for c in e.coords + f.coords))
-        x0, y0, x1, y1 = (int(c * scale) for c in e.coords + f.coords)
-        a, b = y0 - y1, x1 - x0
+    edges = []  # per edge (A, B, C): A x + B y >= C for exact x, y
+    for i, (e, f) in enumerate(zip(extremes, extremes[1:])):
+        a, b = ys[i] - ys[i + 1], xs[i + 1] - xs[i]
         if not (a > 0 and b > 0):
             raise ConsistencyError(
                 f"extremes {e.id} and {f.id} do not descend the staircase"
             )
-        if edges and a * normals[-1][1] >= b * normals[-1][0]:
+        if edges and a * edges[-1][1] >= b * edges[-1][0]:
             raise ConsistencyError(f"edge slopes do not strictly increase at {e.id}")
         normals.append((Fraction(a, a + b), Fraction(b, a + b)))
-        edges.append((a * scale, b * scale, a * x0 + b * y0))
+        edges.append((a * s, b * s, a * xs[i] + b * ys[i]))
     normals.append((Fraction(0), Fraction(1)))
     for e, lam, u, v in zip(extremes, witnesses, normals, normals[1:]):
         if 2 * lam[0] != u[0] + v[0] or 2 * lam[1] != u[1] + v[1]:
@@ -150,24 +150,19 @@ def _check_chain(
                 f"witness {tuple(lam)} of {e.id} is not the average of its "
                 "neighbouring normals"
             )
-    # Locate x by bisecting the integer list X_i = x_i * sx: the number of
-    # X_i <= x * sx equals the number of X_i <= floor(x * sx).
-    xs = [e.coords[0] for e in extremes]
-    sx = lcm(*(x.denominator for x in xs))
-    keys = [int(x * sx) for x in xs]
-    last_y = extremes[-1].coords[1]
-    yn_last, yd_last = last_y.numerator, last_y.denominator
+    # Locate x by bisecting the ints X_i: the number of X_i <= x * s
+    # equals the number of X_i <= floor(x * s).
     k = len(extremes)
     for pt in outcome_set.points:
         x, y = pt.coords
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        i = bisect_right(keys, xn * sx // xd)
+        i = bisect_right(xs, xn * s // xd)
         if i == 0:
             raise ConsistencyError(
                 f"{pt.id} lies left of the left anchor {extremes[0].id}"
             )
         if i == k:  # right of the chain; above an edge, (d) implies (b)
-            if yn * yd_last < yn_last * yd:
+            if yn * s < ys[-1] * yd:
                 raise ConsistencyError(
                     f"{pt.id} lies below the right anchor {extremes[-1].id}"
                 )

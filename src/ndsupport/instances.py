@@ -338,6 +338,8 @@ def lift_zero_objective(outcome_set: OutcomeSet) -> OutcomeSet:
 # selection dominates everything); assignment and point coordinates 0..100.
 
 def generate_knapsack(num_items: int, p: int, seed: int) -> KnapsackSpec:
+    if num_items < 0:
+        raise ValidationError(f"item count must be nonnegative, got {num_items}")
     rng = random.Random(seed)
     items = []
     for _ in range(num_items):

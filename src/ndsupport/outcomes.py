@@ -8,7 +8,7 @@ becomes its multiplicity.  Enumerated rows hold ints with few distinct
 values, and each value becomes one ``Fraction``, built once.
 
 Each set also has an integer view, its ``lattice``: every coordinate
-times one common denominator.  A positive scaling keeps equality,
+scaled to an int by ``ratlp._scale``.  A positive scaling keeps equality,
 dominance, weighted-sum order and lexicographic order, so the
 distinctness check at construction, the Pareto filter here and the
 weighted-sum oracle in ``dichotomic`` run on ints; certificates read
@@ -22,13 +22,12 @@ from bisect import insort
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from itertools import islice
 from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .ratlp import rational
+from .ratlp import _scale, rational
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,28 @@ class OutcomePoint:
 class OutcomeSet:
     """A validated, deduplicated, nonempty finite set of outcome points.
 
-    ``_lattice``, passed by ``_collapse`` only, is the lattice when the
-    rows already are it: int tuples, at scale 1, in point order."""
+    ``lattice`` holds each point's coordinates scaled to ints, in point
+    order; equal rows are equal coordinates, so it is the distinctness
+    key.  ``_lattice``, passed by ``_collapse`` only, is the lattice
+    when the rows already are it: int tuples, at scale 1."""
 
     p: int
     points: tuple[OutcomePoint, ...]
     multiplicity: Mapping[str, int] = field(default_factory=dict)
     _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    lattice: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _lattice: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
 
     def __post_init__(self, _lattice):
-        if _lattice is not None:
-            self.__dict__["lattice"] = _lattice
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated: need p >= 2")
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValidationError("empty outcome set")
+        if _lattice is None:
+            ints = iter(_scale([c for pt in self.points for c in pt.coords])[1])
+            _lattice = tuple(tuple(islice(ints, len(pt.coords))) for pt in self.points)
+        object.__setattr__(self, "lattice", _lattice)
         first_id: dict[tuple[int, ...], str] = {}
         index: dict[str, OutcomePoint] = {}
         for pt, row in zip(self.points, self.lattice):
@@ -101,17 +105,6 @@ class OutcomeSet:
 
     def coord_rows(self) -> list[tuple[Fraction, ...]]:
         return [pt.coords for pt in self.points]
-
-    @cached_property
-    def lattice(self) -> tuple[tuple[int, ...], ...]:
-        """Each point's coordinates times the lcm of all coordinate
-        denominators, as int tuples in point order.  Construction builds
-        it: equal rows are equal coordinates, so it is the distinctness key."""
-        scale = lcm(*(c.denominator for pt in self.points for c in pt.coords))
-        return tuple(
-            tuple(c.numerator * (scale // c.denominator) for c in pt.coords)
-            for pt in self.points
-        )
 
 
 class _Interned(dict):

@@ -11,7 +11,7 @@ two weight coordinates and its polygon vertices are enumerated exactly.
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
 an exact 2-D convex hull.  The clip runs in ints: each row is scaled by
-the lcm of its denominators, which keeps every sign, and each vertex is
+``ratlp._scale``, which keeps every sign, and each vertex is
 a homogeneous triple (X, Y, W) for (X/W, Y/W), with W > 0 and no common
 factor.  A clip keeps the vertices with side value >= 0 and adds the
 crossing of every edge whose ends lie strictly on opposite sides; a row
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .classify import WeightVector, _cell_program, _require_member
 from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
-from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, lp_solve
+from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, _scale, lp_solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,9 +88,7 @@ def _projected_vertices(hrep) -> tuple[Point2, ...]:
     for con in hrep:
         if con.relation == EQUAL:
             continue  # the simplex equality is implicit after substitution
-        row = (*con.coeffs, con.rhs)
-        scale = lcm(*(v.denominator for v in row))
-        c1, c2, c3, rhs = (v.numerator * (scale // v.denominator) for v in row)
+        _, (c1, c2, c3, rhs) = _scale((*con.coeffs, con.rhs))
         a, b, c = c1 - c3, c2 - c3, rhs - c3  # l3 = 1 - l1 - l2 substituted
         ring = [(v, a * v[0] + b * v[1] - c * v[2]) for v in polygon]
         if all(s >= 0 for _, s in ring):

@@ -251,8 +251,17 @@ class TestReportWriter:
         assert max(out.sizes) < _CHUNK + longest_record
 
 
+def unwritable_path(tmp_path, target):
+    """An output path that cannot be opened for writing."""
+    if target == "directory":
+        return tmp_path
+    if target == "missing-parent":
+        return tmp_path / "missing" / "x.out"
+    return ""
+
+
 class TestOutputPaths:
-    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -265,14 +274,14 @@ class TestOutputPaths:
         ids=["gen-out", "lift-out", "wsd-out", "wsd-svg", "classify-svg"],
     )
     def test_unwritable_output_exits_2(self, fig2d_file, tmp_path, capsys, argv, target):
-        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.out"
+        out = unwritable_path(tmp_path, target)
         argv = [fig2d_file if a == "FIG2D" else a for a in argv] + [str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
     @pytest.mark.parametrize(
         "argv, work",
         [
@@ -289,7 +298,7 @@ class TestOutputPaths:
             raise AssertionError(f"{work} ran before the output path was opened")
 
         monkeypatch.setattr(ndsupport.cli, work, refuse)
-        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.out"
+        out = unwritable_path(tmp_path, target)
         argv = [fig2d_file if a == "FIG2D" else a for a in argv] + [str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -548,6 +557,18 @@ class TestLiftGenDichotomic:
             doc.pop("elapsed_seconds")
             outputs.append(doc)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["knapsack", "assignment", "points"])
+    def test_gen_negative_size_exits_2(self, capsys, kind):
+        assert main(["gen", kind, "-3", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_gen_knapsack_with_no_items_is_valid(self, capsys):
+        assert main(["gen", "knapsack", "0", "2"]) == 0
+        assert parse_instance(capsys.readouterr().out).items == ()
 
     def test_dichotomic_table(self, fig2d_file, capsys):
         assert main(["dichotomic", fig2d_file]) == 0

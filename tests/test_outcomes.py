@@ -110,6 +110,24 @@ class TestValidateInstance:
         with pytest.raises(ValidationError):
             OutcomeSet(p=2, points=(pt(1, 2, pid="a"), pt(1, 2, pid="b")))
 
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ([(1, 2, 3), (4, 5), (6, 7)], 0),
+            ([(1, 2), (3, 4), (5, 6, 7), (8, 9), (1, 2, 3)], 2),
+            ([(1, 2), (F(1, 3),), (4, 5, 6)], 1),
+        ],
+        ids=["long-first", "long-mid-set", "short-rational"],
+    )
+    def test_direct_construction_names_first_bad_point(self, rows, bad):
+        points = tuple(pt(*row, pid=f"q{i}") for i, row in enumerate(rows))
+        message = (
+            f"dimension mismatch: point q{bad} has {len(rows[bad])} "
+            "coordinates, expected 2"
+        )
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            OutcomeSet(p=2, points=points)
+
     def test_membership(self):
         s = validate_instance([[1, 2], [3, 0]])
         assert pt(1, 2, pid="y1") in s
