@@ -37,6 +37,14 @@ carries a zero weight, certifying the weakly-supported-only case.
 Its builder, ``_cell_program``, also gives ``weightspace`` the cell
 program (t on every cut) and the H-representation: the rows without t.
 
+Every program is built on the set's integer lattice (``OutcomeSet``:
+each coordinate times S, the lcm of the set's denominators), so its
+rows reach ``lp_solve`` as ints.  A row times S > 0 keeps the
+solutions, the pivots, the optimal t and the statuses; a frontier value
+is S times the rational one and is compared with S times sum(y), and a
+boundary margin is zero on either scale.  Certificates read the exact
+coordinates, never the lattice.
+
 All functions are pure.  Once the vertex pass has fixed V, the
 per-point tests are independent of each other and safe to evaluate
 concurrently; the vertex pass itself runs in input order.
@@ -64,9 +72,6 @@ from .ratlp import (
     lp_solve,
     rational,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -174,33 +179,41 @@ def _require_member(y: OutcomePoint, yn: OutcomeSet) -> None:
         )
 
 
-def _cell_program(y: OutcomePoint, p: int, rows, cut_margin: int) -> LinearProgram:
-    """The weight cell of y over rows, with one more column t:
+def _cell_program(
+    y: OutcomePoint, yn: OutcomeSet, rows, cut_margin: int
+) -> LinearProgram:
+    """The weight cell of y over rows, points of yn, with one more
+    column t:
 
         maximize t  s.t.  lambda_i - t >= 0  (i = 1..p),  sum(lambda) = 1,
         lambda . (y' - y) - cut_margin * t >= 0  for every other y' of rows,
 
     in that row order, over lambda, t >= 0; its rows without t are the
-    cell's H-representation.  t = 0 gives the cell, so the program is
-    feasible exactly when y is weakly supported over rows, and its first
-    p + 1 rows bound t <= 1/p.  With cut_margin 0 a positive optimum is
-    a strictly positive weight in the cell: y is supported.  With
-    cut_margin 1 every inequality holds with slack t, and a positive
-    optimum means the cell is full-dimensional in the simplex."""
+    cell's H-representation.  Each cut row is built on yn's lattice,
+    S = yn.scale times the row above, so the program is all ints.  t = 0
+    gives the cell, so the program is feasible exactly when y is weakly
+    supported over rows, and its first p + 1 rows bound t <= 1/p.  With
+    cut_margin 0 a positive optimum is a strictly positive weight in the
+    cell: y is supported.  With cut_margin 1 every inequality holds with
+    slack t, and a positive optimum means the cell is full-dimensional
+    in the simplex."""
+    p = yn.p
     cons = []
     for i in range(p):
-        coeffs = [_ZERO] * (p + 1)
-        coeffs[i] = _ONE
-        coeffs[p] = -_ONE
-        cons.append(LinearConstraint(coeffs, GREATER_EQUAL, _ZERO))
-    cons.append(LinearConstraint((_ONE,) * p + (_ZERO,), EQUAL, _ONE))
-    margin = (Fraction(-cut_margin),)
+        coeffs = [0] * (p + 1)
+        coeffs[i] = 1
+        coeffs[p] = -1
+        cons.append(LinearConstraint(coeffs, GREATER_EQUAL, 0))
+    cons.append(LinearConstraint((1,) * p + (0,), EQUAL, 1))
+    lattice = yn.lattice_by_id
+    base = lattice[y.id]
+    margin = (-cut_margin * yn.scale,)
     for other in rows:
         if other.id == y.id:
             continue
-        diff = tuple(o - a for o, a in zip(other.coords, y.coords)) + margin
-        cons.append(LinearConstraint(diff, GREATER_EQUAL, _ZERO))
-    return LinearProgram(MAXIMIZE, (_ZERO,) * p + (_ONE,), tuple(cons))
+        diff = tuple([o - a for o, a in zip(lattice[other.id], base)]) + margin
+        cons.append(LinearConstraint(diff, GREATER_EQUAL, 0))
+    return LinearProgram(MAXIMIZE, (0,) * p + (1,), tuple(cons))
 
 
 def _solve_witness(
@@ -209,7 +222,7 @@ def _solve_witness(
     """Optimizing weight vector and optimal t, or None if no weight in
     the closed simplex makes y weighted-sum minimal over rows; the
     certificate is checked over all of yn."""
-    outcome = lp_solve(_cell_program(y, yn.p, rows, 0))
+    outcome = lp_solve(_cell_program(y, yn, rows, 0))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])
@@ -253,18 +266,16 @@ def supported_witness(y: OutcomePoint, yn: OutcomeSet) -> Optional[WeightVector]
 
 
 def _below_program(
-    y: OutcomePoint, pts, sense: str, costs, margin: bool = False
+    y: tuple[int, ...], cols, sense: str, costs, margin: bool = False
 ) -> LinearProgram:
-    """Convex weights mu over pts whose combination sits at or below y
-    in every coordinate, optimizing costs . mu.  With a margin, one more
-    column eps (objective coefficient 1) is subtracted from y in every
-    coordinate as well."""
-    pad = (_ONE,) if margin else ()
-    cons = [LinearConstraint((_ONE,) * len(pts) + (_ZERO,) * len(pad), EQUAL, _ONE)]
-    for k, bound in enumerate(y.coords):
-        # Built from a list for the reason ratlp.rational_vector gives.
-        coeffs = tuple([pt.coords[k] for pt in pts]) + pad
-        cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
+    """Convex weights mu over the lattice rows cols whose combination
+    sits at or below y's row in every coordinate, optimizing costs . mu.
+    With a margin, one more column eps (objective coefficient 1) is
+    subtracted from y in every coordinate as well."""
+    pad = (1,) if margin else ()
+    cons = [LinearConstraint((1,) * len(cols) + (0,) * len(pad), EQUAL, 1)]
+    for bound, coeffs in zip(y, zip(*cols)):
+        cons.append(LinearConstraint(coeffs + pad, LESS_EQUAL, bound))
     return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
 
 
@@ -275,22 +286,23 @@ def _optimal_value(program: LinearProgram, name: str) -> Fraction:
     return outcome.value
 
 
-def _on_frontier(y: OutcomePoint, pts) -> bool:
-    costs = (sum(pt.coords) for pt in pts)
-    program = _below_program(y, pts, MINIMIZE, costs)
-    return _optimal_value(program, "frontier") == sum(y.coords)
+def _on_frontier(y: tuple[int, ...], cols) -> bool:
+    costs = [sum(col) for col in cols]
+    program = _below_program(y, cols, MINIMIZE, costs)
+    return _optimal_value(program, "frontier") == sum(y)
 
 
-def _on_boundary(y: OutcomePoint, pts) -> bool:
-    program = _below_program(y, pts, MAXIMIZE, (_ZERO,) * len(pts), margin=True)
+def _on_boundary(y: tuple[int, ...], cols) -> bool:
+    program = _below_program(y, cols, MAXIMIZE, (0,) * len(cols), margin=True)
     return _optimal_value(program, "boundary") == 0
 
 
-def _is_vertex(y: OutcomePoint, pts) -> bool:
-    others = [pt for pt in pts if pt.id != y.id]
+def _is_vertex(y: tuple[int, ...], cols) -> bool:
+    # Lattice rows are distinct, so y's own row is the one equal to it.
+    others = [col for col in cols if col != y]
     if not others:
         return True
-    program = _below_program(y, others, MINIMIZE, (_ZERO,) * len(others))
+    program = _below_program(y, others, MINIMIZE, (0,) * len(others))
     return lp_solve(program).status != OPTIMAL
 
 
@@ -302,7 +314,7 @@ def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     when no convex combination other than y itself sits weakly below y.
     """
     _require_member(y, yn)
-    return _on_frontier(y, yn.points)
+    return _on_frontier(yn.lattice_by_id[y.id], yn.lattice)
 
 
 def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -314,7 +326,7 @@ def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
     optimum of exactly zero puts y on the boundary.
     """
     _require_member(y, yn)
-    return _on_boundary(y, yn.points)
+    return _on_boundary(yn.lattice_by_id[y.id], yn.lattice)
 
 
 def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -325,7 +337,7 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
     system over weights mu on yn minus y is infeasible.
     """
     _require_member(y, yn)
-    return _is_vertex(y, yn.points)
+    return _is_vertex(yn.lattice_by_id[y.id], yn.lattice)
 
 
 def _vertex_set(yn: OutcomeSet) -> list[OutcomePoint]:
@@ -339,9 +351,11 @@ def _vertex_set(yn: OutcomeSet) -> list[OutcomePoint]:
     the order affects only the program sizes.
     """
     candidates = list(yn)
-    for y in yn:
-        if not _is_vertex(y, candidates):
+    cols = list(yn.lattice)
+    for y, row in zip(yn.points, yn.lattice):
+        if not _is_vertex(row, cols):
             candidates = [pt for pt in candidates if pt.id != y.id]
+            cols.remove(row)
     return candidates
 
 
@@ -385,8 +399,11 @@ def _point_check(
     ``check`` runs), then the witness program with them as rows.  A
     boundary point keeps all of yn's rows, so its witness is the one
     the full program prints."""
-    boundary = _on_boundary(y, vertices)
-    frontier = _on_frontier(y, vertices)
+    lattice = yn.lattice_by_id
+    row = lattice[y.id]
+    cols = [lattice[v.id] for v in vertices]
+    boundary = _on_boundary(row, cols)
+    frontier = _on_frontier(row, cols)
     solved = _solve_witness(y, yn, yn if boundary else vertices)
     weak = solved is not None
     strict = weak and solved[1] > 0

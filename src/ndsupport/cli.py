@@ -239,6 +239,27 @@ def _outputs(paths: Sequence[Optional[str]]):
         yield [stack.enter_context(_output(path)) for path in paths]
 
 
+# The int-to-str digit limit (Python 3.10.7 and later) in force at
+# import, None before 3.10.7.  Instances are read under it, which bounds
+# the time spent converting one long number of the input.
+_INPUT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextmanager
+def _int_max_str_digits(limit: Optional[int]):
+    """Run a block with the process-wide int-to-str digit limit set to
+    ``limit`` (0: none), then restore it.  No-op without a limit."""
+    if _INPUT_DIGITS is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -247,7 +268,8 @@ def _load_instance(path: str) -> Instance:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
-    return parse_instance(text)
+    with _int_max_str_digits(_INPUT_DIGITS):
+        return parse_instance(text)
 
 
 def _load_outcomes(path: str) -> OutcomeSet:
@@ -500,7 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Exact witnesses can outgrow the digit limit although no input
+        # number does; the input is still read under it.
+        with _int_max_str_digits(0):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,16 +45,22 @@ class OutcomePoint:
 class OutcomeSet:
     """A validated, deduplicated, nonempty finite set of outcome points.
 
-    ``lattice`` holds each point's coordinates scaled to ints, in point
-    order; equal rows are equal coordinates, so it is the distinctness
-    key.  ``_lattice``, passed by ``_collapse`` only, is the lattice
-    when the rows already are it: int tuples, at scale 1."""
+    ``lattice`` holds each point's coordinates times ``scale``, the lcm
+    of their denominators, as ints, in point order; ``lattice_by_id``
+    maps a point's id to its row.  Equal rows are equal coordinates, so
+    the lattice is the distinctness key.  ``_lattice``, passed by
+    ``_collapse`` only, is the lattice when the rows already are it: int
+    tuples, at scale 1."""
 
     p: int
     points: tuple[OutcomePoint, ...]
     multiplicity: Mapping[str, int] = field(default_factory=dict)
     _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     lattice: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    lattice_by_id: Mapping[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    scale: int = field(init=False, repr=False, compare=False)
     _lattice: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
 
     def __post_init__(self, _lattice):
@@ -63,12 +69,16 @@ class OutcomeSet:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValidationError("empty outcome set")
+        scale = 1
         if _lattice is None:
-            ints = iter(_scale([c for pt in self.points for c in pt.coords])[1])
+            scale, ints = _scale([c for pt in self.points for c in pt.coords])
+            ints = iter(ints)
             _lattice = tuple(tuple(islice(ints, len(pt.coords))) for pt in self.points)
         object.__setattr__(self, "lattice", _lattice)
+        object.__setattr__(self, "scale", scale)
         first_id: dict[tuple[int, ...], str] = {}
         index: dict[str, OutcomePoint] = {}
+        rows: dict[str, tuple[int, ...]] = {}
         for pt, row in zip(self.points, self.lattice):
             if len(pt.coords) != self.p:
                 raise ValidationError(
@@ -83,9 +93,11 @@ class OutcomeSet:
                     "coordinates; collapse duplicates via validate_instance"
                 )
             index[pt.id] = pt
+            rows[pt.id] = row
         mult = {pt.id: int(self.multiplicity.get(pt.id, 1)) for pt in self.points}
         object.__setattr__(self, "multiplicity", mult)
         object.__setattr__(self, "_by_id", index)
+        object.__setattr__(self, "lattice_by_id", rows)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -108,10 +120,15 @@ class OutcomeSet:
 
 
 class _Interned(dict):
-    """One ``Fraction`` per distinct int, made on first lookup."""
+    """One ``Fraction`` per distinct int, that int over ``scale``, made
+    on first lookup."""
+
+    def __init__(self, scale: int = 1):
+        super().__init__()
+        self.scale = scale
 
     def __missing__(self, value: int) -> Fraction:
-        exact = self[value] = Fraction(value)
+        exact = self[value] = Fraction(value, self.scale)
         return exact
 
 

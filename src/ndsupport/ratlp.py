@@ -1,8 +1,10 @@
 """Exact rational linear programming via a two-phase primal simplex.
 
-Programs, statuses, optimal values and solution vectors are exact
-``fractions.Fraction``s, and each optimal result is re-substituted into
-the original constraints, in ``Fraction``s, before it is returned.
+Programs hold exact coefficients: an ``int`` stays an ``int``, and
+anything else becomes a ``fractions.Fraction``.  Optimal values and
+solution vectors are ``Fraction``s, and each optimal result is
+re-substituted into the original constraints, exactly, before it is
+returned.
 Bland's pivot rule makes the solver deterministic and guarantees
 termination on the degenerate systems that weight-space boundaries
 produce routinely.
@@ -15,8 +17,9 @@ stand.  The solver is pure: identical programs yield identical
 outcomes, and concurrent invocations share no state.
 
 Inside the kernel the simplex is an integer dictionary (Chvatal 1983,
-ch. 2), pivoted as in Avis's lrs.  Each row is scaled by the lcm of its
-denominators and negated when its scaled rhs is negative, or zero on a
+ch. 2), pivoted as in Avis's lrs.  Each row is scaled once by the lcm of
+its denominators (1 for a row of ints, as every program this package
+builds is) and negated when its scaled rhs is negative, or zero on a
 ``>=`` row.  Variables are labelled in order: the program's variables,
 the slacks, then one artificial per row whose slack is not then +1.
 Only nonbasic variables have a column, the rhs last; a pivot swaps two
@@ -83,11 +86,12 @@ def rational(value) -> Fraction:
     )
 
 
-def rational_vector(values: Iterable) -> tuple[Fraction, ...]:
+def _exact_vector(values: Iterable) -> tuple[Fraction | int, ...]:
+    """Each int as it stands, anything else through ``rational``."""
     # From a list, the tuple is allocated once at its final size.  Grown
     # from a generator past ten items it is reallocated, and such tuples
     # pile up on CPython's free lists between full collections.
-    return tuple([rational(v) for v in values])
+    return tuple([v if type(v) is int else rational(v) for v in values])
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[int, int]:
@@ -111,15 +115,19 @@ def format_rational(value: Fraction):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """One row ``coeffs . x  <rel>  rhs`` with rel in {<=, =, >=}."""
+    """One row ``coeffs . x  <rel>  rhs`` with rel in {<=, =, >=}.
 
-    coeffs: tuple[Fraction, ...]
+    Coefficients and rhs are exact: an ``int`` stays an ``int``, and
+    anything else becomes a ``Fraction`` through ``rational``."""
+
+    coeffs: tuple[Fraction | int, ...]
     relation: str
-    rhs: Fraction
+    rhs: Fraction | int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", rational_vector(self.coeffs))
-        object.__setattr__(self, "rhs", rational(self.rhs))
+        object.__setattr__(self, "coeffs", _exact_vector(self.coeffs))
+        if type(self.rhs) is not int:
+            object.__setattr__(self, "rhs", rational(self.rhs))
         if self.relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {self.relation!r}")
 
@@ -147,13 +155,13 @@ class LinearProgram:
     subject to ``constraints``."""
 
     sense: str
-    objective: tuple[Fraction, ...]
+    objective: tuple[Fraction | int, ...]
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise ValidationError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        object.__setattr__(self, "objective", rational_vector(self.objective))
+        object.__setattr__(self, "objective", _exact_vector(self.objective))
         n = len(self.objective)
         if n == 0:
             raise ValidationError("linear program needs at least one variable")
@@ -279,9 +287,11 @@ class _Dictionary:
             self.pivot(r, leave, enter)
 
 
-def _scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _scale(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """The lcm of the denominators, and the values times it."""
     s = lcm(*[v.denominator for v in values])
+    if s == 1:
+        return 1, [v.numerator for v in values]
     return s, [v.numerator * (s // v.denominator) for v in values]
 
 
@@ -298,19 +308,21 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
 
     num_slack = sum(1 for c in program.constraints if c.relation != EQUAL)
     base_cols = n + num_slack
+    scaled = [
+        (_scale(con.coeffs + (con.rhs,)), _SLACK_SIGN[con.relation])
+        for con in program.constraints
+    ]
     # A surplus keeps slack -1 after the sign flip below: a ``>=`` row
     # with rhs > 0 or a ``<=`` row with rhs < 0.  It starts as a column.
-    num_surplus = sum(_SLACK_SIGN[c.relation] * c.rhs < 0 for c in program.constraints)
+    num_surplus = sum(slack * row[-1] < 0 for (_, row), slack in scaled)
     rows: list[list[int]] = []
     basic: list[int] = []
     nonbasic = list(range(n))
     art_scales: list[int] = []
     slack_label = n
-    for con in program.constraints:
-        # Scale and sign the row; a zero-rhs surplus row is negated too,
-        # so that its slack can seed the basis.
-        scale, row = _scale(con.coeffs + (con.rhs,))
-        slack = _SLACK_SIGN[con.relation]
+    for (scale, row), slack in scaled:
+        # Sign the row; a zero-rhs surplus row is negated too, so that
+        # its slack can seed the basis.
         if row[-1] < 0 or (row[-1] == 0 and slack < 0):
             row = [-v for v in row]
             slack = -slack

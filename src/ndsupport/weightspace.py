@@ -5,8 +5,10 @@ nonnegative weights under which y is weighted-sum minimal over the
 whole non-dominated set.  Cells are kept as exact half-space lists
 over the full weight space, simplex equality included: the rows of the
 program that decides the cell, ``classify._cell_program``, without its
-column t.  For three objectives the cell is also projected to the first
-two weight coordinates and its polygon vertices are enumerated exactly.
+column t, and with its cut rows, built on the integer lattice, divided
+back by the lattice scale.  For three objectives the cell is also
+projected to the first two weight coordinates and its polygon vertices
+are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
@@ -32,11 +34,13 @@ from typing import Optional
 from .classify import WeightVector, _cell_program, _require_member
 from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
-from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
+from .outcomes import OutcomePoint, OutcomeSet, _Interned, filter_nondominated
 from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, _scale, lp_solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Without t, the simplex rows of a cell program hold only 0s and 1s.
+_UNITS = {0: _ZERO, 1: _ONE}
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -113,11 +117,24 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     the H-representation (redundant half-spaces retained).  The cell
     is empty exactly when y is unsupported.
     """
+    return _weight_cell(y, yn, _Interned(yn.scale))
+
+
+def _without_t(con: LinearConstraint, exact) -> LinearConstraint:
+    """con without its column t, every int the shared ``Fraction`` of exact."""
+    coeffs = tuple([exact[v] for v in con.coeffs[:-1]])
+    return LinearConstraint(coeffs, con.relation, exact[con.rhs])
+
+
+def _weight_cell(y: OutcomePoint, yn: OutcomeSet, cuts: _Interned) -> WeightCell:
+    """``weight_cell``, the hrep's cut rows, which the cell program builds
+    on the lattice, divided back by yn's scale through cuts."""
     _require_member(y, yn)
-    program = _cell_program(y, yn.p, yn, 1)
+    program = _cell_program(y, yn, yn, 1)
+    head = yn.p + 1
     hrep = tuple(
-        LinearConstraint(con.coeffs[:-1], con.relation, con.rhs)
-        for con in program.constraints
+        [_without_t(con, _UNITS) for con in program.constraints[:head]]
+        + [_without_t(con, cuts) for con in program.constraints[head:]]
     )
     outcome = lp_solve(program)
     if outcome.status == UNBOUNDED:
@@ -144,9 +161,10 @@ def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
     the weakly-supported-only points.
     """
     yn = filter_nondominated(outcome_set).nondominated
+    cuts = _Interned(yn.scale)
     cells = []
     for y in yn:
-        cell = weight_cell(y, yn)
+        cell = _weight_cell(y, yn, cuts)
         if not cell.is_empty:
             cells.append(cell)
     return cells
@@ -189,7 +207,7 @@ def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:
         offset = con.rhs - b
         if slope == 0:
             continue  # vacuous or infeasible rows cannot occur in nonempty cells
-        bound = offset / slope
+        bound = Fraction(offset, slope)
         if slope > 0:
             lo = max(lo, bound)
         else:

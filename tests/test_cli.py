@@ -584,6 +584,29 @@ class TestLiftGenDichotomic:
         assert main(["dichotomic", counterexample_file]) == 2
         assert "two objectives" in capsys.readouterr().err
 
+    def test_witness_longer_than_the_int_to_str_limit(self, tmp_path, capsys):
+        # Every input number has at most 2,500 digits, under Python's
+        # default int-to-str limit of 4,300; the weight that ties the two
+        # points has numerator and denominator near 4,900 digits each.
+        a, b, c, d = "7" * 2500, "3" * 2400 + "1", "9" * 2450 + "7", "1" * 2300 + "3"
+        path = tmp_path / "long.json"
+        doc = {"objectives": 2, "points": [["0", f"{a}/{b}"], [f"{c}/{d}", "0"]]}
+        path.write_text(json.dumps(doc))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        for fmt in ("table", "json"):
+            assert main(["dichotomic", str(path), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        witnesses = [e["witness"] for e in json.loads(out)["extremes"]]
+        assert len(witnesses) == 2
+        longest = max(len(part) for w in witnesses for v in w for part in v.split("/"))
+        assert longest > 4300
+        # The input is still read under the limit.
+        doc["points"][0][1] = "7" * 5000
+        path.write_text(json.dumps(doc))
+        assert main(["dichotomic", str(path)]) == 2
+        assert "not a rational literal" in capsys.readouterr().err
+
 
 def test_module_invocation_smoke(tmp_path):
     path = tmp_path / "inst.json"

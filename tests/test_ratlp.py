@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -347,10 +348,13 @@ class _FractionTableau:
 def fraction_lp_solve(program, paths=None):
     """The two-phase Bland simplex in Fraction arithmetic, as the package
     ran it before the integer kernel.  Adds the name of each rare path
-    it takes to ``paths`` when given."""
+    it takes to ``paths`` when given.  Every coefficient, rhs and
+    objective entry becomes a ``Fraction`` on entry: a program may keep
+    ints, and ``v / piv`` must not turn into float division."""
     paths = set() if paths is None else paths
     n = program.num_vars
-    minimize = program.objective
+    objective = tuple(F(c) for c in program.objective)
+    minimize = objective
     if program.sense == "max":
         minimize = tuple(-c for c in minimize)
 
@@ -360,8 +364,8 @@ def fraction_lp_solve(program, paths=None):
     slack_col = n
     slack_of_row = []
     for con in program.constraints:
-        row = list(con.coeffs)
-        rhs = con.rhs
+        row = [F(c) for c in con.coeffs]
+        rhs = F(con.rhs)
         row.extend([_ZERO] * num_slack)
         slack_sign = _ZERO
         if con.relation == LESS_EQUAL:
@@ -443,7 +447,7 @@ def fraction_lp_solve(program, paths=None):
     for i, b in enumerate(tab.basis):
         std_solution[b] = tab.rows[i][-1]
     solution = std_solution[:n]
-    value = sum(c * v for c, v in zip(program.objective, solution))
+    value = sum(c * v for c, v in zip(objective, solution))
     return LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
 
 
@@ -506,6 +510,12 @@ def random_equality_system(rng):
     else:
         objective = tuple(_random_fraction(rng, 0, 3) for _ in range(n))
     return LinearProgram("min", objective, rows)
+
+
+def integer_row(values):
+    """values times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(F(v).denominator for v in values))
+    return tuple(int(v * scale) for v in values)
 
 
 def classify_corpus_programs(monkeypatch):
@@ -608,6 +618,47 @@ class TestIntegerKernelDifferential:
         }
         assert total_pivots >= 3000
 
+    def test_int_programs_match_their_fraction_form(self, monkeypatch):
+        # Each random program cleared of denominators row by row, kept in
+        # ints and written again in Fractions: the same program, so the
+        # same outcome by the same pivots, and the Fraction kernel's.
+        pivots = record_pivots(monkeypatch)
+        rng = random.Random(20261019)
+        statuses = set()
+        for _ in range(1500):
+            prog = random_program(rng)
+            rows = [
+                integer_row(con.coeffs + (con.rhs,)) for con in prog.constraints
+            ]
+            ints = LinearProgram(
+                prog.sense,
+                integer_row(prog.objective),
+                tuple(
+                    LinearConstraint(row[:-1], con.relation, row[-1])
+                    for row, con in zip(rows, prog.constraints)
+                ),
+            )
+            assert all(type(v) is int for v in ints.objective)
+            assert all(
+                type(v) is int
+                for con in ints.constraints
+                for v in con.coeffs + (con.rhs,)
+            )
+            fractions = LinearProgram(
+                ints.sense,
+                tuple(map(F, ints.objective)),
+                tuple(
+                    LinearConstraint(tuple(map(F, con.coeffs)), con.relation, F(con.rhs))
+                    for con in ints.constraints
+                ),
+            )
+            out, _ = solve_both(ints, pivots)
+            int_pivots = list(pivots["int"])
+            assert solve_both(fractions, pivots)[0] == out
+            assert pivots["int"] == int_pivots
+            statuses.add(out.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
     def test_random_equality_systems(self, monkeypatch):
         pivots = record_pivots(monkeypatch)
         rng = random.Random(1968)
@@ -651,7 +702,7 @@ class TestDictionary:
         statuses = set()
         for y in outcomes.points:
             for cut_margin in (0, 1):
-                program = _cell_program(y, p, outcomes.points, cut_margin)
+                program = _cell_program(y, outcomes, outcomes.points, cut_margin)
                 assert len(program.constraints) == len(outcomes.points) + p
                 statuses.add(lp_solve(program).status)
         assert statuses == {OPTIMAL, INFEASIBLE}

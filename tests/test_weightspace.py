@@ -13,7 +13,11 @@ from conftest import (
 from ndsupport.classify import (
     Label,
     WeightVector,
+    _below_program,
     _cell_program,
+    _is_vertex,
+    _on_boundary,
+    _on_frontier,
     _solve_witness,
     _vertex_set,
     classify_all,
@@ -24,12 +28,14 @@ from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_insta
 from ndsupport.ratlp import (
     EQUAL,
     GREATER_EQUAL,
+    LESS_EQUAL,
     OPTIMAL,
     LinearConstraint,
     LinearProgram,
     lp_solve,
 )
 from ndsupport.weightspace import (
+    WeightCell,
     _convex_hull_ccw,
     _projected_vertices,
     cell_interval,
@@ -312,7 +318,7 @@ class TestOneCellBuilder:
                 # cut_margin 0 is the witness program, over Y_N rows and
                 # over V rows, with the simplex equality moved.
                 for rows in (yn, vertices):
-                    got = lp_solve(_cell_program(y, p, rows, 0))
+                    got = lp_solve(_cell_program(y, yn, rows, 0))
                     assert got == lp_solve(reference_witness_program(y, p, rows))
                     assert _solve_witness(y, yn, rows) == (
                         None
@@ -327,7 +333,7 @@ class TestOneCellBuilder:
                 hrep = reference_cell_hrep(y, yn)
                 cell = weight_cell(y, yn)
                 assert cell.hrep == hrep
-                got = lp_solve(_cell_program(y, p, yn, 1))
+                got = lp_solve(_cell_program(y, yn, yn, 1))
                 ref = lp_solve(reference_slack_program(hrep, p))
                 assert (got.status, got.value) == (ref.status, ref.value)
                 assert cell.is_empty == (ref.status != OPTIMAL)
@@ -339,6 +345,78 @@ class TestOneCellBuilder:
         # do sets whose vertex set is smaller than Y_N.
         assert witness_kinds == {"infeasible", False, True}
         assert pruned == {False, True}
+
+
+def reference_below_program(y, pts, sense, costs, margin=False):
+    """The geometry program as it was built from Fraction coordinates:
+    convex weights mu over pts whose combination sits at or below y,
+    with eps subtracted from y in every coordinate under a margin."""
+    pad = (F(1),) if margin else ()
+    cons = [LinearConstraint((F(1),) * len(pts) + (F(0),) * len(pad), EQUAL, F(1))]
+    for k, bound in enumerate(y.coords):
+        coeffs = tuple(pt.coords[k] for pt in pts) + pad
+        cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
+    return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
+
+
+class TestLatticeGeometryPrograms:
+    def test_verdicts_match_the_fraction_built_programs(self):
+        rng = random.Random(97)
+        verdicts = set()
+        scales = set()
+        negative = False
+        for s in cell_builder_corpus(rng, 120):
+            yn = nondom(s)
+            lattice = yn.lattice_by_id
+            scales.add(yn.scale)
+            negative |= any(c < 0 for pt in yn for c in pt.coords)
+            vertices = _vertex_set(yn)
+            for y in yn:
+                row = lattice[y.id]
+                for pts in (yn.points, vertices):
+                    cols = [lattice[pt.id] for pt in pts]
+                    assert all(type(v) is int for col in cols for v in col)
+                    frontier = lp_solve(
+                        _below_program(row, cols, "min", [sum(c) for c in cols])
+                    )
+                    ref_frontier = lp_solve(
+                        reference_below_program(
+                            y, pts, "min", [sum(pt.coords) for pt in pts]
+                        )
+                    )
+                    assert frontier.value == yn.scale * ref_frontier.value
+                    boundary = lp_solve(
+                        _below_program(row, cols, "max", (0,) * len(cols), margin=True)
+                    )
+                    ref_boundary = lp_solve(
+                        reference_below_program(
+                            y, pts, "max", (F(0),) * len(pts), margin=True
+                        )
+                    )
+                    assert boundary.value == yn.scale * ref_boundary.value
+                    others = [pt for pt in pts if pt.id != y.id]
+                    zeros = (F(0),) * len(others)
+                    ref_vertex = not others or (
+                        lp_solve(reference_below_program(y, others, "min", zeros)).status
+                        != OPTIMAL
+                    )
+                    got = (
+                        _on_frontier(row, cols),
+                        _on_boundary(row, cols),
+                        _is_vertex(row, cols),
+                    )
+                    assert got == (
+                        ref_frontier.value == sum(y.coords),
+                        ref_boundary.value == 0,
+                        ref_vertex,
+                    )
+                    verdicts.add(got)
+        # Denominators and negative coordinates (``<=`` rows with a
+        # negative rhs, so artificials) occur, and every verdict takes
+        # both values.
+        assert max(scales) > 1 and negative
+        for k in range(3):
+            assert {v[k] for v in verdicts} == {False, True}
 
 
 def pairwise_projected_vertices(hrep):
@@ -561,3 +639,22 @@ class TestBiObjectiveIntervals:
         assert by_id["y1"] == (F(3, 4), F(1))
         assert by_id["y2"] == (F(3, 8), F(3, 4))
         assert by_id["y3"] == (F(0), F(3, 8))
+
+    def test_int_rows_give_the_interval_of_fraction_rows(self):
+        # The cell of y2 over [2, 9], [3, 6], [8, 3], written once in ints
+        # and once in Fractions; its bounds 3/8 and 3/4 are no ints.
+        rows = [((1, 0), 0), ((0, 1), 0), ((-1, 3), 0), ((5, -3), 0)]
+
+        def cell(exact):
+            hrep = [LinearConstraint((exact(1), exact(1)), EQUAL, exact(1))]
+            hrep += [
+                LinearConstraint(tuple(map(exact, coeffs)), GREATER_EQUAL, exact(rhs))
+                for coeffs, rhs in rows
+            ]
+            return WeightCell("y2", tuple(hrep), None, True, False)
+
+        ints = cell(int)
+        assert all(type(v) is int for con in ints.hrep for v in con.coeffs)
+        got = cell_interval(ints)
+        assert got == cell_interval(cell(F)) == (F(3, 8), F(3, 4))
+        assert all(type(bound) is F for bound in got)
