@@ -18,14 +18,17 @@ solves every program once; ``cross_check`` computes the same rows
 without labelling and without raising, with every program full width.
 
 ``classify_all`` finds the vertex set V of the upper image first and
-solves every other program over it.  The upper image conv(Y_N) + R^p_+
-equals conv(V) + R^p_+, so the frontier and boundary programs have the
-same optimal values with V columns, and a witness program with V rows
-has the same feasible weights (lambda . y over the upper image is
-minimal at a vertex).  Points on the boundary keep their full-row
-witness program all the same: under Bland's rule fewer rows may pick a
+then solves each point's boundary program over V columns: the upper
+image conv(Y_N) + R^p_+ equals conv(V) + R^p_+, so the boundary and
+frontier programs have the same optimal values with V columns.  A
+boundary optimum eps > 0 settles the point with no further program: its
+checked solution is a point of conv(V) at or below y - eps, so y is off
+the frontier, and every weight scores that point strictly below y, so y
+is unsupported.  A boundary point gets the frontier program over V and
+its full-row witness program: under Bland's rule fewer rows may pick a
 different optimal weight when the optimum is not unique, and that
-weight is printed.  A supported point is extreme exactly when it is in
+weight is printed.  ``cross_check`` keeps all three full-width programs
+for every point.  A supported point is extreme exactly when it is in
 V, and a point of V off the frontier is a consistency failure.
 
 Strict positivity is decided by a max-min program: maximize t subject
@@ -392,19 +395,28 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet, vertices
+    y: OutcomePoint, yn: OutcomeSet, vertices, *, settle_interior: bool = False
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
     """Solve the boundary and frontier programs for y over the columns
     vertices (V for classify; all of yn gives the full-width programs
-    ``check`` runs), then the witness program with them as rows.  A
-    boundary point keeps all of yn's rows, so its witness is the one
-    the full program prints."""
+    ``check`` runs), then the witness program over all of yn's rows, so
+    the witness is the one the full program prints.
+
+    With settle_interior (set by classify_all only), a point the
+    boundary program proves interior gets no further program.  Its
+    certified optimum eps > 0 puts a point of conv(vertices) at or below
+    y - eps in every coordinate: y is off the frontier, and every weight
+    in the simplex scores that point strictly below y, so y is
+    unsupported."""
     lattice = yn.lattice_by_id
     row = lattice[y.id]
     cols = [lattice[v.id] for v in vertices]
     boundary = _on_boundary(row, cols)
-    frontier = _on_frontier(row, cols)
-    solved = _solve_witness(y, yn, yn if boundary else vertices)
+    if settle_interior and not boundary:
+        frontier, solved = False, None
+    else:
+        frontier = _on_frontier(row, cols)
+        solved = _solve_witness(y, yn, yn)
     weak = solved is not None
     strict = weak and solved[1] > 0
     check = PointCheck(
@@ -454,7 +466,7 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
     vertex_ids = {v.id for v in vertices}
     results: dict[str, Classification] = {}
     for y in yn:
-        check, solved = _point_check(y, yn, vertices)
+        check, solved = _point_check(y, yn, vertices, settle_interior=True)
         if y.id in vertex_ids and not check.on_frontier:
             raise ConsistencyError(
                 "a vertex of the upper image is off the frontier: "

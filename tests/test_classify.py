@@ -10,8 +10,10 @@ from ndsupport.classify import (
     Classification,
     Label,
     WeightVector,
+    _below_program,
     _check_weight_certificate,
     _point_check,
+    _vertex_set,
     barycenter,
     classify_all,
     cross_check,
@@ -25,7 +27,7 @@ from ndsupport.cli import build_report
 from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
-from ndsupport.ratlp import GREATER_EQUAL, MAXIMIZE
+from ndsupport.ratlp import GREATER_EQUAL, MAXIMIZE, OPTIMAL, lp_solve
 
 
 def nondom(s):
@@ -457,6 +459,40 @@ class TestVertexPruningDifferential:
             labels.update(c.label for c in pruned)
         assert labels == set(Label)
 
+    def test_a_positive_boundary_optimum_proves_unsupported(self):
+        # classify_all settles a point on a boundary optimum eps > 0 over
+        # V columns.  Re-check the returned convex weights mu in the
+        # exact coordinates, where the margin is eps / S: sum mu_v v sits
+        # at or below y - eps / S in every coordinate.  The full-width
+        # cascade must label every such point unsupported.
+        settled = 0
+        for s in differential_corpus():
+            yn = nondom(s)
+            vertices = _vertex_set(yn)
+            cols = [yn.lattice_by_id[v.id] for v in vertices]
+            records = {c.point_id: c for c in full_width_classify(s)}
+            for y in yn:
+                row = yn.lattice_by_id[y.id]
+                program = _below_program(
+                    row, cols, MAXIMIZE, (0,) * len(cols), margin=True
+                )
+                outcome = lp_solve(program)
+                assert outcome.status == OPTIMAL
+                if outcome.value == 0:
+                    continue
+                settled += 1
+                *mu, eps = outcome.solution
+                assert eps == outcome.value > 0
+                assert all(m >= 0 for m in mu) and sum(mu) == 1
+                margin = F(eps) / yn.scale
+                for i, coord in enumerate(y.coords):
+                    below = sum(m * v.coords[i] for m, v in zip(mu, vertices))
+                    assert below <= coord - margin, (s.coord_rows(), y.id)
+                record = records[y.id]
+                assert record.label == Label.UNSUPPORTED
+                assert not record.frontier and not record.boundary
+        assert settled >= 50
+
 
 def record_programs(monkeypatch) -> list:
     """Every program the classify module passes to lp_solve."""
@@ -496,8 +532,12 @@ class TestVertexPruning:
         assert report["y5"].label == Label.SUPPORTED
         kinds = [program_kind(program) for program in programs]
         assert kinds[: len(s)] == ["vertex"] * len(s)
-        for kind in ("vertex", "frontier", "boundary", "witness"):
-            assert kinds.count(kind) == len(s)
+        # The boundary program proves y4 interior, which settles it: it
+        # gets no frontier and no witness program.
+        per_point = ["boundary", "frontier", "witness"]
+        assert kinds[len(s) :] == per_point * 3 + ["boundary"] + per_point
+        assert kinds.count("vertex") == kinds.count("boundary") == len(s)
+        assert kinds.count("frontier") == kinds.count("witness") == len(s) - 1
         for program, kind in zip(programs, kinds):
             if kind == "frontier":
                 assert program.num_vars == vertices
@@ -508,10 +548,9 @@ class TestVertexPruning:
             for program, kind in zip(programs, kinds)
             if kind == "witness"
         ]
-        # Boundary points keep every other point as a row; the interior
-        # y4 compares against the vertices only.
+        # Boundary points keep every other point as a row.
         full = 1 + s.p + len(s) - 1
-        assert witness_rows == [full, full, full, vertices + s.p + 1, full]
+        assert witness_rows == [full, full, full, full]
 
     def test_cross_check_programs_are_full_width(self, monkeypatch):
         # The standalone cross-check runs no vertex pass, and every
