@@ -38,7 +38,8 @@ is a tolerance-free stand-in for the open condition "some strictly
 positive witness exists", and the optimizer at t = 0 necessarily
 carries a zero weight, certifying the weakly-supported-only case.
 Its builder, ``_cell_program``, also gives ``weightspace`` the cell
-program (t on every cut) and the H-representation: the rows without t.
+program (t on every cut), whose rows without t, divided by S, are the
+H-representation.
 
 Every program is built on the set's integer lattice (``OutcomeSet``:
 each coordinate times S, the lcm of the set's denominators), so its
@@ -191,26 +192,27 @@ def _cell_program(
         maximize t  s.t.  lambda_i - t >= 0  (i = 1..p),  sum(lambda) = 1,
         lambda . (y' - y) - cut_margin * t >= 0  for every other y' of rows,
 
-    in that row order, over lambda, t >= 0; its rows without t are the
-    cell's H-representation.  Each cut row is built on yn's lattice,
-    S = yn.scale times the row above, so the program is all ints.  t = 0
-    gives the cell, so the program is feasible exactly when y is weakly
-    supported over rows, and its first p + 1 rows bound t <= 1/p.  With
-    cut_margin 0 a positive optimum is a strictly positive weight in the
-    cell: y is supported.  With cut_margin 1 every inequality holds with
-    slack t, and a positive optimum means the cell is full-dimensional
-    in the simplex."""
+    in that row order, over lambda, t >= 0.  Every row is built as S
+    times the row above, S = yn.scale, so the program is all ints and
+    its rows without t, divided by S, are the cell's H-representation.
+    t = 0 gives the cell, so the program is feasible exactly when y is
+    weakly supported over rows, and its first p + 1 rows bound
+    t <= 1/p.  With cut_margin 0 a positive optimum is a strictly
+    positive weight in the cell: y is supported.  With cut_margin 1
+    every inequality holds with slack t, and a positive optimum means
+    the cell is full-dimensional in the simplex."""
     p = yn.p
+    scale = yn.scale
     cons = []
     for i in range(p):
         coeffs = [0] * (p + 1)
-        coeffs[i] = 1
-        coeffs[p] = -1
+        coeffs[i] = scale
+        coeffs[p] = -scale
         cons.append(LinearConstraint(coeffs, GREATER_EQUAL, 0))
-    cons.append(LinearConstraint((1,) * p + (0,), EQUAL, 1))
+    cons.append(LinearConstraint((scale,) * p + (0,), EQUAL, scale))
     lattice = yn.lattice_by_id
     base = lattice[y.id]
-    margin = (-cut_margin * yn.scale,)
+    margin = (-cut_margin * scale,)
     for other in rows:
         if other.id == y.id:
             continue

@@ -120,15 +120,10 @@ class OutcomeSet:
 
 
 class _Interned(dict):
-    """One ``Fraction`` per distinct int, that int over ``scale``, made
-    on first lookup."""
-
-    def __init__(self, scale: int = 1):
-        super().__init__()
-        self.scale = scale
+    """One ``Fraction`` per distinct int, made on first lookup."""
 
     def __missing__(self, value: int) -> Fraction:
-        exact = self[value] = Fraction(value, self.scale)
+        exact = self[value] = Fraction(value)
         return exact
 
 

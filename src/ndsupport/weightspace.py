@@ -2,26 +2,26 @@
 
 For a non-dominated point y, its cell is the set of normalized
 nonnegative weights under which y is weighted-sum minimal over the
-whole non-dominated set.  Cells are kept as exact half-space lists
-over the full weight space, simplex equality included: the rows of the
-program that decides the cell, ``classify._cell_program``, without its
-column t, and with its cut rows, built on the integer lattice, divided
-back by the lattice scale.  For three objectives the cell is also
+whole non-dominated set.  A cell keeps the int rows of the program
+that decides it, ``classify._cell_program``, each S times an exact row;
+its exact half-spaces over the full weight space are those rows
+without t, divided by S.  For three objectives the cell is also
 projected to the first two weight coordinates and its polygon vertices
 are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
-an exact 2-D convex hull.  The clip runs in ints: each row is scaled by
-``ratlp._scale``, which keeps every sign, and each vertex is
-a homogeneous triple (X, Y, W) for (X/W, Y/W), with W > 0 and no common
-factor.  A clip keeps the vertices with side value >= 0 and adds the
-crossing of every edge whose ends lie strictly on opposite sides; a row
-that holds on the whole polygon is skipped.  Vertices become
-``Fraction``s only for the hull.  That is robust against redundant
-half-spaces (which are retained, not minimized) and returns degenerate
-cells - segments or single points, the signature of
-weakly-supported-only points - rather than dropping them.
+an exact 2-D convex hull.  The clip runs in ints: it reads the int
+rows (other rows are scaled by ``ratlp._scale``, which keeps every
+sign), and each vertex is a homogeneous triple (X, Y, W) for
+(X/W, Y/W), with W > 0 and no common factor.  A clip keeps the
+vertices with side value >= 0 and adds the crossing of every edge
+whose ends lie strictly on opposite sides; a row that holds on the
+whole polygon is skipped.  Vertices become ``Fraction``s only for the
+hull.  That is robust against redundant half-spaces (which are
+retained, not minimized) and returns degenerate cells - segments or
+single points, the signature of weakly-supported-only points - rather
+than dropping them.
 """
 
 from __future__ import annotations
@@ -34,20 +34,16 @@ from typing import Optional
 from .classify import WeightVector, _cell_program, _require_member
 from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
-from .outcomes import OutcomePoint, OutcomeSet, _Interned, filter_nondominated
+from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
 from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, _scale, lp_solve
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-# Without t, the simplex rows of a cell program hold only 0s and 1s.
-_UNITS = {0: _ZERO, 1: _ONE}
 
 Point2 = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class WeightCell:
-    """H-representation of one cell, with projected vertices for p = 3.
+    """One cell as its program's rows, each ``scale`` times an exact row
+    with column t last, plus projected vertices for p = 3.
 
     Projected vertices live in (l1, l2) with l3 = 1 - l1 - l2 and are
     listed counter-clockwise without repetition.  They are present
@@ -56,10 +52,24 @@ class WeightCell:
     """
 
     point_id: str
-    hrep: tuple[LinearConstraint, ...]
+    rows: tuple[LinearConstraint, ...]
+    scale: int
     projected_vertices: Optional[tuple[Point2, ...]]
     is_full_dimensional: bool
     is_empty: bool
+
+    @property
+    def hrep(self) -> tuple[LinearConstraint, ...]:
+        """Each row without t, over ``scale``, in ``Fraction``s."""
+        s = self.scale
+        return tuple(
+            LinearConstraint(
+                tuple([Fraction(v, s) for v in con.coeffs[:-1]]),
+                con.relation,
+                Fraction(con.rhs, s),
+            )
+            for con in self.rows
+        )
 
 
 def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
@@ -86,13 +96,14 @@ def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _projected_vertices(hrep) -> tuple[Point2, ...]:
-    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order."""
+def _projected_vertices(rows) -> tuple[Point2, ...]:
+    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order, from
+    its hrep or its program's rows (column t is not read)."""
     polygon = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    for con in hrep:
+    for con in rows:
         if con.relation == EQUAL:
             continue  # the simplex equality is implicit after substitution
-        _, (c1, c2, c3, rhs) = _scale((*con.coeffs, con.rhs))
+        _, (c1, c2, c3, rhs) = _scale((*con.coeffs[:3], con.rhs))
         a, b, c = c1 - c3, c2 - c3, rhs - c3  # l3 = 1 - l1 - l2 substituted
         ring = [(v, a * v[0] + b * v[1] - c * v[2]) for v in polygon]
         if all(s >= 0 for _, s in ring):
@@ -113,39 +124,23 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     """The cell of weights under which y is weighted-sum minimal.
 
     Emptiness and full dimension are decided by one exact program, the
-    cell program with margin t on every cut, whose rows without t are
-    the H-representation (redundant half-spaces retained).  The cell
-    is empty exactly when y is unsupported.
+    cell program with margin t on every cut, whose rows without t, over
+    S, are the H-representation (redundant half-spaces retained).  The
+    cell is empty exactly when y is unsupported.
     """
-    return _weight_cell(y, yn, _Interned(yn.scale))
-
-
-def _without_t(con: LinearConstraint, exact) -> LinearConstraint:
-    """con without its column t, every int the shared ``Fraction`` of exact."""
-    coeffs = tuple([exact[v] for v in con.coeffs[:-1]])
-    return LinearConstraint(coeffs, con.relation, exact[con.rhs])
-
-
-def _weight_cell(y: OutcomePoint, yn: OutcomeSet, cuts: _Interned) -> WeightCell:
-    """``weight_cell``, the hrep's cut rows, which the cell program builds
-    on the lattice, divided back by yn's scale through cuts."""
     _require_member(y, yn)
     program = _cell_program(y, yn, yn, 1)
-    head = yn.p + 1
-    hrep = tuple(
-        [_without_t(con, _UNITS) for con in program.constraints[:head]]
-        + [_without_t(con, cuts) for con in program.constraints[head:]]
-    )
     outcome = lp_solve(program)
     if outcome.status == UNBOUNDED:
         raise ConsistencyError("cell slack program is always bounded")
     nonempty = outcome.status == OPTIMAL
     vertices = None
     if yn.p == 3:
-        vertices = _projected_vertices(hrep) if nonempty else ()
+        vertices = _projected_vertices(program.constraints) if nonempty else ()
     return WeightCell(
         point_id=y.id,
-        hrep=hrep,
+        rows=program.constraints,
+        scale=yn.scale,
         projected_vertices=vertices,
         is_full_dimensional=nonempty and outcome.value > 0,
         is_empty=not nonempty,
@@ -161,10 +156,9 @@ def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
     the weakly-supported-only points.
     """
     yn = filter_nondominated(outcome_set).nondominated
-    cuts = _Interned(yn.scale)
     cells = []
     for y in yn:
-        cell = _weight_cell(y, yn, cuts)
+        cell = weight_cell(y, yn)
         if not cell.is_empty:
             cells.append(cell)
     return cells
@@ -196,7 +190,7 @@ def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:
     """
     if cell.is_empty:
         return None
-    lo, hi = _ZERO, _ONE
+    lo, hi = Fraction(0), Fraction(1)
     for con in cell.hrep:
         if con.relation == EQUAL:
             continue

@@ -1,8 +1,10 @@
 """Output bytes at scale: sha256 of what ``classify``, ``check`` and
-``wsd`` print on six seeded instances, recorded before the simplex
+``wsd`` print on seven seeded instances, recorded before the simplex
 kernel kept only its nonbasic columns; the rational p = 3 instance,
 whose cells are clipped by rows with mixed denominators, was recorded
-before the p = 3 clip moved to integer homogeneous vertices.
+before the p = 3 clip moved to integer homogeneous vertices, and the
+rational p = 2 instance, whose cell intervals and interval bar have
+denominators above 1, before the cells kept their program's int rows.
 
 Every label, witness and cell is an exact LP verdict, and Bland's rule
 fixes which optimal vertex a degenerate program returns, so a kernel
@@ -44,6 +46,8 @@ def _instance(name, tmp_path, capsys):
         _points_file(path, anticorr_rows(1, 60, 3), 3)
     elif name == "rational-80-3":
         _points_file(path, random_rational_rows(random.Random(5), 80, 3), 3)
+    elif name == "rational-60-2":
+        _points_file(path, random_rational_rows(random.Random(7), 60, 2), 2)
     else:
         _points_file(path, random_rational_rows(random.Random(3), 60, 4), 4)
     capsys.readouterr()
@@ -99,6 +103,12 @@ GOLDEN = {
         "9cffb5c1b84727487c4475944f3427631836676bc7ccbdac5e779c5b7f4923c4",
         "441303a152c162cbbdf5766460b0edd2defe550e8aeca78fd42ab152140906b5",
         "de8c3709c880337994e892374b3f93db4e53bac9b57fecd82f766a13dcd48b98",
+    ],
+    "rational-60-2": [
+        "5c6dc3c291e20ebf19d2a552454b2eac1a9909259beda9a58e6a2fd6276e5b37",
+        "5dfb8352dec3f1a7a3cde6065d94e79b81b3c4b26b4447db336bb666da71526e",
+        "aee919d09d62ba3de54e2a5e1e73f3c8b2e9f433a788f2142f085131549dfd6c",
+        "6449b9cddf98dcae19dda962511659c49aac92e64111862470b5b2c78a0c3746",
     ],
     "rational-60-4": [
         "0e5256da5a41ffb218f14b1bcc51c01a53c578a0e658a7851d57ded6ce5887bc",

@@ -333,6 +333,9 @@ class TestOneCellBuilder:
                 hrep = reference_cell_hrep(y, yn)
                 cell = weight_cell(y, yn)
                 assert cell.hrep == hrep
+                assert all(
+                    type(v) is F for con in cell.hrep for v in (*con.coeffs, con.rhs)
+                )
                 got = lp_solve(_cell_program(y, yn, yn, 1))
                 ref = lp_solve(reference_slack_program(hrep, p))
                 assert (got.status, got.value) == (ref.status, ref.value)
@@ -499,17 +502,18 @@ def clip_corpus_sets(rng):
     return sets
 
 
-def cell_hreps(sets):
+def weight_cells(sets):
     for s in sets:
         yn = nondom(s)
         for y in yn:
-            yield weight_cell(y, yn).hrep
+            yield weight_cell(y, yn)
 
 
 class TestClipDifferential:
     def test_clip_matches_pairwise_enumeration(self):
         kinds = set()
-        for hrep in cell_hreps(clip_corpus_sets(random.Random(79))):
+        for cell in weight_cells(clip_corpus_sets(random.Random(79))):
+            hrep = cell.hrep
             vertices = _projected_vertices(hrep)
             assert vertices == pairwise_projected_vertices(hrep)
             kinds.add(min(len(vertices), 3))
@@ -530,9 +534,11 @@ class TestClipDifferential:
             )
         sets.append(validate_instance(anticorr_rows(1, 120, 3)))
         kinds = set()
-        for hrep in cell_hreps(sets):
-            vertices = _projected_vertices(hrep)
-            assert vertices == reference_fraction_clip(hrep)
+        for cell in weight_cells(sets):
+            vertices = _projected_vertices(cell.hrep)
+            assert vertices == reference_fraction_clip(cell.hrep)
+            # the program's int rows, t column included, clip the same
+            assert _projected_vertices(cell.rows) == vertices
             kinds.add(min(len(vertices), 3))
         assert kinds == {0, 1, 2, 3}
 
@@ -641,20 +647,23 @@ class TestBiObjectiveIntervals:
         assert by_id["y3"] == (F(0), F(3, 8))
 
     def test_int_rows_give_the_interval_of_fraction_rows(self):
-        # The cell of y2 over [2, 9], [3, 6], [8, 3], written once in ints
-        # and once in Fractions; its bounds 3/8 and 3/4 are no ints.
+        # The cell of y2 over [2, 9], [3, 6], [8, 3] as int program rows
+        # with a zero t column, once at scale 1 and once times 3 at
+        # scale 3; its bounds 3/8 and 3/4 are no ints.
         rows = [((1, 0), 0), ((0, 1), 0), ((-1, 3), 0), ((5, -3), 0)]
 
-        def cell(exact):
-            hrep = [LinearConstraint((exact(1), exact(1)), EQUAL, exact(1))]
-            hrep += [
-                LinearConstraint(tuple(map(exact, coeffs)), GREATER_EQUAL, exact(rhs))
+        def cell(scale):
+            cons = [LinearConstraint((scale, scale, 0), EQUAL, scale)]
+            cons += [
+                LinearConstraint(
+                    tuple(scale * c for c in coeffs) + (0,), GREATER_EQUAL, scale * rhs
+                )
                 for coeffs, rhs in rows
             ]
-            return WeightCell("y2", tuple(hrep), None, True, False)
+            return WeightCell("y2", tuple(cons), scale, None, True, False)
 
-        ints = cell(int)
-        assert all(type(v) is int for con in ints.hrep for v in con.coeffs)
+        ints = cell(1)
+        assert all(type(v) is int for con in ints.rows for v in con.coeffs)
         got = cell_interval(ints)
-        assert got == cell_interval(cell(F)) == (F(3, 8), F(3, 4))
+        assert got == cell_interval(cell(3)) == (F(3, 8), F(3, 4))
         assert all(type(bound) is F for bound in got)
