@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
@@ -191,19 +191,52 @@ def wsd_to_json(cells: Sequence[WeightCell], p: int) -> dict:
     return {"objectives": p, "cells": doc_cells}
 
 
+def _cannot_write(name: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {name}: {exc.strerror or exc}")
+
+
+class _Sink:
+    """A text stream whose failed writes name the output they went to."""
+
+    def __init__(self, stream, name: str):
+        self._stream = stream
+        self._name = name
+
+    def write(self, text: str) -> None:
+        try:
+            self._stream.write(text)
+        except OSError as exc:
+            raise _cannot_write(self._name, exc) from None
+
+
 @contextmanager
 def _output(path: Optional[str]):
-    """The text stream for path, stdout for None or '-'.  Commands open
-    every output before they compute, so an unwritable path exits 2
-    before any work is done."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+    """A sink for path, stdout for None or '-', flushed (stdout) or
+    closed (a path) on a clean exit.  A failed open, write, flush or
+    close names this output; after a failure elsewhere the path is
+    closed quietly, so a failure is reported once.  Commands open every
+    output before they compute, so an unwritable path exits 2 before
+    any work is done."""
+    to_stdout = path is None or path == "-"
+    name = "stdout" if to_stdout else path
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        stream = sys.stdout if to_stdout else open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+        raise _cannot_write(name, exc) from None
+    try:
+        yield _Sink(stream, name)
+    except BaseException:
+        if not to_stdout:
+            with suppress(OSError):
+                stream.close()
+        raise
+    try:
+        if to_stdout:
+            stream.flush()
+        else:
+            stream.close()
+    except OSError as exc:
+        raise _cannot_write(name, exc) from None
 
 
 def _is_stdout(path: Optional[str]) -> bool:
@@ -382,10 +415,11 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     outcomes = _load_outcomes(args.path)
     checks = cross_check(outcomes)
-    if args.format == "json":
-        sys.stdout.write(_json_dumps(cross_check_to_json(checks)))
-    else:
-        sys.stdout.write(cross_check_to_table(checks))
+    with _output(None) as out:
+        if args.format == "json":
+            out.write(_json_dumps(cross_check_to_json(checks)))
+        else:
+            out.write(cross_check_to_table(checks))
     return 0 if checks.all_ok else 3
 
 
@@ -440,14 +474,16 @@ def _cmd_dichotomic(args) -> int:
             ],
             "oracle_calls": result.oracle_calls,
         }
-        sys.stdout.write(_json_dumps(doc))
+        text = _json_dumps(doc)
     else:
         lines = [
             f"{pt.id}  {_coords_str(pt.coords)}  witness {_coords_str(lam.values)}"
             for pt, lam in zip(result.extremes, result.witness_weights)
         ]
         lines.append(f"extremes: {len(result.extremes)}, oracle calls: {result.oracle_calls}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    with _output(None) as out:
+        out.write(text)
     return 0
 
 
@@ -535,4 +571,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the same buffer would fail
+        # again at interpreter exit, so it goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    raise SystemExit(code)

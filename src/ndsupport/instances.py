@@ -58,6 +58,11 @@ def knapsack_item_cap() -> int:
     return cap
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, as the instance format reads one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KnapsackSpec:
     """Items with nonnegative integer weights and integer cost vectors,
@@ -70,14 +75,14 @@ class KnapsackSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated")
-        if not isinstance(self.capacity, int) or self.capacity < 0:
+        if not _is_int(self.capacity) or self.capacity < 0:
             raise ValidationError("capacity must be a nonnegative integer")
         items = []
         for idx, (weight, costs) in enumerate(self.items):
-            if not isinstance(weight, int) or weight < 0:
+            if not _is_int(weight) or weight < 0:
                 raise ValidationError(f"item {idx}: weight must be a nonnegative integer")
             costs = tuple(costs)
-            if len(costs) != self.p or not all(isinstance(c, int) for c in costs):
+            if len(costs) != self.p or not all(map(_is_int, costs)):
                 raise ValidationError(
                     f"item {idx}: costs must be {self.p} integers"
                 )
@@ -109,7 +114,7 @@ class AssignmentSpec:
             if len(row) != n:
                 raise ValidationError(f"assignment cost matrix is not square (row {i})")
             for j, cell in enumerate(row):
-                if len(cell) != self.p or not all(isinstance(c, int) for c in cell):
+                if len(cell) != self.p or not all(map(_is_int, cell)):
                     raise ValidationError(
                         f"assignment cell ({i},{j}) must hold {self.p} integers"
                     )
@@ -141,7 +146,7 @@ def _coord(value, where: str) -> Fraction:
 
 
 def _int_field(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ParseError(f"{where}: expected an integer, got {reprlib.repr(value)}")
     return value
 

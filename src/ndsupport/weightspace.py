@@ -12,9 +12,8 @@ are enumerated exactly.
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
 an exact 2-D convex hull.  The clip runs in ints: it reads the int
-rows (other rows are scaled by ``ratlp._scale``, which keeps every
-sign), and each vertex is a homogeneous triple (X, Y, W) for
-(X/W, Y/W), with W > 0 and no common factor.  A clip keeps the
+rows as they stand, and each vertex is a homogeneous triple (X, Y, W)
+for (X/W, Y/W), with W > 0 and no common factor.  A clip keeps the
 vertices with side value >= 0 and adds the crossing of every edge
 whose ends lie strictly on opposite sides; a row that holds on the
 whole polygon is skipped.  Vertices become ``Fraction``s only for the
@@ -35,7 +34,7 @@ from .classify import WeightVector, _cell_program, _require_member
 from .dichotomic import weighted_sum_argmin
 from .errors import ConsistencyError, ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
-from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, _scale, lp_solve
+from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, lp_solve
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -47,8 +46,8 @@ class WeightCell:
 
     Projected vertices live in (l1, l2) with l3 = 1 - l1 - l2 and are
     listed counter-clockwise without repetition.  They are present
-    exactly when p = 3; the H-representation is always present and may
-    contain redundant half-spaces.
+    exactly when p = 3.  The rows may contain redundant half-spaces;
+    ``hrep`` is their ``Fraction`` view, built on each access.
     """
 
     point_id: str
@@ -98,13 +97,13 @@ def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
 
 def _projected_vertices(rows) -> tuple[Point2, ...]:
     """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order, from
-    its hrep or its program's rows (column t is not read)."""
+    its program's int rows (column t is not read)."""
     polygon = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
     for con in rows:
         if con.relation == EQUAL:
             continue  # the simplex equality is implicit after substitution
-        _, (c1, c2, c3, rhs) = _scale((*con.coeffs[:3], con.rhs))
-        a, b, c = c1 - c3, c2 - c3, rhs - c3  # l3 = 1 - l1 - l2 substituted
+        c1, c2, c3, _ = con.coeffs
+        a, b, c = c1 - c3, c2 - c3, con.rhs - c3  # l3 = 1 - l1 - l2 substituted
         ring = [(v, a * v[0] + b * v[1] - c * v[2]) for v in polygon]
         if all(s >= 0 for _, s in ring):
             continue  # the row holds on the whole polygon
@@ -186,22 +185,22 @@ def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:
     """For p = 2: the cell as a closed interval in l1 (l2 = 1 - l1).
 
     Returns None for empty cells.  Intervals of neighbouring cells tile
-    [0, 1], overlapping exactly at shared endpoints.
+    [0, 1], overlapping exactly at shared endpoints.  Bounds are read
+    off the int rows, S times exact ones; S cancels in each ratio.
     """
     if cell.is_empty:
         return None
     lo, hi = Fraction(0), Fraction(1)
-    for con in cell.hrep:
+    for con in cell.rows:
         if con.relation == EQUAL:
             continue
-        if len(con.coeffs) != 2:
+        if len(con.coeffs) != 3:
             raise ValidationError("cell_interval applies to two objectives only")
-        a, b = con.coeffs
+        a, b, _ = con.coeffs
         slope = a - b  # substitute l2 = 1 - l1 into a*l1 + b*l2 >= rhs
-        offset = con.rhs - b
         if slope == 0:
             continue  # vacuous or infeasible rows cannot occur in nonempty cells
-        bound = Fraction(offset, slope)
+        bound = Fraction(con.rhs - b, slope)
         if slope > 0:
             lo = max(lo, bound)
         else:

@@ -1,6 +1,8 @@
 import argparse
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -27,6 +29,7 @@ from ndsupport.instances import (
 )
 from ndsupport.outcomes import OutcomePoint, OutcomeSet, validate_instance
 from ndsupport.ratlp import format_rational
+from ndsupport.weightspace import WeightCell
 
 COUNTEREXAMPLE_JSON = '{"objectives": 3, "points": [[2,9,1],[3,6,1],[8,3,1],[6,5,1]]}\n'
 FIG2D_JSON = '{"objectives": 2, "points": [[2,9],[3,6],[8,3],[6,5],[3,9],[7,7]]}\n'
@@ -401,6 +404,77 @@ class TestOutputPaths:
         assert len(json.loads(doc.read_text())["cells"]) == 4
 
 
+class FullStream(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+NO_SPACE = os.strerror(errno.ENOSPC)
+ALL_COMMANDS = [
+    ["classify", "FIG2D"],
+    ["classify", "FIG2D", "--format", "json"],
+    ["classify", "FIG2D", "--svg", "FIGURE"],
+    ["check", "FIG2D"],
+    ["check", "FIG2D", "--format", "json"],
+    ["wsd", "FIG2D"],
+    ["wsd", "FIG2D", "--svg", "FIGURE"],
+    ["dichotomic", "FIG2D"],
+    ["dichotomic", "FIG2D", "--format", "json"],
+    ["lift", "FIG2D"],
+    ["gen", "points", "5", "2"],
+]
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this system"
+)
+
+
+class TestFailedWrites:
+    """A failed write exits 2 with one error line naming the output that
+    failed, never another output of the same command."""
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=" ".join)
+    def test_failed_stdout_write_names_stdout(
+        self, fig2d_file, tmp_path, monkeypatch, capsys, argv
+    ):
+        figure = tmp_path / "figure.svg"
+        names = {"FIG2D": fig2d_file, "FIGURE": str(figure)}
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        assert main([names.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: cannot write stdout: {NO_SPACE}\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "FIG2D", "--svg"],
+            ["wsd", "FIG2D", "--svg"],
+            ["wsd", "FIG2D", "--out"],
+            ["lift", "FIG2D", "--out"],
+            ["gen", "points", "5", "2", "--out"],
+        ],
+        ids=" ".join,
+    )
+    def test_failed_path_write_names_the_path(self, fig2d_file, capsys, argv):
+        argv = [fig2d_file if a == "FIG2D" else a for a in argv] + ["/dev/full"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write /dev/full: {NO_SPACE}\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv", [c for c in ALL_COMMANDS if "--format" not in c], ids=" ".join
+    )
+    def test_stdout_on_a_full_device(self, fig2d_file, tmp_path, argv):
+        names = {"FIG2D": fig2d_file, "FIGURE": str(tmp_path / "figure.svg")}
+        argv = [sys.executable, "-m", "ndsupport"] + [names.get(a, a) for a in argv]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write stdout: {NO_SPACE}\n"
+
+
 def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -522,6 +596,26 @@ class TestWsd:
         svg_path = tmp_path / "bar.svg"
         assert main(["wsd", fig2d_file, "--svg", str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["document", "with-figure"])
+    def test_hrep_is_built_once_per_printed_cell(self, tmp_path, monkeypatch, capsys, svg):
+        # The interval and the figure read the cell's int rows; only the
+        # printed hrep rows are built in Fractions.
+        path = tmp_path / "k15.json"
+        assert main(["gen", "knapsack", "15", "2", "--out", str(path)]) == 0
+        builds = []
+        hrep = WeightCell.hrep.fget
+
+        def counted(cell):
+            builds.append(cell.point_id)
+            return hrep(cell)
+
+        monkeypatch.setattr(WeightCell, "hrep", property(counted))
+        argv = ["wsd", str(path)] + (["--svg", str(tmp_path / "k15.svg")] if svg else [])
+        assert main(argv) == 0
+        printed = [c["id"] for c in json.loads(capsys.readouterr().out)["cells"]]
+        assert len(printed) == 7
+        assert builds == printed
 
     def test_svg_refusal_for_p4_still_emits_document(self, tmp_path, capsys):
         path = tmp_path / "p4.json"

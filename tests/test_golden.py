@@ -4,7 +4,10 @@ kernel kept only its nonbasic columns; the rational p = 3 instance,
 whose cells are clipped by rows with mixed denominators, was recorded
 before the p = 3 clip moved to integer homogeneous vertices, and the
 rational p = 2 instance, whose cell intervals and interval bar have
-denominators above 1, before the cells kept their program's int rows.
+denominators above 1, before the cells kept their program's int rows.  A second table pins
+the outputs the first does not read - the classify and check tables,
+the classify figure and the dichotomic document and table - recorded
+before stdout and figure writes reported their own failures.
 
 Every label, witness and cell is an exact LP verdict, and Bland's rule
 fixes which optimal vertex a degenerate program returns, so a kernel
@@ -121,3 +124,70 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_recorded_digests(name, tmp_path, capsys):
     assert output_digests(name, tmp_path, capsys) == GOLDEN[name]
+
+
+# The elapsed line of the classify table: timing is not output.
+_ELAPSED_LINE = re.compile(r"^elapsed: [^\n]*\n", re.MULTILINE)
+
+
+def table_digests(name, tmp_path, capsys):
+    """sha256 of the classify table (elapsed removed) and the check
+    table and, for p = 2, the classify figure and the dichotomic json
+    document and table."""
+    path = _instance(name, tmp_path, capsys)
+    digests = []
+    svg = tmp_path / "classify.svg"
+    assert main(["classify", path, "--svg", str(svg)]) == 0
+    digests.append(_sha(_ELAPSED_LINE.sub("", capsys.readouterr().out)))
+    assert main(["check", path]) == 0
+    digests.append(_sha(capsys.readouterr().out))
+    if svg.exists():
+        digests.append(hashlib.sha256(svg.read_bytes()).hexdigest())
+        assert main(["dichotomic", "--format", "json", path]) == 0
+        digests.append(_sha(capsys.readouterr().out))
+        assert main(["dichotomic", path]) == 0
+        digests.append(_sha(capsys.readouterr().out))
+    return digests
+
+
+TABLE_GOLDEN = {
+    "anticorr-60-3": [
+        "aca9a2fd3b75ee10b419c4c6f4a4aff8656f9452762e3b9b24a5f14a6db19979",
+        "679568ae96e6656d5d36f862b9d28de94e5988489b985ce97ada9a8b15ed1e67",
+    ],
+    "assignment-7-3-lifted": [
+        "de634149c26d867aa86b9aaf4639d0fff0d1a3cb651f9db5e5fed69bf3ef0232",
+        "e819502ae0ecfb956a8f783e6d1245bfc614234f0088963481a2ebda8f78d321",
+    ],
+    "knapsack-15-2": [
+        "81e0dba9fe94f72826699586cd73754d962b5c1e5e8885b4a2f16fa326ef20fb",
+        "bd5ae993c955471061a1e54461122babeb8a50f449a780f8a6e8cf3621586659",
+        "f3eabd962c0343866cd4c79e874a5caacc6c580fe73d2c8f71b1f18253e5cc86",
+        "740d7d174a4e778e3b7aa9656956188f3c8eb2402fe64ffee27c47e8f57c377e",
+        "fb01b49bc7b8de6b9903dac6dc5083c44c8fd2830aff84f830a8d1116f37e04e",
+    ],
+    "points-300-5": [
+        "2b84803f3aad884866c927fc0941c5cf41f1ded0b0d79c9172756030941c107e",
+        "84b00015f556b7905a09e4a5a516824b6800375cc245d6d636caac7de199a7f6",
+    ],
+    "rational-60-2": [
+        "9261a992509358c80cf342d165acb74304b4ade9c87a0492507d2942e9498ffe",
+        "76e963b14fe335f424c3a478f4ee94fdeee32a2db3cb2e651690a145821c520c",
+        "846a64694f6374b8d640d0a8f7dfc1b8972fceefe0597823f8c787370db29b68",
+        "b65b0cb5a583c8f9e3a86b7527f036facfc99f4b99dc7dc60dea0d86437a7d67",
+        "9851a2cd06b7a89c4ef714e5e933da53e95441d1277b10ca0a0ee8371f016428",
+    ],
+    "rational-60-4": [
+        "f81c4fcbd2e80ab288ad34b2887b5d5cf1e4f73b811ee8b9578ddf11b95c46fb",
+        "4008b41388d394fb10151cbe9cd22084cd417a1571bb801def8962006e1689ea",
+    ],
+    "rational-80-3": [
+        "98080ab31e919c5fade0a68631861901577778d5359ffbdbd840b2a77b5dda2e",
+        "19a0f68d231c0c156935557940fb2602f7f9c8664002f36068ba54378955f541",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GOLDEN))
+def test_table_and_figure_bytes_match_recorded_digests(name, tmp_path, capsys):
+    assert table_digests(name, tmp_path, capsys) == TABLE_GOLDEN[name]

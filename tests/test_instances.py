@@ -86,6 +86,25 @@ class TestParse:
         with pytest.raises(EnumerationCapError):
             AssignmentSpec(p=2, costs=tuple(tuple(tuple(c) for c in row) for row in costs))
 
+    @pytest.mark.parametrize(
+        "capacity, items",
+        [
+            (True, ((1, (1, 2)),)),
+            (3, ((True, (1, 2)),)),
+            (3, ((1, (1, False)),)),
+        ],
+        ids=["capacity", "weight", "cost"],
+    )
+    def test_knapsack_spec_rejects_booleans(self, capacity, items):
+        # serialize_instance would write true/false, which parse_instance
+        # refuses, so such a spec could not round-trip.
+        with pytest.raises(ValidationError):
+            KnapsackSpec(p=2, capacity=capacity, items=items)
+
+    def test_assignment_spec_rejects_booleans(self):
+        with pytest.raises(ValidationError):
+            AssignmentSpec(p=2, costs=(((1, True),),))
+
     def test_ambiguous_document_rejected(self):
         with pytest.raises(ParseError, match="exactly one"):
             parse_instance('{"points": [[1,2]], "knapsack": {}}')

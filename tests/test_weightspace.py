@@ -513,9 +513,8 @@ class TestClipDifferential:
     def test_clip_matches_pairwise_enumeration(self):
         kinds = set()
         for cell in weight_cells(clip_corpus_sets(random.Random(79))):
-            hrep = cell.hrep
-            vertices = _projected_vertices(hrep)
-            assert vertices == pairwise_projected_vertices(hrep)
+            vertices = _projected_vertices(cell.rows)
+            assert vertices == pairwise_projected_vertices(cell.hrep)
             kinds.add(min(len(vertices), 3))
         # empty, single-point, segment and polygon cells all occur
         assert kinds == {0, 1, 2, 3}
@@ -535,10 +534,8 @@ class TestClipDifferential:
         sets.append(validate_instance(anticorr_rows(1, 120, 3)))
         kinds = set()
         for cell in weight_cells(sets):
-            vertices = _projected_vertices(cell.hrep)
+            vertices = _projected_vertices(cell.rows)
             assert vertices == reference_fraction_clip(cell.hrep)
-            # the program's int rows, t column included, clip the same
-            assert _projected_vertices(cell.rows) == vertices
             kinds.add(min(len(vertices), 3))
         assert kinds == {0, 1, 2, 3}
 
@@ -625,6 +622,21 @@ def _strictly_satisfies(hrep, lam):
     return True
 
 
+def reference_interval(hrep):
+    """The p = 2 cell in l1, in Fractions: each row a*l1 + b*l2 >= c
+    with l2 = 1 - l1 bounds l1 by (c - b) / (a - b)."""
+    lo, hi = F(0), F(1)
+    for con in hrep:
+        if con.relation == EQUAL:
+            continue
+        a, b = con.coeffs
+        if a > b:
+            lo = max(lo, (con.rhs - b) / (a - b))
+        elif a < b:
+            hi = min(hi, (con.rhs - b) / (a - b))
+    return lo, hi
+
+
 class TestBiObjectiveIntervals:
     def test_intervals_tile_unit_range(self):
         rng = random.Random(73)
@@ -645,6 +657,22 @@ class TestBiObjectiveIntervals:
         assert by_id["y1"] == (F(3, 4), F(1))
         assert by_id["y2"] == (F(3, 8), F(3, 4))
         assert by_id["y3"] == (F(0), F(3, 8))
+
+    def test_interval_of_rows_matches_fraction_interval_of_hrep(self):
+        rng = random.Random(89)
+        scales = set()
+        for _ in range(12):
+            s = validate_instance(random_rational_rows(rng, rng.randint(3, 20), 2))
+            for cell in decompose(s):
+                scales.add(cell.scale)
+                assert cell_interval(cell) == reference_interval(cell.hrep)
+        assert max(scales) > 1
+
+    def test_three_objective_cell_is_refused(self, counterexample_set):
+        cell = weight_cell(counterexample_set.get("y1"), counterexample_set)
+        assert not cell.is_empty
+        with pytest.raises(ValidationError):
+            cell_interval(cell)
 
     def test_int_rows_give_the_interval_of_fraction_rows(self):
         # The cell of y2 over [2, 9], [3, 6], [8, 3] as int program rows
