@@ -6,9 +6,8 @@ test, reduced to an exact linear program:
 * weighted-sum witness over the closed weight simplex (nonnegative
   weights) or its interior (strictly positive weights),
 * membership in the non-dominated frontier of the convex hull,
-* membership in the boundary versus interior of the upper image
-  (convex hull plus the nonnegative orthant cone),
-* vertex test on the upper image.
+* vertex, boundary or interior of the upper image (convex hull plus
+  the nonnegative orthant cone), all read off one margin program.
 
 ``classify_all`` combines them into one labelled report and refuses to
 return anything if the tests disagree where they provably must agree.
@@ -17,19 +16,20 @@ labelling it, so a caller that needs both the labels and the verdicts
 solves every program once; ``cross_check`` computes the same rows
 without labelling and without raising, with every program full width.
 
-``classify_all`` finds the vertex set V of the upper image first and
-then solves each point's boundary program over V columns: the upper
-image conv(Y_N) + R^p_+ equals conv(V) + R^p_+, so the boundary and
-frontier programs have the same optimal values with V columns.  A
-boundary optimum eps > 0 settles the point with no further program: its
-checked solution is a point of conv(V) at or below y - eps, so y is off
-the frontier, and every weight scores that point strictly below y, so y
-is unsupported.  A boundary point gets the frontier program over V and
+``classify_all`` first solves one margin program per point, in input
+order (``_margin_pass``): maximize eps such that a convex combination
+of the other points sits at or below y - eps.  It is infeasible exactly
+when y is a vertex of the upper image; otherwise eps is 0 on the
+boundary and > 0 in the interior.  Its columns always contain the
+vertex set V, and conv(Y_N) + R^p_+ = conv(V) + R^p_+, so margins and
+frontier values over V columns are the full-width ones.  A margin
+eps > 0 settles the point with no further program (``_point_check``
+says why).  A boundary point gets the frontier program over V and
 its full-row witness program: under Bland's rule fewer rows may pick a
 different optimal weight when the optimum is not unique, and that
 weight is printed.  ``cross_check`` keeps all three full-width programs
-for every point.  A supported point is extreme exactly when it is in
-V, and a point of V off the frontier is a consistency failure.
+for every point.  A supported point is extreme exactly when it is a
+vertex, and a vertex off the frontier is a consistency failure.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -49,9 +49,9 @@ is S times the rational one and is compared with S times sum(y), and a
 boundary margin is zero on either scale.  Certificates read the exact
 coordinates, never the lattice.
 
-All functions are pure.  Once the vertex pass has fixed V, the
+All functions are pure.  Once the margin pass has fixed V, the
 per-point tests are independent of each other and safe to evaluate
-concurrently; the vertex pass itself runs in input order.
+concurrently; the margin pass itself runs in input order.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .ratlp import (
     MAXIMIZE,
     MINIMIZE,
     OPTIMAL,
+    UNBOUNDED,
     _dot,
     lp_solve,
     rational,
@@ -284,31 +285,22 @@ def _below_program(
     return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
 
 
-def _optimal_value(program: LinearProgram, name: str) -> Fraction:
-    outcome = lp_solve(program)
-    if outcome.status != OPTIMAL:
-        raise ConsistencyError(f"{name} program is always feasible and bounded")
-    return outcome.value
-
-
 def _on_frontier(y: tuple[int, ...], cols) -> bool:
     costs = [sum(col) for col in cols]
-    program = _below_program(y, cols, MINIMIZE, costs)
-    return _optimal_value(program, "frontier") == sum(y)
+    outcome = lp_solve(_below_program(y, cols, MINIMIZE, costs))
+    if outcome.status != OPTIMAL:
+        raise ConsistencyError("frontier program is always feasible and bounded")
+    return outcome.value == sum(y)
 
 
-def _on_boundary(y: tuple[int, ...], cols) -> bool:
+def _margin(y: tuple[int, ...], cols) -> Optional[Fraction]:
+    """The optimal eps of y's margin program over cols, or None when no
+    convex combination of cols sits at or below y."""
     program = _below_program(y, cols, MAXIMIZE, (0,) * len(cols), margin=True)
-    return _optimal_value(program, "boundary") == 0
-
-
-def _is_vertex(y: tuple[int, ...], cols) -> bool:
-    # Lattice rows are distinct, so y's own row is the one equal to it.
-    others = [col for col in cols if col != y]
-    if not others:
-        return True
-    program = _below_program(y, others, MINIMIZE, (0,) * len(others))
-    return lp_solve(program).status != OPTIMAL
+    outcome = lp_solve(program)
+    if outcome.status == UNBOUNDED:
+        raise ConsistencyError("margin program is always bounded")
+    return outcome.value
 
 
 def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -331,7 +323,7 @@ def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
     optimum of exactly zero puts y on the boundary.
     """
     _require_member(y, yn)
-    return _on_boundary(yn.lattice_by_id[y.id], yn.lattice)
+    return _margin(yn.lattice_by_id[y.id], yn.lattice) == 0
 
 
 def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -342,26 +334,29 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
     system over weights mu on yn minus y is infeasible.
     """
     _require_member(y, yn)
-    return _is_vertex(yn.lattice_by_id[y.id], yn.lattice)
+    row = yn.lattice_by_id[y.id]
+    return _margin(row, [col for col in yn.lattice if col != row]) is None
 
 
-def _vertex_set(yn: OutcomeSet) -> list[OutcomePoint]:
-    """The vertices V of the upper image, in input order.
+def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
+    """Each point's margin over the other columns, in input order: None
+    for a vertex of the upper image, else its boundary margin.
 
-    The candidate list starts as yn and only ever loses points that are
-    not vertices, so it always contains V; a non-vertex lies in
-    conv(V) + R^p_+ and hence its program over the candidates is
-    feasible, while a vertex stays infeasible over any subset of the
-    other points.  Each verdict therefore equals the full-width one, and
-    the order affects only the program sizes.
+    The columns start as yn's rows and only ever lose non-vertices, so
+    they always contain V.  A non-vertex lies in conv(V) + R^p_+, so its
+    margin over the columns equals its margin over all of yn, while a
+    vertex stays infeasible over any subset of the other points.  The
+    order therefore affects only the program sizes.
     """
-    candidates = list(yn)
     cols = list(yn.lattice)
-    for y, row in zip(yn.points, yn.lattice):
-        if not _is_vertex(row, cols):
-            candidates = [pt for pt in candidates if pt.id != y.id]
+    margins = []
+    for row in yn.lattice:
+        # Lattice rows are distinct, so only the point's own row equals it.
+        margin = _margin(row, [col for col in cols if col != row])
+        if margin is not None:
             cols.remove(row)
-    return candidates
+        margins.append(margin)
+    return margins
 
 
 @dataclass(frozen=True)
@@ -397,23 +392,21 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet, vertices, *, settle_interior: bool = False
+    y: OutcomePoint, yn: OutcomeSet, cols, margin, *, settle_interior: bool = False
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
-    """Solve the boundary and frontier programs for y over the columns
-    vertices (V for classify; all of yn gives the full-width programs
-    ``check`` runs), then the witness program over all of yn's rows, so
-    the witness is the one the full program prints.
+    """Take y's boundary verdict from its margin (None, a vertex, is on
+    the boundary), solve its frontier program over the lattice rows cols
+    (V's for classify; all of yn's give the full-width program ``check``
+    runs), then its witness program over all of yn's rows, so the
+    witness is the one the full program prints.
 
-    With settle_interior (set by classify_all only), a point the
-    boundary program proves interior gets no further program.  Its
-    certified optimum eps > 0 puts a point of conv(vertices) at or below
-    y - eps in every coordinate: y is off the frontier, and every weight
-    in the simplex scores that point strictly below y, so y is
-    unsupported."""
-    lattice = yn.lattice_by_id
-    row = lattice[y.id]
-    cols = [lattice[v.id] for v in vertices]
-    boundary = _on_boundary(row, cols)
+    With settle_interior (set by classify_all only), a point with a
+    certified margin eps > 0 gets no further program: a point of
+    conv(V) sits at or below y - eps in every coordinate, so y is off
+    the frontier, and every weight in the simplex scores that point
+    strictly below y, so y is unsupported."""
+    row = yn.lattice_by_id[y.id]
+    boundary = not margin
     if settle_interior and not boundary:
         frontier, solved = False, None
     else:
@@ -445,7 +438,10 @@ def cross_check(outcome_set: OutcomeSet) -> CrossCheckReport:
     implementation bug, not a property of the instance.
     """
     yn = filter_nondominated(outcome_set).nondominated
-    checks = tuple(_point_check(y, yn, yn.points)[0] for y in yn)
+    cols = yn.lattice
+    checks = tuple(
+        _point_check(y, yn, cols, _margin(row, cols))[0] for y, row in zip(yn, cols)
+    )
     return CrossCheckReport(p=outcome_set.p, checks=checks)
 
 
@@ -454,22 +450,22 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
 
     Dominated points are retained and labelled; each non-dominated
     point runs the decision cascade extreme-supported > supported >
-    weakly-supported-only > unsupported, with the vertex set found
-    first and every later program solved over it.  The independently
-    computed frontier/boundary flags must agree with the witness tests;
-    any disagreement raises ConsistencyError with a diagnostic dump, as
-    does a vertex off the frontier.  Each
+    weakly-supported-only > unsupported, with every margin found first
+    and every later program solved over the vertex set.  The
+    independently computed frontier/boundary flags must agree with the
+    witness tests; any disagreement raises ConsistencyError with a
+    diagnostic dump, as does a vertex off the frontier.  Each
     non-dominated record carries its cross-check row, in the order
     ``cross_check`` reports them.
     """
     filtered = filter_nondominated(outcome_set)
     yn = filtered.nondominated
-    vertices = _vertex_set(yn)
-    vertex_ids = {v.id for v in vertices}
+    margins = _margin_pass(yn)
+    cols = [row for row, margin in zip(yn.lattice, margins) if margin is None]
     results: dict[str, Classification] = {}
-    for y in yn:
-        check, solved = _point_check(y, yn, vertices, settle_interior=True)
-        if y.id in vertex_ids and not check.on_frontier:
+    for y, margin in zip(yn, margins):
+        check, solved = _point_check(y, yn, cols, margin, settle_interior=True)
+        if margin is None and not check.on_frontier:
             raise ConsistencyError(
                 "a vertex of the upper image is off the frontier: "
                 f"{check!r} for point {y.id} {y.coords} in instance "
@@ -489,9 +485,7 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
             if t > 0:
                 strict = lam
                 weak = lam
-                label = (
-                    Label.EXTREME_SUPPORTED if y.id in vertex_ids else Label.SUPPORTED
-                )
+                label = Label.EXTREME_SUPPORTED if margin is None else Label.SUPPORTED
             else:
                 weak, strict = lam, None
                 label = Label.WEAKLY_SUPPORTED_ONLY

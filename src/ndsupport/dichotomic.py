@@ -1,11 +1,13 @@
 """Dichotomic weighted-sum search for bi-objective extreme points.
 
-The driver computes the lexicographic minima for the objective orders
-(1, 2) and (2, 1) as anchors - a two-stage minimization, because a
-single zero-component weight may return a weighted-sum tie that is not
-a vertex - and then recursively probes the exact normal of each
-candidate segment.  A probe that beats the segment value exposes a new
-vertex; a probe that matches it certifies the segment as an edge.
+The anchors are the oracle's minimizers for the unit weights (1, 0) and
+(0, 1), one call each.  A zero-component weight may tie at points that
+are not vertices, but the tied points share the weighted coordinate, so
+the lexicographic tie-break picks the one smallest in the other: the
+lexicographic minimum, which is the vertex.  The driver then
+recursively probes the exact normal of each candidate segment.  A probe
+that beats the segment value exposes a new vertex; a probe that
+matches it certifies the segment as an edge.
 
 The weighted-sum oracle breaks ties lexicographically, which keeps the
 recursion deterministic and vertex-directed.  It scores the set's
@@ -70,13 +72,6 @@ def weighted_sum_argmin(lam: WeightVector, outcome_set: OutcomeSet) -> OutcomePo
     scores = [sum(map(mul, weights, row)) for row in rows]
     low = min(scores)
     best = min((k for k, s in enumerate(scores) if s == low), key=rows.__getitem__)
-    return outcome_set.points[best]
-
-
-def _lexmin(outcome_set: OutcomeSet, order: tuple[int, int]) -> OutcomePoint:
-    i, j = order
-    rows = outcome_set.lattice
-    best = min(range(len(rows)), key=lambda k: (rows[k][i], rows[k][j]))
     return outcome_set.points[best]
 
 
@@ -182,15 +177,16 @@ def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
             f"dichotomic search requires exactly two objectives, got {outcome_set.p}"
         )
     calls = [2]  # the two anchor computations
-    left = _lexmin(outcome_set, (0, 1))
-    right = _lexmin(outcome_set, (1, 0))
+    first, second = WeightVector((1, 0)), WeightVector((0, 1))
+    left = weighted_sum_argmin(first, outcome_set)
+    right = weighted_sum_argmin(second, outcome_set)
     extremes = [left]
     if left.id != right.id:
         extremes += _probe(outcome_set, left, right, calls) + [right]
     normals = (
-        [WeightVector((1, 0))]
+        [first]
         + [_segment_normal(a, b) for a, b in zip(extremes, extremes[1:])]
-        + [WeightVector((0, 1))]
+        + [second]
     )
     witnesses = [_average(u, v) for u, v in zip(normals, normals[1:])]
     _check_chain(outcome_set, extremes, witnesses)

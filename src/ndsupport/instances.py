@@ -33,7 +33,7 @@ from operator import add
 from typing import Union
 
 from .errors import EnumerationCapError, ParseError, ValidationError
-from .outcomes import OutcomeSet, _collapse, validate_instance
+from .outcomes import OutcomeSet, _collapse, _is_int, validate_instance
 from .ratlp import format_rational, rational
 
 DEFAULT_KNAPSACK_ITEM_CAP = 20
@@ -58,11 +58,6 @@ def knapsack_item_cap() -> int:
     return cap
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool, as the instance format reads one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class KnapsackSpec:
     """Items with nonnegative integer weights and integer cost vectors,
@@ -73,6 +68,8 @@ class KnapsackSpec:
     items: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if not _is_int(self.p):
+            raise ValidationError(f"objectives must be an integer, got {self.p!r}")
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated")
         if not _is_int(self.capacity) or self.capacity < 0:
@@ -98,6 +95,8 @@ class AssignmentSpec:
     costs: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        if not _is_int(self.p):
+            raise ValidationError(f"objectives must be an integer, got {self.p!r}")
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated")
         n = len(self.costs)

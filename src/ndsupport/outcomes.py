@@ -30,6 +30,11 @@ from .errors import ValidationError
 from .ratlp import _scale, rational
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, as the instance format reads one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OutcomePoint:
     """A point in objective space: an opaque id plus exact coordinates."""
@@ -64,6 +69,8 @@ class OutcomeSet:
     _lattice: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
 
     def __post_init__(self, _lattice):
+        if not _is_int(self.p):
+            raise ValidationError(f"objectives must be an integer, got {self.p!r}")
         if self.p < 2:
             raise ValidationError("bi-objective minimum violated: need p >= 2")
         object.__setattr__(self, "points", tuple(self.points))

@@ -12,6 +12,14 @@ from fractions import Fraction as F
 import pytest
 
 from ndsupport.outcomes import validate_instance
+from ndsupport.ratlp import (
+    EQUAL,
+    LESS_EQUAL,
+    OPTIMAL,
+    LinearConstraint,
+    LinearProgram,
+    lp_solve,
+)
 
 # The four-point, three-objective counterexample set used throughout.
 COUNTEREXAMPLE_ROWS = [[2, 9, 1], [3, 6, 1], [8, 3, 1], [6, 5, 1]]
@@ -28,6 +36,34 @@ def counterexample_set():
 @pytest.fixture
 def fig2d_set():
     return validate_instance(FIGURE_2D_ROWS)
+
+
+def reference_below_program(y, pts, sense, costs, margin=False):
+    """The geometry program as it was built from Fraction coordinates:
+    convex weights mu over pts whose combination sits at or below y,
+    with eps subtracted from y in every coordinate under a margin."""
+    pad = (F(1),) if margin else ()
+    cons = [LinearConstraint((F(1),) * len(pts) + (F(0),) * len(pad), EQUAL, F(1))]
+    for k, bound in enumerate(y.coords):
+        coeffs = tuple(pt.coords[k] for pt in pts) + pad
+        cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
+    return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
+
+
+def reference_is_vertex(y, pts):
+    """Is y a vertex of conv(pts) + R^p_+?  True exactly when no convex
+    combination of the other points of pts sits at or below y: the
+    zero-objective feasibility program, built from the exact coordinates."""
+    others = [pt for pt in pts if pt.id != y.id]
+    if not others:
+        return True
+    zeros = (F(0),) * len(others)
+    return lp_solve(reference_below_program(y, others, "min", zeros)).status != OPTIMAL
+
+
+def reference_vertices(yn):
+    """The vertices of yn's upper image, in input order."""
+    return [y for y in yn if reference_is_vertex(y, yn.points)]
 
 
 def random_rows(rng, n, p, lo=0, hi=100):

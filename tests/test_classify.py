@@ -5,15 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 import ndsupport.classify
-from conftest import hull_labels_2d, random_rational_rows, random_rows
+from conftest import (
+    hull_labels_2d,
+    random_rational_rows,
+    random_rows,
+    reference_is_vertex,
+)
 from ndsupport.classify import (
     Classification,
     Label,
     WeightVector,
-    _below_program,
     _check_weight_certificate,
+    _margin,
     _point_check,
-    _vertex_set,
     barycenter,
     classify_all,
     cross_check,
@@ -27,7 +31,7 @@ from ndsupport.cli import build_report
 from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
-from ndsupport.ratlp import GREATER_EQUAL, MAXIMIZE, OPTIMAL, lp_solve
+from ndsupport.ratlp import LESS_EQUAL, MAXIMIZE, OPTIMAL, lp_solve
 
 
 def nondom(s):
@@ -359,12 +363,13 @@ class TestClassificationInvariants:
 
 def full_width_classify(outcome_set):
     """The classify cascade with every program over all of Y_N: the
-    full-width cross-check row for each point, plus the vertex test
-    over Y_N for points with a strictly positive witness."""
+    full-width cross-check row for each point, plus, for points with a
+    strictly positive witness, the vertex verdict of a zero-objective
+    program built here from the exact coordinates."""
     yn = nondom(outcome_set)
     records = {}
-    for y in yn:
-        check, solved = _point_check(y, yn, yn.points)
+    for y, row in zip(yn, yn.lattice):
+        check, solved = _point_check(y, yn, yn.lattice, _margin(row, yn.lattice))
         assert check.ok
         weak = strict = None
         if solved is None:
@@ -376,7 +381,7 @@ def full_width_classify(outcome_set):
                 strict = lam
                 label = (
                     Label.EXTREME_SUPPORTED
-                    if is_extreme_supported(y, yn)
+                    if reference_is_vertex(y, yn.points)
                     else Label.SUPPORTED
                 )
             else:
@@ -459,34 +464,37 @@ class TestVertexPruningDifferential:
             labels.update(c.label for c in pruned)
         assert labels == set(Label)
 
-    def test_a_positive_boundary_optimum_proves_unsupported(self):
-        # classify_all settles a point on a boundary optimum eps > 0 over
-        # V columns.  Re-check the returned convex weights mu in the
-        # exact coordinates, where the margin is eps / S: sum mu_v v sits
-        # at or below y - eps / S in every coordinate.  The full-width
-        # cascade must label every such point unsupported.
+    def test_a_positive_boundary_optimum_proves_unsupported(self, monkeypatch):
+        # classify_all settles a point on a margin eps > 0.  Record the
+        # margin programs it solves, and re-check each returned convex
+        # weight vector mu in the exact coordinates of that program's
+        # columns, where the margin is eps / S: sum mu_v v sits at or
+        # below y - eps / S in every coordinate.  The full-width cascade
+        # must label every such point unsupported.
         settled = 0
         for s in differential_corpus():
             yn = nondom(s)
-            vertices = _vertex_set(yn)
-            cols = [yn.lattice_by_id[v.id] for v in vertices]
+            by_row = dict(zip(yn.lattice, yn))
+            programs = record_programs(monkeypatch)
+            classify_all(s)
+            monkeypatch.undo()
             records = {c.point_id: c for c in full_width_classify(s)}
-            for y in yn:
-                row = yn.lattice_by_id[y.id]
-                program = _below_program(
-                    row, cols, MAXIMIZE, (0,) * len(cols), margin=True
-                )
+            for program in programs:
+                if program_kind(program) != "boundary":
+                    continue
                 outcome = lp_solve(program)
-                assert outcome.status == OPTIMAL
-                if outcome.value == 0:
+                if outcome.status != OPTIMAL or outcome.value == 0:
                     continue
                 settled += 1
+                rows = program.constraints[1:]
+                y = by_row[tuple(con.rhs for con in rows)]
+                cols = [by_row[col] for col in zip(*(con.coeffs[:-1] for con in rows))]
                 *mu, eps = outcome.solution
                 assert eps == outcome.value > 0
                 assert all(m >= 0 for m in mu) and sum(mu) == 1
                 margin = F(eps) / yn.scale
                 for i, coord in enumerate(y.coords):
-                    below = sum(m * v.coords[i] for m, v in zip(mu, vertices))
+                    below = sum(m * v.coords[i] for m, v in zip(mu, cols))
                     assert below <= coord - margin, (s.coord_rows(), y.id)
                 record = records[y.id]
                 assert record.label == Label.UNSUPPORTED
@@ -508,7 +516,9 @@ def record_programs(monkeypatch) -> list:
 
 
 def program_kind(program):
-    if program.constraints[-1].relation == GREATER_EQUAL:
+    # Geometry programs end on a coordinate row (<=); a witness program
+    # ends on a cut row (>=), or on its simplex row (=) when y is alone.
+    if program.constraints[-1].relation != LESS_EQUAL:
         return "witness"
     if program.sense == MAXIMIZE:
         return "boundary"
@@ -531,18 +541,18 @@ class TestVertexPruning:
         assert report["y4"].label == Label.UNSUPPORTED
         assert report["y5"].label == Label.SUPPORTED
         kinds = [program_kind(program) for program in programs]
-        assert kinds[: len(s)] == ["vertex"] * len(s)
-        # The boundary program proves y4 interior, which settles it: it
-        # gets no frontier and no witness program.
-        per_point = ["boundary", "frontier", "witness"]
-        assert kinds[len(s) :] == per_point * 3 + ["boundary"] + per_point
-        assert kinds.count("vertex") == kinds.count("boundary") == len(s)
-        assert kinds.count("frontier") == kinds.count("witness") == len(s) - 1
+        # One margin program per point and no vertex program.  The margin
+        # proves y4 interior, which settles it: only the four boundary
+        # points get a frontier and a witness program.
+        per_point = ["frontier", "witness"]
+        assert kinds == ["boundary"] * len(s) + per_point * (len(s) - 1)
+        # Each margin program has the columns the pass still keeps, minus
+        # the point itself, plus eps.  y4 leaves them once its margin
+        # proves it is no vertex, so y5's program is one column narrower.
+        assert [program.num_vars for program in programs[: len(s)]] == [5, 5, 5, 5, 4]
         for program, kind in zip(programs, kinds):
             if kind == "frontier":
                 assert program.num_vars == vertices
-            elif kind == "boundary":
-                assert program.num_vars == vertices + 1
         witness_rows = [
             len(program.constraints)
             for program, kind in zip(programs, kinds)

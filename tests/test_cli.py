@@ -505,10 +505,10 @@ def count_classify_solves(monkeypatch) -> list:
 
 class TestSolveCount:
     """Each per-point program is solved once per classify run: one
-    vertex test for every non-dominated point, then the boundary
-    program for every non-dominated point, and frontier and witness for
-    each point on the boundary (an interior point is settled by its
-    boundary program)."""
+    margin program for every non-dominated point, which gives its
+    vertex, boundary and interior verdicts, then frontier and witness
+    for each point on the boundary (an interior point is settled by its
+    margin)."""
 
     def test_at_most_four_solves_per_nondominated_point(
         self, counterexample_file, fig2d_file, monkeypatch, capsys

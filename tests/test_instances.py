@@ -105,6 +105,23 @@ class TestParse:
         with pytest.raises(ValidationError):
             AssignmentSpec(p=2, costs=(((1, True),),))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: KnapsackSpec(p=p, capacity=3, items=((1, (1, 2)),)),
+            lambda p: AssignmentSpec(p=p, costs=(((1, 2),),)),
+            lambda p: validate_instance([[1, 2], [2, 1]], p),
+        ],
+        ids=["knapsack", "assignment", "points"],
+    )
+    @pytest.mark.parametrize("p", [2.0, F(2)])
+    def test_objective_count_must_be_an_int(self, build, p):
+        # serialize_instance would write "objectives": 2.0, which
+        # parse_instance refuses, so such an instance could not
+        # round-trip.
+        with pytest.raises(ValidationError, match="objectives must be an integer"):
+            build(p)
+
     def test_ambiguous_document_rejected(self):
         with pytest.raises(ParseError, match="exactly one"):
             parse_instance('{"points": [[1,2]], "knapsack": {}}')

@@ -530,6 +530,7 @@ def classify_corpus_programs(monkeypatch):
 
         monkeypatch.setattr(module, "lp_solve", recorded)
     rng = random.Random(71)
+    bases = []
     for p in (2, 3, 4, 5):
         for rational_rows in (False, True):
             for _ in range(2):
@@ -538,11 +539,16 @@ def classify_corpus_programs(monkeypatch):
                     rows = random_rational_rows(rng, n, p)
                 else:
                     rows = random_rows(rng, n, p, 0, 6)
-                base = validate_instance(rows, p)
-                for s in (base, lift_zero_objective(base)):
-                    classify_all(s)
-                    cross_check(s)
-                    decompose(s)
+                bases.append(validate_instance(rows, p))
+    # Two more p = 3 sets keep the corpus above 1,000 programs, since
+    # one margin program per point replaces a vertex and a boundary one.
+    rng = random.Random(72)
+    bases += [validate_instance(random_rows(rng, 9, 3, 0, 6), 3) for _ in range(2)]
+    for base in bases:
+        for s in (base, lift_zero_objective(base)):
+            classify_all(s)
+            cross_check(s)
+            decompose(s)
     monkeypatch.undo()
     return programs
 

@@ -9,17 +9,19 @@ from conftest import (
     anticorr_rows,
     random_rational_rows,
     random_rows,
+    reference_below_program,
+    reference_is_vertex,
+    reference_vertices,
 )
 from ndsupport.classify import (
     Label,
     WeightVector,
     _below_program,
     _cell_program,
-    _is_vertex,
-    _on_boundary,
+    _margin,
+    _margin_pass,
     _on_frontier,
     _solve_witness,
-    _vertex_set,
     classify_all,
 )
 from ndsupport.errors import ValidationError
@@ -28,7 +30,6 @@ from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_insta
 from ndsupport.ratlp import (
     EQUAL,
     GREATER_EQUAL,
-    LESS_EQUAL,
     OPTIMAL,
     LinearConstraint,
     LinearProgram,
@@ -313,7 +314,7 @@ class TestOneCellBuilder:
         for s in cell_builder_corpus(rng, 120):
             yn = nondom(s)
             p = yn.p
-            vertices = _vertex_set(yn)
+            vertices = reference_vertices(yn)
             for y in yn:
                 # cut_margin 0 is the witness program, over Y_N rows and
                 # over V rows, with the simplex equality moved.
@@ -350,18 +351,6 @@ class TestOneCellBuilder:
         assert pruned == {False, True}
 
 
-def reference_below_program(y, pts, sense, costs, margin=False):
-    """The geometry program as it was built from Fraction coordinates:
-    convex weights mu over pts whose combination sits at or below y,
-    with eps subtracted from y in every coordinate under a margin."""
-    pad = (F(1),) if margin else ()
-    cons = [LinearConstraint((F(1),) * len(pts) + (F(0),) * len(pad), EQUAL, F(1))]
-    for k, bound in enumerate(y.coords):
-        coeffs = tuple(pt.coords[k] for pt in pts) + pad
-        cons.append(LinearConstraint(coeffs, LESS_EQUAL, bound))
-    return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
-
-
 class TestLatticeGeometryPrograms:
     def test_verdicts_match_the_fraction_built_programs(self):
         rng = random.Random(97)
@@ -373,8 +362,9 @@ class TestLatticeGeometryPrograms:
             lattice = yn.lattice_by_id
             scales.add(yn.scale)
             negative |= any(c < 0 for pt in yn for c in pt.coords)
-            vertices = _vertex_set(yn)
-            for y in yn:
+            vertices = reference_vertices(yn)
+            margins = _margin_pass(yn)
+            for y, margin in zip(yn, margins):
                 row = lattice[y.id]
                 for pts in (yn.points, vertices):
                     cols = [lattice[pt.id] for pt in pts]
@@ -397,16 +387,12 @@ class TestLatticeGeometryPrograms:
                         )
                     )
                     assert boundary.value == yn.scale * ref_boundary.value
-                    others = [pt for pt in pts if pt.id != y.id]
-                    zeros = (F(0),) * len(others)
-                    ref_vertex = not others or (
-                        lp_solve(reference_below_program(y, others, "min", zeros)).status
-                        != OPTIMAL
-                    )
+                    others = [lattice[pt.id] for pt in pts if pt.id != y.id]
+                    ref_vertex = reference_is_vertex(y, pts)
                     got = (
                         _on_frontier(row, cols),
-                        _on_boundary(row, cols),
-                        _is_vertex(row, cols),
+                        _margin(row, cols) == 0,
+                        _margin(row, others) is None,
                     )
                     assert got == (
                         ref_frontier.value == sum(y.coords),
@@ -414,6 +400,14 @@ class TestLatticeGeometryPrograms:
                         ref_vertex,
                     )
                     verdicts.add(got)
+                    # The margin pass, over its shrinking columns, finds
+                    # every vertex and every full-width margin.
+                    if pts is vertices:
+                        continue
+                    if ref_vertex:
+                        assert margin is None
+                    else:
+                        assert margin == yn.scale * ref_boundary.value
         # Denominators and negative coordinates (``<=`` rows with a
         # negative rhs, so artificials) occur, and every verdict takes
         # both values.
