@@ -37,9 +37,9 @@ point weighted-sum-minimal.  Over this closed region "optimal t > 0"
 is a tolerance-free stand-in for the open condition "some strictly
 positive witness exists", and the optimizer at t = 0 necessarily
 carries a zero weight, certifying the weakly-supported-only case.
-Its builder, ``_cell_program``, also gives ``weightspace`` the cell
-program (t on every cut), whose rows without t, divided by S, are the
-H-representation.
+Its rows without t, divided by S, are the H-representation of the
+point's weight cell; ``weightspace`` keeps them unsolved and takes the
+cell's verdicts from the margin pass.
 
 Every program is built on the set's integer lattice (``OutcomeSet``:
 each coordinate times S, the lcm of the set's denominators), so its
@@ -184,24 +184,20 @@ def _require_member(y: OutcomePoint, yn: OutcomeSet) -> None:
         )
 
 
-def _cell_program(
-    y: OutcomePoint, yn: OutcomeSet, rows, cut_margin: int
-) -> LinearProgram:
-    """The weight cell of y over rows, points of yn, with one more
+def _cell_program(y: OutcomePoint, yn: OutcomeSet, rows) -> LinearProgram:
+    """The witness program of y over rows, points of yn, with one more
     column t:
 
         maximize t  s.t.  lambda_i - t >= 0  (i = 1..p),  sum(lambda) = 1,
-        lambda . (y' - y) - cut_margin * t >= 0  for every other y' of rows,
+        lambda . (y' - y) >= 0  for every other y' of rows,
 
     in that row order, over lambda, t >= 0.  Every row is built as S
     times the row above, S = yn.scale, so the program is all ints and
     its rows without t, divided by S, are the cell's H-representation.
     t = 0 gives the cell, so the program is feasible exactly when y is
     weakly supported over rows, and its first p + 1 rows bound
-    t <= 1/p.  With cut_margin 0 a positive optimum is a strictly
-    positive weight in the cell: y is supported.  With cut_margin 1
-    every inequality holds with slack t, and a positive optimum means
-    the cell is full-dimensional in the simplex."""
+    t <= 1/p.  A positive optimum is a strictly positive weight in the
+    cell: y is supported."""
     p = yn.p
     scale = yn.scale
     cons = []
@@ -213,11 +209,10 @@ def _cell_program(
     cons.append(LinearConstraint((scale,) * p + (0,), EQUAL, scale))
     lattice = yn.lattice_by_id
     base = lattice[y.id]
-    margin = (-cut_margin * scale,)
     for other in rows:
         if other.id == y.id:
             continue
-        diff = tuple([o - a for o, a in zip(lattice[other.id], base)]) + margin
+        diff = tuple([o - a for o, a in zip(lattice[other.id], base)]) + (0,)
         cons.append(LinearConstraint(diff, GREATER_EQUAL, 0))
     return LinearProgram(MAXIMIZE, (0,) * p + (1,), tuple(cons))
 
@@ -228,7 +223,7 @@ def _solve_witness(
     """Optimizing weight vector and optimal t, or None if no weight in
     the closed simplex makes y weighted-sum minimal over rows; the
     certificate is checked over all of yn."""
-    outcome = lp_solve(_cell_program(y, yn, rows, 0))
+    outcome = lp_solve(_cell_program(y, yn, rows))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])

@@ -21,6 +21,13 @@ segment normals (strictly positive, uniquely optimal there); the
 outermost vertices blend their single adjacent normal with the
 matching unit weight.  One exact sweep over the set checks the chain
 and every witness at once (``_check_chain``).
+
+The search runs over the non-dominated subset Y_N only.  Under a weight
+lam >= 0 a dominated point scores at or above the point that dominates
+it, which is lexicographically smaller, so the oracle's lexicographic
+minimizer is never dominated and every probe returns what it would over
+the whole set; for the same reason a chain certified over Y_N is
+certified over the whole set.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from operator import mul
 
 from .classify import WeightVector
 from .errors import ConsistencyError, ValidationError
-from .outcomes import OutcomePoint, OutcomeSet
+from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
 from .ratlp import _scale
 
 _HALF = Fraction(1, 2)
@@ -120,6 +127,8 @@ def _check_chain(
     at e_{k-1}.  Each witness must be the average of the two normals
     next to its extreme, so it makes that extreme weighted-sum minimal:
     O(n log k) work instead of one pass over the set per extreme.
+    ``dichotomic_extremes`` passes Y_N: a dominated point scores at or
+    above its dominator under every normal, so it needs no check.
     """
     # The chain in one int frame: (X_i, Y_i) = (x_i, y_i) * s.
     s, ints = _scale([c for e in extremes for c in e.coords])
@@ -176,6 +185,7 @@ def dichotomic_extremes(outcome_set: OutcomeSet) -> DichotomicResult:
         raise ValidationError(
             f"dichotomic search requires exactly two objectives, got {outcome_set.p}"
         )
+    outcome_set = filter_nondominated(outcome_set).nondominated
     calls = [2]  # the two anchor computations
     first, second = WeightVector((1, 0)), WeightVector((0, 1))
     left = weighted_sum_argmin(first, outcome_set)

@@ -2,12 +2,14 @@
 
 For a non-dominated point y, its cell is the set of normalized
 nonnegative weights under which y is weighted-sum minimal over the
-whole non-dominated set.  A cell keeps the int rows of the program
-that decides it, ``classify._cell_program``, each S times an exact row;
-its exact half-spaces over the full weight space are those rows
-without t, divided by S.  For three objectives the cell is also
-projected to the first two weight coordinates and its polygon vertices
-are enumerated exactly.
+whole non-dominated set.  It is nonempty exactly when y is on the
+boundary of the upper image and full-dimensional exactly at a vertex,
+so y's margin (``classify._margin``) decides it.  A cell keeps the
+unsolved int rows of y's witness program, ``classify._cell_program``,
+each S times an exact row; its exact half-spaces over the full weight
+space are those rows without t, divided by S.  For three objectives
+the cell is also projected to the first two weight coordinates and its
+polygon vertices are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), then normalized by
@@ -30,11 +32,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .classify import WeightVector, _cell_program, _require_member
+from .classify import WeightVector, _cell_program, _margin, _margin_pass, _require_member
 from .dichotomic import weighted_sum_argmin
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
-from .ratlp import EQUAL, OPTIMAL, UNBOUNDED, LinearConstraint, lp_solve
+from .ratlp import EQUAL, LinearConstraint
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -119,31 +121,35 @@ def _projected_vertices(rows) -> tuple[Point2, ...]:
     return _convex_hull_ccw([(Fraction(x, w), Fraction(y, w)) for x, y, w in polygon])
 
 
+def _cell(y: OutcomePoint, yn: OutcomeSet, margin) -> WeightCell:
+    """y's cell from its margin over the other points: None (a vertex)
+    gives a full-dimensional cell, 0 (on the boundary) a degenerate one,
+    and a positive margin (interior) an empty one."""
+    rows = _cell_program(y, yn, yn).constraints
+    vertices = None
+    if yn.p == 3:
+        vertices = () if margin else _projected_vertices(rows)
+    return WeightCell(
+        point_id=y.id,
+        rows=rows,
+        scale=yn.scale,
+        projected_vertices=vertices,
+        is_full_dimensional=margin is None,
+        is_empty=bool(margin),
+    )
+
+
 def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     """The cell of weights under which y is weighted-sum minimal.
 
-    Emptiness and full dimension are decided by one exact program, the
-    cell program with margin t on every cut, whose rows without t, over
-    S, are the H-representation (redundant half-spaces retained).  The
-    cell is empty exactly when y is unsupported.
+    Emptiness and full dimension are read off y's margin program over
+    the other points of yn; the rows of y's witness program without t,
+    over S, are the H-representation (redundant half-spaces retained).
+    The cell is empty exactly when y is unsupported.
     """
     _require_member(y, yn)
-    program = _cell_program(y, yn, yn, 1)
-    outcome = lp_solve(program)
-    if outcome.status == UNBOUNDED:
-        raise ConsistencyError("cell slack program is always bounded")
-    nonempty = outcome.status == OPTIMAL
-    vertices = None
-    if yn.p == 3:
-        vertices = _projected_vertices(program.constraints) if nonempty else ()
-    return WeightCell(
-        point_id=y.id,
-        rows=program.constraints,
-        scale=yn.scale,
-        projected_vertices=vertices,
-        is_full_dimensional=nonempty and outcome.value > 0,
-        is_empty=not nonempty,
-    )
+    row = yn.lattice_by_id[y.id]
+    return _cell(y, yn, _margin(row, [col for col in yn.lattice if col != row]))
 
 
 def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
@@ -152,15 +158,11 @@ def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
     Cells of distinct points have disjoint interiors relative to the
     simplex, and together the cells cover the whole closed simplex.
     Degenerate (lower-dimensional) cells are included: they belong to
-    the weakly-supported-only points.
+    the weakly-supported-only points.  The margins come from the pass
+    ``classify_all`` runs, one program per point.
     """
     yn = filter_nondominated(outcome_set).nondominated
-    cells = []
-    for y in yn:
-        cell = weight_cell(y, yn)
-        if not cell.is_empty:
-            cells.append(cell)
-    return cells
+    return [_cell(y, yn, m) for y, m in zip(yn, _margin_pass(yn)) if not m]
 
 
 def cell_membership(

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import ndsupport.classify
+import ndsupport.weightspace
 from conftest import (
     hull_labels_2d,
     random_rational_rows,
@@ -32,6 +33,7 @@ from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
 from ndsupport.ratlp import LESS_EQUAL, MAXIMIZE, OPTIMAL, lp_solve
+from ndsupport.weightspace import decompose
 
 
 def nondom(s):
@@ -578,3 +580,22 @@ class TestVertexPruning:
                 assert program.num_vars == len(s)
             else:
                 assert len(program.constraints) == 1 + s.p + len(s) - 1
+
+    def test_decompose_solves_only_the_margin_pass(self, monkeypatch):
+        # wsd takes every cell verdict from the margin pass classify
+        # runs: one margin program per point over the shrinking columns,
+        # and no witness program; the cells keep its rows unsolved.
+        assert not hasattr(ndsupport.weightspace, "lp_solve")
+        s = validate_instance(PRUNING_ROWS)
+        programs = record_programs(monkeypatch)
+        cells = decompose(s)
+        assert [program_kind(program) for program in programs] == ["boundary"] * len(s)
+        assert [program.num_vars for program in programs] == [5, 5, 5, 5, 4]
+        # y4 is interior, so it has no cell; y5 is on the boundary but no
+        # vertex, so its cell is a single weight.
+        assert [(c.point_id, c.is_full_dimensional) for c in cells] == [
+            ("y1", True),
+            ("y2", True),
+            ("y3", True),
+            ("y5", False),
+        ]

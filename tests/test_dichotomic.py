@@ -197,6 +197,36 @@ class TestDichotomicExtremes:
             assert got == expected
 
 
+class TestNondominatedSearch:
+    def test_oracle_and_chain_check_see_only_the_nondominated_points(
+        self, monkeypatch
+    ):
+        # (1, 5) ties the left anchor (1, 3) under the weight (1, 0), and
+        # (5, 1) ties the right anchor (4, 1) under (0, 1); both are
+        # dominated, as are (3, 4) and (6, 6).
+        s = validate_instance([[1, 5], [1, 3], [5, 1], [3, 4], [2, 2], [6, 6], [4, 1]])
+        nondominated = {(1, 3), (2, 2), (4, 1)}
+        seen = []
+        argmin, check = weighted_sum_argmin, _check_chain
+
+        def spied_argmin(lam, outcome_set):
+            seen.append({pt.coords for pt in outcome_set})
+            return argmin(lam, outcome_set)
+
+        def spied_check(outcome_set, extremes, witnesses):
+            seen.append({pt.coords for pt in outcome_set})
+            return check(outcome_set, extremes, witnesses)
+
+        monkeypatch.setattr(ndsupport.dichotomic, "weighted_sum_argmin", spied_argmin)
+        monkeypatch.setattr(ndsupport.dichotomic, "_check_chain", spied_check)
+        result = dichotomic_extremes(s)
+        assert [e.coords for e in result.extremes] == [(1, 3), (2, 2), (4, 1)]
+        assert [e.id for e in result.extremes] == ["y2", "y5", "y7"]
+        assert result.oracle_calls == 5
+        assert len(seen) == result.oracle_calls + 1
+        assert all(points == nondominated for points in seen)
+
+
 def chain_witnesses(extremes):
     """Averages of the normals next to each extreme, the unit weights at
     the two ends, written out independently of the module."""

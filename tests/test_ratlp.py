@@ -521,14 +521,16 @@ def integer_row(values):
 def classify_corpus_programs(monkeypatch):
     """Every program classify_all, cross_check and decompose pass to
     lp_solve on seeded sets, p = 2..5, integer and rational, each with
-    its zero-objective lift."""
+    its zero-objective lift.  Every one goes through classify's
+    lp_solve: decompose solves only the margin pass."""
     programs = []
-    for module in (ndsupport.classify, ndsupport.weightspace):
-        def recorded(program, solve=module.lp_solve):
-            programs.append(program)
-            return solve(program)
+    solve = ndsupport.classify.lp_solve
 
-        monkeypatch.setattr(module, "lp_solve", recorded)
+    def recorded(program):
+        programs.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(ndsupport.classify, "lp_solve", recorded)
     rng = random.Random(71)
     bases = []
     for p in (2, 3, 4, 5):
@@ -690,10 +692,9 @@ class TestDictionary:
     basic one."""
 
     def test_cell_program_width_is_p_plus_2(self, monkeypatch):
-        # Every row of a cell program seeds the basis with its slack but
+        # Every row of a witness program seeds the basis with its slack but
         # sum(lambda) = 1, which needs an artificial and no surplus.
         p = 3
-        outcomes = generate_points(150, p, 7)
         pivot = ndsupport.ratlp._Dictionary.pivot
         pivots = []
 
@@ -706,9 +707,9 @@ class TestDictionary:
 
         monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", checked)
         statuses = set()
-        for y in outcomes.points:
-            for cut_margin in (0, 1):
-                program = _cell_program(y, outcomes, outcomes.points, cut_margin)
+        for outcomes in (generate_points(150, p, 7), generate_points(150, p, 8)):
+            for y in outcomes.points:
+                program = _cell_program(y, outcomes, outcomes.points)
                 assert len(program.constraints) == len(outcomes.points) + p
                 statuses.add(lp_solve(program).status)
         assert statuses == {OPTIMAL, INFEASIBLE}

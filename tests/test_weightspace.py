@@ -172,7 +172,7 @@ class TestVertexSoundness:
     def test_full_dimensional_iff_extreme_supported(self):
         rng = random.Random(59)
         # Lifted sets and small p = 4 ranges give weakly-supported-only
-        # points; at p = 4 only the cell program decides a cell.
+        # points; at p = 4 only the margin program decides a cell.
         sets = []
         for _ in range(8):
             p = rng.choice([2, 3])
@@ -316,10 +316,10 @@ class TestOneCellBuilder:
             p = yn.p
             vertices = reference_vertices(yn)
             for y in yn:
-                # cut_margin 0 is the witness program, over Y_N rows and
-                # over V rows, with the simplex equality moved.
+                # The witness program, over Y_N rows and over V rows,
+                # with the simplex equality moved.
                 for rows in (yn, vertices):
-                    got = lp_solve(_cell_program(y, yn, rows, 0))
+                    got = lp_solve(_cell_program(y, yn, rows))
                     assert got == lp_solve(reference_witness_program(y, p, rows))
                     assert _solve_witness(y, yn, rows) == (
                         None
@@ -329,17 +329,17 @@ class TestOneCellBuilder:
                     witness_kinds.add(
                         got.status if got.status != OPTIMAL else got.value > 0
                     )
-                # cut_margin 1 is the slack program, and its rows without
-                # t are the H-representation, in order.
+                # A cell keeps the witness program's rows over Y_N, and
+                # those rows without t are the H-representation, in
+                # order; the slack program on them is the reference for
+                # the cell's margin verdicts.
                 hrep = reference_cell_hrep(y, yn)
                 cell = weight_cell(y, yn)
                 assert cell.hrep == hrep
                 assert all(
                     type(v) is F for con in cell.hrep for v in (*con.coeffs, con.rhs)
                 )
-                got = lp_solve(_cell_program(y, yn, yn, 1))
                 ref = lp_solve(reference_slack_program(hrep, p))
-                assert (got.status, got.value) == (ref.status, ref.value)
                 assert cell.is_empty == (ref.status != OPTIMAL)
                 assert cell.is_full_dimensional == (
                     ref.status == OPTIMAL and ref.value > 0
