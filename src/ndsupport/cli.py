@@ -10,6 +10,7 @@ a property of the instance.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -17,7 +18,9 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .classify import (
     Classification,
@@ -166,31 +169,6 @@ def cross_check_to_table(checks: CrossCheckReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def wsd_to_json(cells: Sequence[WeightCell], p: int) -> dict:
-    doc_cells = []
-    for cell in cells:
-        entry = {
-            "id": cell.point_id,
-            "full_dimensional": cell.is_full_dimensional,
-            "hrep": [
-                {
-                    "coeffs": _vector_json(con.coeffs),
-                    "relation": con.relation,
-                    "rhs": format_rational(con.rhs),
-                }
-                for con in cell.hrep
-            ],
-            "projected_vertices": None
-            if cell.projected_vertices is None
-            else [_vector_json(v) for v in cell.projected_vertices],
-        }
-        if p == 2:
-            interval = cell_interval(cell)
-            entry["interval"] = None if interval is None else _vector_json(interval)
-        doc_cells.append(entry)
-    return {"objectives": p, "cells": doc_cells}
-
-
 def _cannot_write(name: str, exc: OSError) -> ValidationError:
     return ValidationError(f"cannot write {name}: {exc.strerror or exc}")
 
@@ -310,13 +288,31 @@ def _load_outcomes(path: str) -> OutcomeSet:
 
 
 def _json_dumps(doc) -> str:
-    import json
-
     return json.dumps(doc, indent=2) + "\n"
 
 
-# Characters of report text buffered before one write to the stream.
+# Characters of document text buffered before one write to the stream.
 _CHUNK = 1 << 16
+
+
+def _write_chunked(out, head: str, items: Iterable[str], tail: str) -> None:
+    """Write head, the items separated by commas, and tail to out, in
+    chunks of about _CHUNK characters, so the whole document is never
+    one string."""
+    pending = [head]
+    size = len(head)
+    separator = ""
+    for item in items:
+        pending += (separator, item)
+        separator = ","
+        size += 1 + len(item)
+        if size >= _CHUNK:
+            out.write("".join(pending))
+            pending.clear()
+            size = 0
+    pending.append(tail)
+    out.write("".join(pending))
+
 
 # The head and tail of the classify document as json.dumps(doc,
 # indent=2) lays it out; the point records go in between.
@@ -338,8 +334,8 @@ _REPORT_TAIL = """
 
 
 def _vector_text(vec) -> str:
-    """A rational vector, or null for None, as it stands in a classify
-    point record."""
+    """A rational vector, or null for None, as it stands in a field of a
+    classify point record or a wsd cell."""
     if vec is None:
         return "null"
     items = []
@@ -352,23 +348,17 @@ def _vector_text(vec) -> str:
 def _write_report_json(report: Report, out) -> None:
     """Write the classify document to out, exactly the text of
     ``json.dumps(doc, indent=2) + "\n"``, one point record at a time from
-    its Classification and OutcomePoint, and in chunks of about _CHUNK
-    characters, so the whole document is never one string."""
-    from json import dumps
-    from json.encoder import encode_basestring_ascii as quote
-
+    its Classification and OutcomePoint."""
     outcomes = report.outcomes
-    labels = {label: quote(label.value) for label in LABEL_ORDER}
+    labels = {label: _quote(label.value) for label in LABEL_ORDER}
     counts = ",\n".join(
         f"      {labels[label]}: {report.label_counts.get(label.value, 0)}"
         for label in LABEL_ORDER
     )
-    pending = [_REPORT_HEAD % (outcomes.p, len(outcomes), counts)]
-    size = 0
-    separator = "\n"
-    for c in report.classifications:
-        record = f"""{separator}    {{
-      "id": {quote(c.point_id)},
+    records = (
+        f"""
+    {{
+      "id": {_quote(c.point_id)},
       "coords": {_vector_text(outcomes.get(c.point_id).coords)},
       "multiplicity": {outcomes.multiplicity[c.point_id]},
       "label": {labels[c.label]},
@@ -377,19 +367,75 @@ def _write_report_json(report: Report, out) -> None:
       "weak_witness": {_vector_text(c.weak_witness)},
       "strict_witness": {_vector_text(c.strict_witness)}
     }}"""
-        separator = ",\n"
-        pending.append(record)
-        size += len(record)
-        if size >= _CHUNK:
-            out.write("".join(pending))
-            pending.clear()
-            size = 0
-    cross_check = dumps(cross_check_to_json(report.checks), indent=2)
-    pending.append(
-        _REPORT_TAIL
-        % (cross_check.replace("\n", "\n  "), round(report.elapsed_seconds, 6))
+        for c in report.classifications
     )
-    out.write("".join(pending))
+    cross_check = json.dumps(cross_check_to_json(report.checks), indent=2)
+    _write_chunked(
+        out,
+        _REPORT_HEAD % (outcomes.p, len(outcomes), counts),
+        records,
+        _REPORT_TAIL
+        % (cross_check.replace("\n", "\n  "), round(report.elapsed_seconds, 6)),
+    )
+
+
+def _over(v: int, s: int) -> str:
+    """Fraction(v, s), s > 0, as json.dumps writes its format_rational."""
+    if v % s:
+        g = gcd(v, s)
+        return f'"{v // g}/{s // g}"'
+    return str(v // s)
+
+
+def _cell_text(cell: WeightCell, p: int) -> str:
+    """One wsd cell record.  Its hrep rows are the cell's int rows
+    without t, each value over the scale."""
+    s = cell.scale
+    rows = []
+    for con in cell.rows:
+        coeffs = ",\n            ".join([_over(v, s) for v in con.coeffs[:-1]])
+        rows.append(
+            f"""
+        {{
+          "coeffs": [
+            {coeffs}
+          ],
+          "relation": "{con.relation}",
+          "rhs": {_over(con.rhs, s)}
+        }}"""
+        )
+    vertices = "null"
+    if cell.projected_vertices is not None:
+        vertices = (
+            "[\n        "
+            + ",\n        ".join(
+                _vector_text(v).replace("\n", "\n  ") for v in cell.projected_vertices
+            )
+            + "\n      ]"
+        )
+    interval = ""
+    if p == 2:
+        interval = f',\n      "interval": {_vector_text(cell_interval(cell))}'
+    return f"""
+    {{
+      "id": {_quote(cell.point_id)},
+      "full_dimensional": {"true" if cell.is_full_dimensional else "false"},
+      "hrep": [{",".join(rows)}
+      ],
+      "projected_vertices": {vertices}{interval}
+    }}"""
+
+
+def _write_wsd_json(cells: Sequence[WeightCell], p: int, out) -> None:
+    """Write the wsd document of decompose's cells to out, exactly the
+    text of ``json.dumps(doc, indent=2) + "\n"``, one cell at a time
+    from its int rows, so no ``hrep`` is built."""
+    _write_chunked(
+        out,
+        f'{{\n  "objectives": {p},\n  "cells": [',
+        (_cell_text(cell, p) for cell in cells),
+        "\n  ]\n}\n",
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -428,7 +474,7 @@ def _cmd_wsd(args) -> int:
     draw = args.svg is not None and outcomes.p in (2, 3)
     with _outputs((args.out, args.svg) if draw else (args.out,)) as streams:
         cells = decompose(outcomes)
-        streams[0].write(_json_dumps(wsd_to_json(cells, outcomes.p)))
+        _write_wsd_json(cells, outcomes.p, streams[0])
         if draw:
             streams[1].write(svg_weight_space(cells, outcomes.p))
     if args.svg is not None and not draw:

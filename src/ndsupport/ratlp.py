@@ -43,6 +43,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, ValidationError
@@ -381,16 +382,27 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
 
 
 def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
-    """Exact feasibility re-check of an optimal solution."""
+    """Exact feasibility re-check of an optimal solution.  The solution
+    is scaled once to ints X over the lcm D of its denominators, and
+    each row is checked as ``coeffs . X  <rel>  rhs * D``: in ints for a
+    row of ints, and exact for any other, as D > 0."""
     x = outcome.solution
     assert x is not None
     for i, v in enumerate(x):
         if v < 0:
             raise ConsistencyError(f"solver returned negative x[{i}] = {v}")
+    d, scaled = _scale(x)
     for idx, con in enumerate(program.constraints):
-        if not con.holds_at(x):
+        lhs = sum(map(mul, con.coeffs, scaled))
+        rhs = con.rhs * d
+        if con.relation == LESS_EQUAL:
+            holds = lhs <= rhs
+        elif con.relation == GREATER_EQUAL:
+            holds = lhs >= rhs
+        else:
+            holds = lhs == rhs
+        if not holds:
             raise ConsistencyError(
                 f"solver solution violates constraint {idx}: "
                 f"{con.coeffs} {con.relation} {con.rhs} at {x}"
             )
-

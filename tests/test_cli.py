@@ -17,19 +17,23 @@ from ndsupport.cli import (
     LABEL_ORDER,
     _CHUNK,
     _write_report_json,
+    _write_wsd_json,
     build_report,
     cross_check_to_json,
     main,
 )
 from ndsupport.instances import (
+    enumerate_instance,
     enumerate_knapsack,
+    generate_assignment,
     generate_knapsack,
     generate_points,
+    lift_zero_objective,
     parse_instance,
 )
 from ndsupport.outcomes import OutcomePoint, OutcomeSet, validate_instance
 from ndsupport.ratlp import format_rational
-from ndsupport.weightspace import WeightCell
+from ndsupport.weightspace import WeightCell, cell_interval, decompose
 
 COUNTEREXAMPLE_JSON = '{"objectives": 3, "points": [[2,9,1],[3,6,1],[8,3,1],[6,5,1]]}\n'
 FIG2D_JSON = '{"objectives": 2, "points": [[2,9],[3,6],[8,3],[6,5],[3,9],[7,7]]}\n'
@@ -194,6 +198,34 @@ def report_to_json(report) -> dict:
     }
 
 
+def wsd_to_json(cells, p) -> dict:
+    """The wsd document as a dict, as the CLI built it from each cell's
+    ``hrep`` before it streamed the text: the reference for
+    ``_write_wsd_json``."""
+    doc_cells = []
+    for cell in cells:
+        entry = {
+            "id": cell.point_id,
+            "full_dimensional": cell.is_full_dimensional,
+            "hrep": [
+                {
+                    "coeffs": _vector_json(con.coeffs),
+                    "relation": con.relation,
+                    "rhs": format_rational(con.rhs),
+                }
+                for con in cell.hrep
+            ],
+            "projected_vertices": None
+            if cell.projected_vertices is None
+            else [_vector_json(v) for v in cell.projected_vertices],
+        }
+        if p == 2:
+            interval = cell_interval(cell)
+            entry["interval"] = None if interval is None else _vector_json(interval)
+        doc_cells.append(entry)
+    return {"objectives": p, "cells": doc_cells}
+
+
 class _Writes(io.StringIO):
     """A text stream that remembers the size of every write."""
 
@@ -252,6 +284,64 @@ class TestReportWriter:
         assert len(out.sizes) > 2
         longest_record = 600  # far above one point record at p = 2
         assert max(out.sizes) < _CHUNK + longest_record
+
+
+class TestWsdWriter:
+    def _written(self, outcome_set):
+        cells = decompose(outcome_set)
+        out = _Writes()
+        _write_wsd_json(cells, outcome_set.p, out)
+        assert out.getvalue() == json.dumps(wsd_to_json(cells, outcome_set.p), indent=2) + "\n"
+        return cells, out
+
+    def test_matches_json_dumps_of_the_dict_document(self):
+        rng = random.Random(127)
+        sets = [
+            validate_instance([[2, 9, 1], [3, 6, 1], [8, 3, 1], [6, 5, 1]]),
+            validate_instance([[2, 9], [3, 6], [8, 3], [6, 5], [3, 9], [7, 7]]),
+            enumerate_knapsack(generate_knapsack(8, 2, 3)),
+        ]
+        for p in range(2, 6):
+            sets.append(generate_points(25, p, p))
+            sets.append(validate_instance(random_rows(rng, 20, p, 0, 6)))
+            sets.append(validate_instance(random_rational_rows(rng, 15, p)))
+        cells = [self._written(s)[0] for s in sets]
+        assert {s.p for s in sets} == {2, 3, 4, 5}
+        assert any(s.scale > 1 for s in sets)
+        # some rows print a quoted fraction, some cells are degenerate
+        assert any(con.rhs % c.scale or any(v % c.scale for v in con.coeffs)
+                   for cs in cells for c in cs for con in c.rows)
+        assert any(not c.is_full_dimensional for cs in cells for c in cs)
+
+    def test_weakly_supported_only_cells(self):
+        lifted = lift_zero_objective(enumerate_instance(generate_assignment(7, 3, 0)))
+        cells, _ = self._written(lifted)
+        assert sum(not c.is_full_dimensional for c in cells) == 23
+
+    def test_quoted_and_non_ascii_ids(self):
+        s = OutcomeSet(
+            p=2,
+            points=(
+                OutcomePoint('say "hi"', (1, 5)),
+                OutcomePoint("caf\u00e9 \u2014 \\ \t", (2, 2)),
+                OutcomePoint("\U0001f600", (5, 1)),
+                OutcomePoint("z", (6, 6)),
+            ),
+        )
+        cells, _ = self._written(s)
+        assert len(cells) == 3
+
+    def test_large_document_is_written_in_chunks(self):
+        rows = [[i, (60 - i) ** 2, (i - 30) ** 2] for i in range(61)]
+        cells, out = self._written(validate_instance(rows))
+        assert len(out.sizes) > 2
+
+        def document(cell):
+            single = io.StringIO()
+            _write_wsd_json([cell], 3, single)
+            return single.getvalue()
+
+        assert max(out.sizes) < _CHUNK + max(len(document(c)) for c in cells)
 
 
 def unwritable_path(tmp_path, target):
@@ -599,8 +689,8 @@ class TestWsd:
 
     @pytest.mark.parametrize("svg", [False, True], ids=["document", "with-figure"])
     def test_hrep_is_built_once_per_printed_cell(self, tmp_path, monkeypatch, capsys, svg):
-        # The interval and the figure read the cell's int rows; only the
-        # printed hrep rows are built in Fractions.
+        # The document, the interval and the figure all read the cell's
+        # int rows; no hrep is built in Fractions.
         path = tmp_path / "k15.json"
         assert main(["gen", "knapsack", "15", "2", "--out", str(path)]) == 0
         builds = []
@@ -615,7 +705,7 @@ class TestWsd:
         assert main(argv) == 0
         printed = [c["id"] for c in json.loads(capsys.readouterr().out)["cells"]]
         assert len(printed) == 7
-        assert builds == printed
+        assert builds == []
 
     def test_svg_refusal_for_p4_still_emits_document(self, tmp_path, capsys):
         path = tmp_path / "p4.json"

@@ -191,6 +191,61 @@ def test_certify_rejects_corrupted_solutions():
     violating = LpOutcome(status=OPTIMAL, value=F(1), solution=(F(1), F(0)))
     with pytest.raises(ConsistencyError, match="violates constraint 0"):
         _certify(prog, violating)
+    # An int-row program and its Fraction-row twin (every row over 6),
+    # checked at solutions with mixed denominators.
+    int_rows = (ge((1, 1), 2), le((3, -1), 4), LinearConstraint((2, 3), EQUAL, 7))
+    frac_rows = tuple(
+        LinearConstraint([F(c, 6) for c in con.coeffs], con.relation, F(con.rhs, 6))
+        for con in int_rows
+    )
+    for rows in (int_rows, frac_rows):
+        prog = LinearProgram("min", (1, 1), rows)
+        out = lp_solve(prog)
+        assert out.status == OPTIMAL
+        _certify(prog, out)
+        # x0 + x1 = 7/3 >= 2 and 3 x0 - x1 = 1 <= 4 hold; 2 x0 + 3 x1 = 37/6 misses 7.
+        near = LpOutcome(status=OPTIMAL, value=F(7, 3), solution=(F(5, 6), F(3, 2)))
+        with pytest.raises(ConsistencyError, match="violates constraint 2"):
+            _certify(prog, near)
+        # 3 x0 - x1 = 13/3 misses <= 4 before the equality row is reached.
+        high = LpOutcome(status=OPTIMAL, value=F(7, 3), solution=(F(16, 9), F(1, 1)))
+        with pytest.raises(ConsistencyError, match="violates constraint 1"):
+            _certify(prog, high)
+        negative = LpOutcome(status=OPTIMAL, value=F(2), solution=(F(7, 2), F(-1, 3)))
+        with pytest.raises(ConsistencyError, match=r"negative x\[1\]"):
+            _certify(prog, negative)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90)),
+            st.fractions(0, 100, max_denominator=90),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from((LESS_EQUAL, EQUAL, GREATER_EQUAL)),
+    st.one_of(st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90)),
+    st.sampled_from((None, -1, 0, 1)),
+)
+def test_certify_equals_holds_at(pairs, relation, rhs, offset):
+    # _certify checks each row on the solution scaled to ints; holds_at,
+    # term by term over Fractions, is the reference, for int and
+    # Fraction rows alike.
+    coeffs = tuple(c for c, _ in pairs)
+    x = tuple(v for _, v in pairs)
+    if offset is not None:
+        # Land on, or just beside, the row's boundary.
+        rhs = sum(F(c) * v for c, v in zip(coeffs, x)) + F(offset, 7)
+    con = LinearConstraint(coeffs, relation, rhs)
+    prog = LinearProgram("min", (0,) * len(x), (con,))
+    out = LpOutcome(status=OPTIMAL, value=F(0), solution=x)
+    if con.holds_at(x):
+        _certify(prog, out)
+    else:
+        with pytest.raises(ConsistencyError, match="violates constraint 0"):
+            _certify(prog, out)
 
 
 exact = st.one_of(st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90))
