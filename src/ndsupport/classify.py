@@ -24,12 +24,18 @@ boundary and > 0 in the interior.  Its columns always contain the
 vertex set V, and conv(Y_N) + R^p_+ = conv(V) + R^p_+, so margins and
 frontier values over V columns are the full-width ones.  A margin
 eps > 0 settles the point with no further program (``_point_check``
-says why).  A boundary point gets the frontier program over V and
-its full-row witness program: under Bland's rule fewer rows may pick a
-different optimal weight when the optimum is not unique, and that
-weight is printed.  ``cross_check`` keeps all three full-width programs
-for every point.  A supported point is extreme exactly when it is a
-vertex, and a vertex off the frontier is a consistency failure.
+says why).  A boundary point gets the frontier program over V and its
+witness program over V rows.  Every point of Y_N lies in conv(V) +
+R^p_+, so for lambda >= 0 the V rows imply the other cut rows: both
+programs have the same feasible (lambda, t) and the same objective.
+The V-row result is kept only when the final reduced costs prove its
+optimum unique, since the full-row program then ends at the same one;
+otherwise Bland's rule over fewer rows may pick a different optimal
+weight, which would be printed, so the full-row program is solved
+instead (``_vertex_row_witness``).  ``cross_check`` keeps all three
+full-width programs for every point.  A supported point is extreme
+exactly when it is a vertex, and a vertex off the frontier is a
+consistency failure.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -73,7 +79,10 @@ from .ratlp import (
     MINIMIZE,
     OPTIMAL,
     UNBOUNDED,
+    LpOutcome,
     _dot,
+    _solve,
+    _unique_optimum,
     lp_solve,
     rational,
 )
@@ -223,7 +232,34 @@ def _solve_witness(
     """Optimizing weight vector and optimal t, or None if no weight in
     the closed simplex makes y weighted-sum minimal over rows; the
     certificate is checked over all of yn."""
-    outcome = lp_solve(_cell_program(y, yn, rows))
+    return _witness(y, yn, lp_solve(_cell_program(y, yn, rows)))
+
+
+def _vertex_row_witness(
+    y: OutcomePoint, yn: OutcomeSet, vertices
+) -> Optional[tuple[WeightVector, Fraction]]:
+    """``_solve_witness(y, yn, yn)``, solved over the rows of the vertex
+    points instead when the optimum there is provably unique.
+
+    Every point of yn lies in conv(V) + R^p_+, so with lambda >= 0 the
+    V rows imply every other cut row: both programs have the same
+    feasible (lambda, t) and the same objective.  A unique optimum over
+    V rows is therefore the full-row optimum, which the full-row solve
+    must return.  When the final reduced costs do not prove it unique,
+    Bland's rule over fewer rows may end at another optimal vertex, so
+    the full-row program is solved instead.  An infeasible V-row
+    program means the full-row one is infeasible too."""
+    outcome, tab, r = _solve(_cell_program(y, yn, vertices))
+    if outcome.status == OPTIMAL and not _unique_optimum(tab, r):
+        return _solve_witness(y, yn, yn)
+    return _witness(y, yn, outcome)
+
+
+def _witness(
+    y: OutcomePoint, yn: OutcomeSet, outcome: LpOutcome
+) -> Optional[tuple[WeightVector, Fraction]]:
+    """The weight vector and optimal t of a solved witness program of
+    y, its certificate checked over all of yn."""
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])
@@ -387,26 +423,31 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet, cols, margin, *, settle_interior: bool = False
+    y: OutcomePoint, yn: OutcomeSet, cols, margin, *, vertices=None
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
     """Take y's boundary verdict from its margin (None, a vertex, is on
     the boundary), solve its frontier program over the lattice rows cols
     (V's for classify; all of yn's give the full-width program ``check``
-    runs), then its witness program over all of yn's rows, so the
-    witness is the one the full program prints.
+    runs), then its witness program over all of yn's rows.
 
-    With settle_interior (set by classify_all only), a point with a
-    certified margin eps > 0 gets no further program: a point of
-    conv(V) sits at or below y - eps in every coordinate, so y is off
-    the frontier, and every weight in the simplex scores that point
-    strictly below y, so y is unsupported."""
+    With vertices, V's points in yn's order (set by classify_all only),
+    a point with a certified margin eps > 0 gets no further program: a
+    point of conv(V) sits at or below y - eps in every coordinate, so y
+    is off the frontier, and every weight in the simplex scores that
+    point strictly below y, so y is unsupported.  A boundary point's
+    witness program is solved over V rows and kept only when its
+    optimum is provably unique (``_vertex_row_witness``), so the
+    witness is still the one the full program prints."""
     row = yn.lattice_by_id[y.id]
     boundary = not margin
-    if settle_interior and not boundary:
+    if vertices is not None and not boundary:
         frontier, solved = False, None
     else:
         frontier = _on_frontier(row, cols)
-        solved = _solve_witness(y, yn, yn)
+        if vertices is None:
+            solved = _solve_witness(y, yn, yn)
+        else:
+            solved = _vertex_row_witness(y, yn, vertices)
     weak = solved is not None
     strict = weak and solved[1] > 0
     check = PointCheck(
@@ -457,9 +498,10 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
     yn = filtered.nondominated
     margins = _margin_pass(yn)
     cols = [row for row, margin in zip(yn.lattice, margins) if margin is None]
+    vertices = [y for y, margin in zip(yn, margins) if margin is None]
     results: dict[str, Classification] = {}
     for y, margin in zip(yn, margins):
-        check, solved = _point_check(y, yn, cols, margin, settle_interior=True)
+        check, solved = _point_check(y, yn, cols, margin, vertices=vertices)
         if margin is None and not check.on_frontier:
             raise ConsistencyError(
                 "a vertex of the upper image is off the frontier: "

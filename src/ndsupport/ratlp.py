@@ -31,7 +31,10 @@ becomes |p|.  Bland's rule enters the smallest label below a bar with a
 negative reduced cost; phase two bars the artificials.  Positive row
 and column scales change neither the sign of a reduced cost nor the
 order of the ratios, so the pivots and outcomes are those a
-``Fraction`` tableau would give.
+``Fraction`` tableau would give.  ``lp_solve`` returns the outcome
+alone; the private ``_solve`` also hands back the final phase-two
+dictionary and reduced-cost row, from which ``_unique_optimum`` reads
+whether the optimum is the only one.
 
 Not built for speed beyond desk scale (a few hundred constraints): the
 dictionary is dense and nothing is factorized or reused across solves.
@@ -211,10 +214,17 @@ class _Dictionary:
     so each Bareiss update divides exactly.
     """
 
-    def __init__(self, rows: list[list[int]], basic: list[int], nonbasic: list[int]):
+    def __init__(
+        self,
+        rows: list[list[int]],
+        basic: list[int],
+        nonbasic: list[int],
+        base_cols: int,
+    ):
         self.rows = rows
         self.basic = basic
         self.nonbasic = nonbasic
+        self.base_cols = base_cols  # labels from here on are artificials
         self.d = 1
 
     def reduced_cost_row(self, cost: list[int]) -> list[int]:
@@ -302,6 +312,27 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     Malformed programs never reach the kernel: LinearProgram validates
     dimensions at construction.
     """
+    return _solve(program)[0]
+
+
+def _unique_optimum(tab: _Dictionary, r: list[int]) -> bool:
+    """Does the final phase-two state prove the optimum unique?  It does
+    when every nonbasic label below the artificials has a reduced cost
+    > 0: a feasible point has every artificial at 0, so its value
+    exceeds the optimum by sum(r_j * x_j) / d over those labels, which
+    is 0 only when each of them is 0, and that fixes the basic ones.
+    The test is sufficient, not necessary: a primal degenerate optimum
+    may be unique with a zero reduced cost."""
+    return all(v > 0 for j, v in zip(tab.nonbasic, r) if j < tab.base_cols)
+
+
+def _solve(
+    program: LinearProgram,
+) -> tuple[LpOutcome, Optional[_Dictionary], Optional[list[int]]]:
+    """``lp_solve``'s outcome together with the final phase-two state:
+    the dictionary and its reduced-cost row (``d`` times the reduced
+    costs of the minimized objective).  An infeasible program has no
+    phase two, and both are then None."""
     n = program.num_vars
     _, minimize = _scale(program.objective)
     if program.sense == MAXIMIZE:
@@ -340,7 +371,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             slack_label += 1
         rows.append(full)
 
-    tab = _Dictionary(rows, basic, nonbasic)
+    tab = _Dictionary(rows, basic, nonbasic, base_cols)
 
     if art_scales:
         # Phase one minimizes the sum of the unscaled artificials: the
@@ -351,7 +382,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
         if tab.run(r, base_cols + len(art_scales)) != OPTIMAL:
             raise ConsistencyError("phase one cannot be unbounded")
         if r[-1] != 0:
-            return LpOutcome(status=INFEASIBLE)
+            return LpOutcome(status=INFEASIBLE), None, None
         # Drive leftover artificials out of the basis (degenerate rows).
         for i in range(len(rows) - 1, -1, -1):
             if basic[i] < base_cols:
@@ -368,7 +399,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     # Phase two bars the artificials from entering; their columns stay.
     r = tab.reduced_cost_row(minimize + [0] * (num_slack + len(art_scales)))
     if tab.run(r, base_cols) == UNBOUNDED:
-        return LpOutcome(status=UNBOUNDED)
+        return LpOutcome(status=UNBOUNDED), tab, r
 
     solution = [_ZERO] * n
     for i, b in enumerate(basic):
@@ -378,7 +409,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     value = Fraction(*_dot(program.objective, solution))
     outcome = LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
     _certify(program, outcome)
-    return outcome
+    return outcome, tab, r
 
 
 def _certify(program: LinearProgram, outcome: LpOutcome) -> None:

@@ -18,11 +18,12 @@ rows as they stand, and each vertex is a homogeneous triple (X, Y, W)
 for (X/W, Y/W), with W > 0 and no common factor.  A clip keeps the
 vertices with side value >= 0 and adds the crossing of every edge
 whose ends lie strictly on opposite sides; a row that holds on the
-whole polygon is skipped.  Vertices become ``Fraction``s only for the
-hull.  That is robust against redundant half-spaces (which are
-retained, not minimized) and returns degenerate cells - segments or
-single points, the signature of weakly-supported-only points - rather
-than dropping them.
+whole polygon is skipped.  The hull takes the triples too and tells
+turns by 3 x 3 determinants; vertices become ``Fraction``s only for its
+sort and its output.  That is robust against redundant half-spaces
+(which are retained, not minimized) and returns degenerate cells -
+segments or single points, the signature of weakly-supported-only
+points - rather than dropping them.
 """
 
 from __future__ import annotations
@@ -73,28 +74,36 @@ class WeightCell:
         )
 
 
-def _convex_hull_ccw(points: list[Point2]) -> tuple[Point2, ...]:
-    """Exact monotone-chain hull, counter-clockwise, starting at the
+def _convex_hull_ccw(triples) -> tuple[Point2, ...]:
+    """Exact monotone-chain hull of reduced int triples (X, Y, W), W > 0,
+    each the point (X/W, Y/W): counter-clockwise, starting at the
     lexicographically smallest vertex.  Collinear interior points are
-    dropped; degenerate inputs yield a segment or a single point."""
-    pts = sorted(set(points))
+    dropped; degenerate inputs yield a segment or a single point.
+
+    A reduced triple with W > 0 is the only one for its point, so
+    duplicates are equal triples.  The points are ``Fraction``s only for
+    the sort and the output: ``cross`` is the 3 x 3 determinant of three
+    triples, W_o * W_a * W_b > 0 times the 2-D cross product of their
+    points, so it has the same sign."""
+    pts = sorted((Fraction(x, w), Fraction(y, w), (x, y, w)) for x, y, w in set(triples))
     if len(pts) <= 2:
-        return tuple(pts)
+        return tuple((x, y) for x, y, _ in pts)
 
     def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o[2], a[2], b[2]
+        return ox * (ay * bw - aw * by) - oy * (ax * bw - aw * bx) + ow * (ax * by - ay * bx)
 
-    lower: list[Point2] = []
+    lower = []
     for q in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
             lower.pop()
         lower.append(q)
-    upper: list[Point2] = []
+    upper = []
     for q in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
             upper.pop()
         upper.append(q)
-    return tuple(lower[:-1] + upper[:-1])
+    return tuple((x, y) for x, y, _ in lower[:-1] + upper[:-1])
 
 
 def _projected_vertices(rows) -> tuple[Point2, ...]:
@@ -118,7 +127,7 @@ def _projected_vertices(rows) -> tuple[Point2, ...]:
                 g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
                 clipped.append((x // g, y // g, w // g))
         polygon = clipped
-    return _convex_hull_ccw([(Fraction(x, w), Fraction(y, w)) for x, y, w in polygon])
+    return _convex_hull_ccw(polygon)
 
 
 def _cell(y: OutcomePoint, yn: OutcomeSet, margin) -> WeightCell:

@@ -442,10 +442,11 @@ def differential_corpus():
                 base = validate_instance(rows, p)
                 sets.append(base)
                 sets.append(lift_zero_objective(base))
-    # Two larger p = 3 sets on which a vertex's max-min witness is not
-    # unique and a Bland path over the vertex rows alone ends at another
-    # optimum: they keep the comparison sensitive to the rows of the
-    # witness programs of boundary points.
+    # Two larger p = 3 sets.  On the first (seed 31) a vertex's max-min
+    # witness is not unique and a Bland path over the vertex rows alone
+    # ends at another optimum: it keeps the comparison sensitive to the
+    # rows of the witness programs of boundary points, and so to the
+    # uniqueness proof that lets classify_all solve them over V rows.
     for seed, noise in ((31, 3), (133, 1)):
         rng = random.Random(seed)
         rows = anticorrelated_rows(rng, rng.randint(20, 30), 3, noise)
@@ -465,6 +466,26 @@ class TestVertexPruningDifferential:
             assert pruned == full_width_classify(s), s.coord_rows()
             labels.update(c.label for c in pruned)
         assert labels == set(Label)
+
+    def test_the_corpus_needs_the_uniqueness_proof(self, monkeypatch):
+        # Some V-row witness optima on the corpus are not provably unique
+        # and fall back to the full rows.  Taken as unique, at least one
+        # of them prints another weight than the full-row program, so
+        # the differential above fails without the proof.
+        sets = differential_corpus()
+        answers = []
+        unique = ndsupport.classify._unique_optimum
+
+        def recorded(tab, r):
+            answers.append(unique(tab, r))
+            return answers[-1]
+
+        monkeypatch.setattr(ndsupport.classify, "_unique_optimum", recorded)
+        for s in sets:
+            classify_all(s)
+        assert False in answers and True in answers
+        monkeypatch.setattr(ndsupport.classify, "_unique_optimum", lambda tab, r: True)
+        assert any(classify_all(s) != full_width_classify(s) for s in sets)
 
     def test_a_positive_boundary_optimum_proves_unsupported(self, monkeypatch):
         # classify_all settles a point on a margin eps > 0.  Record the
@@ -505,15 +526,17 @@ class TestVertexPruningDifferential:
 
 
 def record_programs(monkeypatch) -> list:
-    """Every program the classify module passes to lp_solve."""
+    """Every program the classify module passes to lp_solve or _solve,
+    in the order it solves them."""
     programs = []
-    solve = ndsupport.classify.lp_solve
+    for name in ("lp_solve", "_solve"):
+        solve = getattr(ndsupport.classify, name)
 
-    def recorded(program):
-        programs.append(program)
-        return solve(program)
+        def recorded(program, solve=solve):
+            programs.append(program)
+            return solve(program)
 
-    monkeypatch.setattr(ndsupport.classify, "lp_solve", recorded)
+        monkeypatch.setattr(ndsupport.classify, name, recorded)
     return programs
 
 
@@ -560,9 +583,12 @@ class TestVertexPruning:
             for program, kind in zip(programs, kinds)
             if kind == "witness"
         ]
-        # Boundary points keep every other point as a row.
-        full = 1 + s.p + len(s) - 1
-        assert witness_rows == [full, full, full, full]
+        # Boundary points have the vertices as rows, the point itself
+        # left out: the three vertices y1, y2 and y3 keep the other two,
+        # y5 keeps all three.  Every optimum is provably unique, so no
+        # witness program falls back to the full rows.
+        simplex = 1 + s.p
+        assert witness_rows == [simplex + vertices - 1] * 3 + [simplex + vertices]
 
     def test_cross_check_programs_are_full_width(self, monkeypatch):
         # The standalone cross-check runs no vertex pass, and every

@@ -581,15 +581,17 @@ def test_two_calls_build_at_most_one_parser_tree(fig2d_file, monkeypatch, capsys
 
 
 def count_classify_solves(monkeypatch) -> list:
-    """Record every LP the classify module solves."""
+    """Record every LP the classify module solves, through lp_solve or
+    _solve."""
     calls = []
-    solve = ndsupport.classify.lp_solve
+    for name in ("lp_solve", "_solve"):
+        solve = getattr(ndsupport.classify, name)
 
-    def counted(*args, **kwargs):
-        calls.append("lp_solve")
-        return solve(*args, **kwargs)
+        def counted(*args, solve=solve, name=name, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(ndsupport.classify, "lp_solve", counted)
+        monkeypatch.setattr(ndsupport.classify, name, counted)
     return calls
 
 
@@ -598,7 +600,9 @@ class TestSolveCount:
     margin program for every non-dominated point, which gives its
     vertex, boundary and interior verdicts, then frontier and witness
     for each point on the boundary (an interior point is settled by its
-    margin)."""
+    margin).  The witness program is over V rows, and a fallback to the
+    full rows, when its optimum is not provably unique, is a fourth
+    solve."""
 
     def test_at_most_four_solves_per_nondominated_point(
         self, counterexample_file, fig2d_file, monkeypatch, capsys

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ndsupport.classify
 import ndsupport.ratlp
@@ -24,6 +24,8 @@ from ndsupport.ratlp import (
     OPTIMAL,
     UNBOUNDED,
     _certify,
+    _solve,
+    _unique_optimum,
     lp_solve,
     rational,
 )
@@ -576,16 +578,18 @@ def integer_row(values):
 def classify_corpus_programs(monkeypatch):
     """Every program classify_all, cross_check and decompose pass to
     lp_solve on seeded sets, p = 2..5, integer and rational, each with
-    its zero-objective lift.  Every one goes through classify's
-    lp_solve: decompose solves only the margin pass."""
+    its zero-objective lift.  Every one goes through classify's lp_solve
+    or _solve (the V-row witness programs): decompose solves only the
+    margin pass."""
     programs = []
-    solve = ndsupport.classify.lp_solve
+    for name in ("lp_solve", "_solve"):
+        solve = getattr(ndsupport.classify, name)
 
-    def recorded(program):
-        programs.append(program)
-        return solve(program)
+        def recorded(program, solve=solve):
+            programs.append(program)
+            return solve(program)
 
-    monkeypatch.setattr(ndsupport.classify, "lp_solve", recorded)
+        monkeypatch.setattr(ndsupport.classify, name, recorded)
     rng = random.Random(71)
     bases = []
     for p in (2, 3, 4, 5):
@@ -794,3 +798,78 @@ class TestDictionary:
         for _ in range(3000):
             lp_solve(random_program(programs))
         assert negative_pivots > 0
+
+
+class TestUniqueOptimum:
+    """``_solve`` hands back the final phase-two dictionary and reduced-cost
+    row, and ``_unique_optimum`` reads from them whether the optimum is
+    provably the only one."""
+
+    def test_a_unique_optimum_is_reported_unique(self):
+        # min x + 2y s.t. x + y >= 1: only (1, 0) attains 1.
+        out, tab, r = _solve(LinearProgram("min", (1, 2), (ge((1, 1), 1),)))
+        assert out == lp_solve(LinearProgram("min", (1, 2), (ge((1, 1), 1),)))
+        assert out.solution == (1, 0)
+        assert _unique_optimum(tab, r)
+
+    def test_two_optimal_vertices_are_not_reported_unique(self):
+        # min x + y s.t. x + y >= 1: (1, 0) and (0, 1) both attain 1.
+        out, tab, r = _solve(LinearProgram("min", (1, 1), (ge((1, 1), 1),)))
+        assert out.value == 1
+        assert not _unique_optimum(tab, r)
+
+    def test_barred_artificial_columns_are_left_out(self):
+        # The equality row needs an artificial, which phase two keeps as
+        # a barred column.  min x s.t. x + y = 1 has the single optimum
+        # (0, 1), although the artificial's reduced cost there is 0.
+        out, tab, r = _solve(LinearProgram("min", (1, 0), (eq((1, 1), 1),)))
+        assert out.solution == (0, 1)
+        assert [v for j, v in zip(tab.nonbasic, r) if j >= tab.base_cols] == [0]
+        assert _unique_optimum(tab, r)
+
+    def test_an_infeasible_program_has_no_final_state(self):
+        out, tab, r = _solve(LinearProgram("min", (1,), (ge((1,), 2), le((1,), 1))))
+        assert out.status == INFEASIBLE and tab is None and r is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_a_unique_optimum_does_not_depend_on_the_pivot_path(self, rng, data):
+        # Permuting the columns and the rows changes Bland's pivot path;
+        # a proven unique optimum must come back all the same.  A
+        # positive row bounds every program.  Maximizing that row, or an
+        # objective copied from another row or with zeros, makes ties
+        # between optimal vertices common.
+        program = random_program(rng)
+        positive = tuple(_random_fraction(rng, 1, 6) for _ in program.objective)
+        rows = program.constraints + (le(positive, 9),)
+        sense = program.sense
+        tie = data.draw(st.sampled_from(("none", "facet", "row", "zeros")))
+        if tie == "facet":
+            sense, objective = "max", positive
+        elif tie == "row":
+            objective = rng.choice(rows).coeffs
+        elif tie == "zeros":
+            objective = tuple(0 if rng.random() < 0.5 else v for v in program.objective)
+        else:
+            objective = program.objective
+        program = LinearProgram(sense, objective, rows)
+        out, tab, r = _solve(program)
+        if out.status != OPTIMAL or not _unique_optimum(tab, r):
+            return  # only a proven unique optimum is checked
+        cols = data.draw(st.permutations(range(program.num_vars)))
+        rows = data.draw(st.permutations(rows))
+        moved = lp_solve(
+            LinearProgram(
+                sense,
+                tuple(objective[j] for j in cols),
+                tuple(
+                    LinearConstraint(tuple(c.coeffs[j] for j in cols), c.relation, c.rhs)
+                    for c in rows
+                ),
+            )
+        )
+        back = [None] * program.num_vars
+        for k, j in enumerate(cols):
+            back[j] = moved.solution[k]
+        assert moved.value == out.value
+        assert tuple(back) == out.solution

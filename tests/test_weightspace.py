@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     COUNTEREXAMPLE_ROWS,
@@ -416,6 +418,70 @@ class TestLatticeGeometryPrograms:
             assert {v[k] for v in verdicts} == {False, True}
 
 
+def fraction_convex_hull_ccw(points):
+    """Reference hull: monotone chain on ``Fraction`` points, turns told
+    by the 2-D cross product."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return tuple(pts)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for q in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
+            lower.pop()
+        lower.append(q)
+    upper = []
+    for q in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
+            upper.pop()
+        upper.append(q)
+    return tuple(lower[:-1] + upper[:-1])
+
+
+# A polygon's vertices: a few anchors, then points on the lines through
+# pairs of them, so collinear and repeated points are common.
+_HULL_COORD = st.integers(-12, 12)
+_HULL_INPUTS = st.tuples(
+    st.lists(st.tuples(_HULL_COORD, _HULL_COORD, st.integers(1, 6)), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 4), st.integers(1, 4)),
+        max_size=6,
+    ),
+)
+
+
+class TestIntegerHull:
+    @given(_HULL_INPUTS)
+    def test_equals_the_fraction_hull(self, inputs):
+        anchors, extras = inputs
+        points = [(F(x, w), F(y, w)) for x, y, w in anchors]
+        for i, j, k, w in extras:
+            # k / w of the way from anchor i to anchor j.
+            a, b = points[i % len(points)], points[j % len(points)]
+            t = F(k, w)
+            points.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        # Over the lcm of its denominators a point is the reduced triple
+        # the clip hands the hull: w > 0 and no common factor.
+        triples = []
+        for x, y in points:
+            w = math.lcm(x.denominator, y.denominator)
+            triples.append((int(x * w), int(y * w), w))
+        assert _convex_hull_ccw(triples) == fraction_convex_hull_ccw(points)
+
+    def test_degenerate_inputs(self):
+        # A single point (repeated), a segment with collinear points
+        # inside it, and a triangle with a repeated corner and a point
+        # inside it.
+        assert _convex_hull_ccw([(1, 2, 3), (1, 2, 3)]) == ((F(1, 3), F(2, 3)),)
+        segment = [(0, 0, 1), (1, 1, 2), (1, 1, 1), (1, 1, 3)]
+        assert _convex_hull_ccw(segment) == ((F(0), F(0)), (F(1), F(1)))
+        triangle = [(0, 1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 1), (1, 1, 4)]
+        assert _convex_hull_ccw(triangle) == ((0, 0), (1, 0), (0, 1))
+
+
 def pairwise_projected_vertices(hrep):
     """Reference p = 3 polygon: intersect every pair of projected
     boundary lines a*l1 + b*l2 >= c, keep the intersections that satisfy
@@ -436,7 +502,7 @@ def pairwise_projected_vertices(hrep):
         q = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
         if all(a * q[0] + b * q[1] >= c for a, b, c in ineqs):
             candidates.append(q)
-    return _convex_hull_ccw(candidates)
+    return fraction_convex_hull_ccw(candidates)
 
 
 def reference_fraction_clip(hrep):
@@ -460,7 +526,7 @@ def reference_fraction_clip(hrep):
                 t = sq / (sq - sr)
                 clipped.append((q[0] + t * (r[0] - q[0]), q[1] + t * (r[1] - q[1])))
         polygon = clipped
-    return _convex_hull_ccw(polygon)
+    return fraction_convex_hull_ccw(polygon)
 
 
 def clip_corpus_sets(rng):
