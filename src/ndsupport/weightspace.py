@@ -12,18 +12,24 @@ the cell is also projected to the first two weight coordinates and its
 polygon vertices are enumerated exactly.
 
 The polygon is the projected simplex triangle clipped by one
-half-plane at a time (Sutherland & Hodgman 1974), then normalized by
-an exact 2-D convex hull.  The clip runs in ints: it reads the int
-rows as they stand, and each vertex is a homogeneous triple (X, Y, W)
-for (X/W, Y/W), with W > 0 and no common factor.  A clip keeps the
-vertices with side value >= 0 and adds the crossing of every edge
-whose ends lie strictly on opposite sides; a row that holds on the
-whole polygon is skipped.  The hull takes the triples too and tells
-turns by 3 x 3 determinants; vertices become ``Fraction``s only for its
-sort and its output.  That is robust against redundant half-spaces
-(which are retained, not minimized) and returns degenerate cells -
-segments or single points, the signature of weakly-supported-only
-points - rather than dropping them.
+half-plane at a time (Sutherland & Hodgman 1974), in ints: the clip
+reads the int rows as they stand, and each vertex is a homogeneous
+triple (X, Y, W) for (X/W, Y/W), with W > 0 and no common factor, so
+equal points are equal triples.  A clip keeps the vertices with side
+value >= 0 in ring order and puts the crossing of every edge whose
+ends lie strictly on opposite sides between those ends; a row that
+holds on the whole ring is skipped.  The ring it leaves is the cell's
+boundary, counter-clockwise with no repeated vertex and no three
+collinear: it starts as the counter-clockwise triangle, a strict
+crossing lies inside its edge and so is a new point, and the kept
+points on the clip line are one point or one edge, since a line meets
+a convex polygon's boundary in one point or one segment.  The one
+repeat is a segment the line crosses strictly: its two edges u -> v
+and v -> u cross at the same point, which is added once.  The ring is
+returned from its lexicographically smallest vertex.  That is robust
+against redundant half-spaces (which are retained, not minimized) and
+returns degenerate cells - segments or single points, the signature of
+weakly-supported-only points - rather than dropping them.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class WeightCell:
     with column t last, plus projected vertices for p = 3.
 
     Projected vertices live in (l1, l2) with l3 = 1 - l1 - l2 and are
-    listed counter-clockwise without repetition.  They are present
+    listed counter-clockwise without repetition, from the
+    lexicographically smallest.  They are present
     exactly when p = 3.  The rows may contain redundant half-spaces;
     ``hrep`` is their ``Fraction`` view, built on each access.
     """
@@ -74,41 +81,10 @@ class WeightCell:
         )
 
 
-def _convex_hull_ccw(triples) -> tuple[Point2, ...]:
-    """Exact monotone-chain hull of reduced int triples (X, Y, W), W > 0,
-    each the point (X/W, Y/W): counter-clockwise, starting at the
-    lexicographically smallest vertex.  Collinear interior points are
-    dropped; degenerate inputs yield a segment or a single point.
-
-    A reduced triple with W > 0 is the only one for its point, so
-    duplicates are equal triples.  The points are ``Fraction``s only for
-    the sort and the output: ``cross`` is the 3 x 3 determinant of three
-    triples, W_o * W_a * W_b > 0 times the 2-D cross product of their
-    points, so it has the same sign."""
-    pts = sorted((Fraction(x, w), Fraction(y, w), (x, y, w)) for x, y, w in set(triples))
-    if len(pts) <= 2:
-        return tuple((x, y) for x, y, _ in pts)
-
-    def cross(o, a, b):
-        (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o[2], a[2], b[2]
-        return ox * (ay * bw - aw * by) - oy * (ax * bw - aw * bx) + ow * (ax * by - ay * bx)
-
-    lower = []
-    for q in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return tuple((x, y) for x, y, _ in lower[:-1] + upper[:-1])
-
-
 def _projected_vertices(rows) -> tuple[Point2, ...]:
-    """Vertices of a nonempty p = 3 cell in (l1, l2), in hull order, from
-    its program's int rows (column t is not read)."""
+    """Vertices of a p = 3 cell in (l1, l2) from its program's int rows
+    (column t is not read): the clipped ring, counter-clockwise from its
+    lexicographically smallest vertex, or () for an empty cell."""
     polygon = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
     for con in rows:
         if con.relation == EQUAL:
@@ -125,9 +101,15 @@ def _projected_vertices(rows) -> tuple[Point2, ...]:
             if sq * sr < 0:
                 x, y, w = (sq * rv - sr * qv for qv, rv in zip(q, r))
                 g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
-                clipped.append((x // g, y // g, w // g))
+                crossing = (x // g, y // g, w // g)
+                if crossing not in clipped:  # a segment's two edges cross at one point
+                    clipped.append(crossing)
         polygon = clipped
-    return _convex_hull_ccw(polygon)
+    if not polygon:
+        return ()
+    ring = [(Fraction(x, w), Fraction(y, w)) for x, y, w in polygon]
+    k = ring.index(min(ring))
+    return tuple(ring[k:] + ring[:k])
 
 
 def _cell(y: OutcomePoint, yn: OutcomeSet, margin) -> WeightCell:

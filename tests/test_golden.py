@@ -1,10 +1,13 @@
 """Output bytes at scale: sha256 of what ``classify``, ``check`` and
-``wsd`` print on seven seeded instances, recorded before the simplex
+``wsd`` print on eight seeded instances, recorded before the simplex
 kernel kept only its nonbasic columns; the rational p = 3 instance,
 whose cells are clipped by rows with mixed denominators, was recorded
 before the p = 3 clip moved to integer homogeneous vertices, and the
 rational p = 2 instance, whose cell intervals and interval bar have
-denominators above 1, before the cells kept their program's int rows.  A second table pins
+denominators above 1, before the cells kept their program's int rows.
+The lifted near-collinear p = 2 instance, whose 39 cells are 21 single
+points, 15 segments and 3 polygons, was recorded before the p = 3
+clip's ring stopped being rebuilt by a convex hull.  A second table pins
 the outputs the first does not read - the classify and check tables,
 the classify figure and the dichotomic document and table - recorded
 before stdout and figure writes reported their own failures.
@@ -44,6 +47,12 @@ def _instance(name, tmp_path, capsys):
     elif name == "assignment-7-3-lifted":
         spec = tmp_path / "assignment.json"
         assert main(["gen", "assignment", "7", "3", "--out", str(spec)]) == 0
+        assert main(["lift", str(spec), "--out", str(path)]) == 0
+    elif name == "collinear-40-2-lifted":
+        rng = random.Random(1)
+        xs = rng.sample(range(121), 40)
+        spec = tmp_path / "collinear.json"
+        _points_file(spec, [[x, 120 - x + rng.randint(0, 1)] for x in xs], 2)
         assert main(["lift", str(spec), "--out", str(path)]) == 0
     elif name == "anticorr-60-3":
         _points_file(path, anticorr_rows(1, 60, 3), 3)
@@ -94,6 +103,12 @@ GOLDEN = {
         "1e1b740f47480217bfd85b019dc116991256bfa5c0955ccab71dc33803517c49",
         "c6badc5574d51ec6d94f824d6718320402fc4bcc1e88c90a86edc751d264ed0d",
         "0f98455f49ba9ea8ee6848e37375587f5aaba6c2d034674d8d65a04a540ed668",
+    ],
+    "collinear-40-2-lifted": [
+        "e24bee2fa62d44177f72c10e70dee89cd71179032f4c1fceffe298cbde4b9f86",
+        "7cde3bddf996401723688b962dff5d6019aa1290c3e4a1ea3d9c8f6de3446d6e",
+        "ee2026959973c4153615af570ea595bf38c8067dfd271c8cf6342a7881c78f22",
+        "3571c6c9ff1d5b96ca3af48ce02a00a070a3e3612f76e97f3de27ad3d7131afd",
     ],
     "anticorr-60-3": [
         "619786e4234fcd047191c3ef96f1e3545016c7d0248d2911f6248308237ab73b",

@@ -1,10 +1,8 @@
 import itertools
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import (
     COUNTEREXAMPLE_ROWS,
@@ -39,7 +37,6 @@ from ndsupport.ratlp import (
 )
 from ndsupport.weightspace import (
     WeightCell,
-    _convex_hull_ccw,
     _projected_vertices,
     cell_interval,
     cell_membership,
@@ -156,11 +153,18 @@ class TestVertexSoundness:
 
     def test_vertices_listed_ccw_without_repetition(self):
         rng = random.Random(53)
-        for _ in range(8):
-            s = validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 15))
+        sets = [
+            validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 15))
+            for _ in range(8)
+        ]
+        sets += clip_corpus_sets(random.Random(79))
+        kinds = set()
+        for s in sets:
             for cell in decompose(s):
                 verts = cell.projected_vertices
                 assert len(set(verts)) == len(verts)
+                assert verts[0] == min(verts)
+                kinds.add(min(len(verts), 3))
                 if len(verts) >= 3:
                     # positive cross product at every corner = strictly convex CCW
                     m = len(verts)
@@ -170,6 +174,17 @@ class TestVertexSoundness:
                             b[0] - o[0]
                         )
                         assert cross > 0
+        # single-point, segment and polygon cells all occur
+        assert kinds == {1, 2, 3}
+
+    def test_segment_crossed_strictly_lists_its_crossing_once(self):
+        # y3's ring is the segment (0, 0) - (1/4, 1/4) before its last
+        # clip, whose line crosses it strictly: both of the segment's
+        # edges cross at the same point.
+        s = validate_instance([[1, 2, 1], [3, 0, 1], [2, 1, 1], [1, 0, 2]])
+        cells = {cell.point_id: cell for cell in decompose(s)}
+        assert cells["y3"].projected_vertices == ((F(0), F(0)), (F(1, 4), F(1, 4)))
+        assert not cells["y3"].is_full_dimensional
 
     def test_full_dimensional_iff_extreme_supported(self):
         rng = random.Random(59)
@@ -439,47 +454,6 @@ def fraction_convex_hull_ccw(points):
             upper.pop()
         upper.append(q)
     return tuple(lower[:-1] + upper[:-1])
-
-
-# A polygon's vertices: a few anchors, then points on the lines through
-# pairs of them, so collinear and repeated points are common.
-_HULL_COORD = st.integers(-12, 12)
-_HULL_INPUTS = st.tuples(
-    st.lists(st.tuples(_HULL_COORD, _HULL_COORD, st.integers(1, 6)), min_size=1, max_size=4),
-    st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 4), st.integers(1, 4)),
-        max_size=6,
-    ),
-)
-
-
-class TestIntegerHull:
-    @given(_HULL_INPUTS)
-    def test_equals_the_fraction_hull(self, inputs):
-        anchors, extras = inputs
-        points = [(F(x, w), F(y, w)) for x, y, w in anchors]
-        for i, j, k, w in extras:
-            # k / w of the way from anchor i to anchor j.
-            a, b = points[i % len(points)], points[j % len(points)]
-            t = F(k, w)
-            points.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-        # Over the lcm of its denominators a point is the reduced triple
-        # the clip hands the hull: w > 0 and no common factor.
-        triples = []
-        for x, y in points:
-            w = math.lcm(x.denominator, y.denominator)
-            triples.append((int(x * w), int(y * w), w))
-        assert _convex_hull_ccw(triples) == fraction_convex_hull_ccw(points)
-
-    def test_degenerate_inputs(self):
-        # A single point (repeated), a segment with collinear points
-        # inside it, and a triangle with a repeated corner and a point
-        # inside it.
-        assert _convex_hull_ccw([(1, 2, 3), (1, 2, 3)]) == ((F(1, 3), F(2, 3)),)
-        segment = [(0, 0, 1), (1, 1, 2), (1, 1, 1), (1, 1, 3)]
-        assert _convex_hull_ccw(segment) == ((F(0), F(0)), (F(1), F(1)))
-        triangle = [(0, 1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 1), (1, 1, 4)]
-        assert _convex_hull_ccw(triangle) == ((0, 0), (1, 0), (0, 1))
 
 
 def pairwise_projected_vertices(hrep):
