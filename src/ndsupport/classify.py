@@ -16,26 +16,28 @@ labelling it, so a caller that needs both the labels and the verdicts
 solves every program once; ``cross_check`` computes the same rows
 without labelling and without raising, with every program full width.
 
-``classify_all`` first solves one margin program per point, in input
-order (``_margin_pass``): maximize eps such that a convex combination
-of the other points sits at or below y - eps.  It is infeasible exactly
-when y is a vertex of the upper image; otherwise eps is 0 on the
-boundary and > 0 in the interior.  Its columns always contain the
-vertex set V, and conv(Y_N) + R^p_+ = conv(V) + R^p_+, so margins and
-frontier values over V columns are the full-width ones.  A margin
-eps > 0 settles the point with no further program (``_point_check``
-says why).  A boundary point gets the frontier program over V and its
-witness program over V rows.  Every point of Y_N lies in conv(V) +
-R^p_+, so for lambda >= 0 the V rows imply the other cut rows: both
-programs have the same feasible (lambda, t) and the same objective.
-The V-row result is kept only when the final reduced costs prove its
-optimum unique, since the full-row program then ends at the same one;
-otherwise Bland's rule over fewer rows may pick a different optimal
-weight, which would be printed, so the full-row program is solved
-instead (``_vertex_row_witness``).  ``cross_check`` keeps all three
-full-width programs for every point.  A supported point is extreme
-exactly when it is a vertex, and a vertex off the frontier is a
-consistency failure.
+``classify_all`` first finds every point's margin (``_margin_pass``):
+maximize eps such that a convex combination of other points sits at or
+below y - eps.  Over all the other points it is infeasible exactly when
+y is a vertex of the upper image; otherwise eps is 0 on the boundary
+and > 0 in the interior.  The pass solves each point over a candidate
+frame that grows to contain the vertex set V, visiting points by row
+sum, and keeps every None and 0 exact; a positive margin may be a
+lower bound, which decides the same verdict.  conv(Y_N) + R^p_+ =
+conv(V) + R^p_+, so frontier values over V columns are the full-width
+ones.  A margin eps > 0 settles the point with no further program
+(``_point_check`` says why).  A boundary point gets the frontier
+program over V and its witness program over V rows.  Every point of
+Y_N lies in conv(V) + R^p_+, so for lambda >= 0 the V rows imply the
+other cut rows: both programs have the same feasible (lambda, t) and
+the same objective.  The V-row result is kept only when the final
+reduced costs prove its optimum unique, since the full-row program
+then ends at the same one; otherwise Bland's rule over fewer rows may
+pick a different optimal weight, which would be printed, so the
+full-row program is solved instead (``_vertex_row_witness``).
+``cross_check`` keeps all three full-width programs for every point.
+A supported point is extreme exactly when it is a vertex, and a vertex
+off the frontier is a consistency failure.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -57,7 +59,8 @@ coordinates, never the lattice.
 
 All functions are pure.  Once the margin pass has fixed V, the
 per-point tests are independent of each other and safe to evaluate
-concurrently; the margin pass itself runs in input order.
+concurrently; the margin pass itself is sequential, since each program
+reads the frame the earlier ones built.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import ConsistencyError, ValidationError
@@ -81,6 +85,7 @@ from .ratlp import (
     UNBOUNDED,
     LpOutcome,
     _dot,
+    _scale,
     _solve,
     _unique_optimum,
     lp_solve,
@@ -269,10 +274,13 @@ def _witness(
 
 def _check_weight_certificate(lam: WeightVector, y: OutcomePoint, yn: OutcomeSet) -> None:
     """Certificates are checked, never trusted: the witness must make y
-    a weighted-sum minimizer over the whole set, exactly."""
-    score = lam.dot(y.coords)
-    for other in yn:
-        if lam.dot(other.coords) < score:
+    a weighted-sum minimizer over the whole set, exactly.  lam is scaled
+    once to ints and dotted with the lattice rows; both scales are > 0,
+    so every comparison is the exact one."""
+    _, weights = _scale(lam.values)
+    score = sum(map(mul, weights, yn.lattice_by_id[y.id]))
+    for other, row in zip(yn, yn.lattice):
+        if sum(map(mul, weights, row)) < score:
             raise ConsistencyError(
                 f"witness {tuple(lam)} fails its certificate: "
                 f"{other.id} scores below {y.id}"
@@ -370,23 +378,54 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
 
 
 def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
-    """Each point's margin over the other columns, in input order: None
-    for a vertex of the upper image, else its boundary margin.
+    """Each point's margin, in yn's order: None exactly for a vertex of
+    the upper image, 0 exactly for a boundary point that is no vertex,
+    and for an interior point a positive lower bound on its full-width
+    margin.
 
-    The columns start as yn's rows and only ever lose non-vertices, so
-    they always contain V.  A non-vertex lies in conv(V) + R^p_+, so its
-    margin over the columns equals its margin over all of yn, while a
-    vertex stays infeasible over any subset of the other points.  The
-    order therefore affects only the program sizes.
+    A candidate frame C (Dula & Helgason 1996, Clarkson 1994) replaces
+    the full columns.  Points are visited by lattice row sum, ties in
+    yn's order, and each is solved over C; the first visited point,
+    with C empty, has no convex combination to meet and joins C with no
+    program, and so does every later point infeasible over C.  A point
+    feasible over C lies in conv(C) + R^p_+, inside the upper image, so
+    it is no vertex and C is unchanged.  A vertex is infeasible over
+    any set of other points, so it joins C, and C is never pruned while
+    points are visited: after the last visit V is a subset of C, and
+    conv(C) + R^p_+ = conv(V) + R^p_+ is the upper image.
+
+    Each member of C is then solved over the rest of C and dropped as
+    soon as that program is feasible; the rest of C still contains V,
+    so its margin is the full-width one.  The member that joined last
+    is skipped: it was infeasible over every earlier member.  What stays
+    is V, in join order.  A visit margin over C is a margin over a
+    subset of yn, a lower bound on the full-width one: a positive one
+    is final, and a zero found before C last grew is solved again over
+    V.  After C last grew, C already gives the upper image, so later
+    visit margins are exact.
     """
-    cols = list(yn.lattice)
-    margins = []
-    for row in yn.lattice:
-        # Lattice rows are distinct, so only the point's own row equals it.
-        margin = _margin(row, [col for col in cols if col != row])
+    lattice = yn.lattice
+    margins: list[Optional[Fraction]] = [None] * len(lattice)
+    frame: list[int] = []
+    zeros = []
+    for i in sorted(range(len(lattice)), key=lambda i: sum(lattice[i])):
+        margin = _margin(lattice[i], [lattice[c] for c in frame]) if frame else None
+        if margin is None:
+            frame.append(i)
+        else:
+            margins[i] = margin
+            if not margin:
+                zeros.append((i, len(frame)))
+    grown = len(frame)
+    for j in frame[:-1]:
+        margin = _margin(lattice[j], [lattice[c] for c in frame if c != j])
         if margin is not None:
-            cols.remove(row)
-        margins.append(margin)
+            frame.remove(j)
+            margins[j] = margin
+    vertex_rows = [lattice[c] for c in frame]
+    for i, size in zeros:
+        if size < grown:
+            margins[i] = _margin(lattice[i], vertex_rows)
     return margins
 
 
@@ -432,7 +471,8 @@ def _point_check(
 
     With vertices, V's points in yn's order (set by classify_all only),
     a point with a certified margin eps > 0 gets no further program: a
-    point of conv(V) sits at or below y - eps in every coordinate, so y
+    point of conv(Y_N) sits at or below y - eps in every coordinate (a
+    margin over the frame's subset of Y_N is at most the full one), so y
     is off the frontier, and every weight in the simplex scores that
     point strictly below y, so y is unsupported.  A boundary point's
     witness program is solved over V rows and kept only when its

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import validate_instance
 from ndsupport.ratlp import (
     EQUAL,
@@ -87,6 +88,39 @@ def random_rational_rows(rng, n, p):
         [F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 12))) for _ in range(p)]
         for _ in range(n)
     ]
+
+
+def clip_corpus_sets(rng):
+    """p = 3 sets whose cells are empty, single points, segments and
+    polygons.  Points on a common plane (p = 3) or line (lifted p = 2)
+    get single-point and segment cells; points just above it get empty
+    or single-point ones."""
+    sets = [validate_instance(COUNTEREXAMPLE_ROWS), validate_instance([[5, 5, 5]])]
+    for _ in range(8):
+        sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
+        sets.append(
+            validate_instance(
+                [
+                    [x, y, 12 - x - y + rng.randint(0, 2)]
+                    for x, y in random_rows(rng, rng.randint(4, 12), 2, 0, 6)
+                ]
+            )
+        )
+        xs = rng.sample(range(13), rng.randint(3, 10))
+        sets.append(
+            lift_zero_objective(
+                validate_instance([[x, 12 - x + rng.randint(0, 1)] for x in xs])
+            )
+        )
+        sets.append(
+            validate_instance(
+                [
+                    [F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(3)]
+                    for _ in range(rng.randint(3, 10))
+                ]
+            )
+        )
+    return sets
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ndsupport.classify
 import ndsupport.weightspace
 from conftest import (
+    clip_corpus_sets,
     hull_labels_2d,
     random_rational_rows,
     random_rows,
@@ -18,6 +20,7 @@ from ndsupport.classify import (
     WeightVector,
     _check_weight_certificate,
     _margin,
+    _margin_pass,
     _point_check,
     barycenter,
     classify_all,
@@ -555,6 +558,34 @@ def program_kind(program):
 PRUNING_ROWS = [[2, 9], [3, 6], [8, 3], [6, 5], [4, "27/5"]]
 
 
+def margin_schedule(s, programs):
+    """(point id, column count) of each margin program, eps left out."""
+    yn = nondom(s)
+    by_row = {row: y.id for y, row in zip(yn, yn.lattice)}
+    return [
+        (by_row[tuple(con.rhs for con in p.constraints[1:])], p.num_vars - 1)
+        for p in programs
+    ]
+
+
+# The frame pass visits PRUNING_ROWS by lattice row sum (45, 47, 55, 55,
+# 55 at S = 5) as y2, y5, y1, y3, y4.  y2 joins the empty frame with no
+# program; y5, y1 and y3 are infeasible over the frame and join it; y4
+# is feasible with a positive margin.  Then each member but y3, the last
+# to join, is solved over the rest: y2 stays, y5 (margin 0) is dropped,
+# and y1 stays.  y5's zero came after the frame last grew, so nothing
+# is solved again.
+FRAME_SCHEDULE = [
+    ("y5", 1),
+    ("y1", 2),
+    ("y3", 3),
+    ("y4", 4),
+    ("y2", 3),
+    ("y5", 3),
+    ("y1", 2),
+]
+
+
 class TestVertexPruning:
     def test_programs_after_the_vertex_pass_use_vertex_columns_and_rows(
         self, monkeypatch
@@ -566,15 +597,12 @@ class TestVertexPruning:
         assert report["y4"].label == Label.UNSUPPORTED
         assert report["y5"].label == Label.SUPPORTED
         kinds = [program_kind(program) for program in programs]
-        # One margin program per point and no vertex program.  The margin
-        # proves y4 interior, which settles it: only the four boundary
-        # points get a frontier and a witness program.
+        # Seven margin programs and no vertex program.  The margin proves
+        # y4 interior, which settles it: only the four boundary points
+        # get a frontier and a witness program.
         per_point = ["frontier", "witness"]
-        assert kinds == ["boundary"] * len(s) + per_point * (len(s) - 1)
-        # Each margin program has the columns the pass still keeps, minus
-        # the point itself, plus eps.  y4 leaves them once its margin
-        # proves it is no vertex, so y5's program is one column narrower.
-        assert [program.num_vars for program in programs[: len(s)]] == [5, 5, 5, 5, 4]
+        assert kinds == ["boundary"] * 7 + per_point * (len(s) - 1)
+        assert margin_schedule(s, programs[:7]) == FRAME_SCHEDULE
         for program, kind in zip(programs, kinds):
             if kind == "frontier":
                 assert program.num_vars == vertices
@@ -609,14 +637,14 @@ class TestVertexPruning:
 
     def test_decompose_solves_only_the_margin_pass(self, monkeypatch):
         # wsd takes every cell verdict from the margin pass classify
-        # runs: one margin program per point over the shrinking columns,
-        # and no witness program; the cells keep its rows unsolved.
+        # runs, over the candidate frame, and solves no witness program;
+        # the cells keep its rows unsolved.
         assert not hasattr(ndsupport.weightspace, "lp_solve")
         s = validate_instance(PRUNING_ROWS)
         programs = record_programs(monkeypatch)
         cells = decompose(s)
-        assert [program_kind(program) for program in programs] == ["boundary"] * len(s)
-        assert [program.num_vars for program in programs] == [5, 5, 5, 5, 4]
+        assert [program_kind(program) for program in programs] == ["boundary"] * 7
+        assert margin_schedule(s, programs) == FRAME_SCHEDULE
         # y4 is interior, so it has no cell; y5 is on the boundary but no
         # vertex, so its cell is a single weight.
         assert [(c.point_id, c.is_full_dimensional) for c in cells] == [
@@ -625,3 +653,145 @@ class TestVertexPruning:
             ("y3", True),
             ("y5", False),
         ]
+
+
+def shrinking_margin_pass(yn):
+    """The margin pass the frame pass replaced, kept as the reference:
+    each point in input order over the other columns, which start as all
+    of yn's rows and lose each non-vertex once its margin is known, so
+    they always contain V and every margin is the full-width one."""
+    cols = list(yn.lattice)
+    margins = []
+    for row in yn.lattice:
+        margin = _margin(row, [col for col in cols if col != row])
+        if margin is not None:
+            cols.remove(row)
+        margins.append(margin)
+    return margins
+
+
+def assert_frame_contract(yn):
+    """The frame pass's margins against the full-width ones: None and 0
+    exactly where they are None and 0, and a positive lower bound on a
+    positive one."""
+    margins = _margin_pass(yn)
+    for margin, exact in zip(margins, shrinking_margin_pass(yn), strict=True):
+        if not exact:
+            assert margin == exact, yn.coord_rows()
+        else:
+            assert 0 < margin <= exact, yn.coord_rows()
+    return margins
+
+
+def on_plane(p, total):
+    """Distinct int rows of p nonnegative coordinates summing to total."""
+    head = st.lists(st.integers(0, total), min_size=p - 1, max_size=p - 1)
+    return head.filter(lambda h: sum(h) <= total).map(lambda h: h + [total - sum(h)])
+
+
+# At visit time y4 = (0, 8, 8) lies on the segment between y2 and y3
+# with every candidate's first coordinate >= 0, so its margin over the
+# frame is 0.  y5, visited last (a row-sum tie after y4), joins the
+# frame, and a convex combination of y1 and y5 sits strictly below y4:
+# its full-width margin is positive.
+STALE_ZERO_ROWS = [[10, 2, 2], [0, 4, 12], [0, 12, 4], [0, 8, 8], [-2, 9, 9]]
+
+
+class TestFramePass:
+    def test_verdicts_equal_the_shrinking_pass(self):
+        sets = differential_corpus() + clip_corpus_sets(random.Random(79))
+        verdicts = set()
+        for s in sets:
+            margins = assert_frame_contract(nondom(s))
+            verdicts.update(None if m is None else bool(m) for m in margins)
+        assert verdicts == {None, False, True}
+
+    def test_the_first_visited_point_is_solved_without_a_program(self, monkeypatch):
+        # The first program is the second visited point's, over the one
+        # column of the first: the first visited point joins the empty
+        # frame with no program.
+        for s in differential_corpus() + [validate_instance([[4, 5, 6]])]:
+            yn = nondom(s)
+            programs = record_programs(monkeypatch)
+            margins = _margin_pass(yn)
+            monkeypatch.undo()
+            visit = sorted(yn.lattice, key=sum)
+            if len(yn) == 1:
+                assert programs == [] and margins == [None]
+                continue
+            first = programs[0].constraints[1:]
+            assert tuple(con.rhs for con in first) == visit[1]
+            assert [con.coeffs[:-1] for con in first] == [(v,) for v in visit[0]]
+
+    def test_a_zero_found_before_the_frame_last_grew_is_solved_again(
+        self, monkeypatch
+    ):
+        s = validate_instance(STALE_ZERO_ROWS)
+        programs = record_programs(monkeypatch)
+        _margin_pass(nondom(s))
+        monkeypatch.undo()
+        margins = assert_frame_contract(nondom(s))
+        assert [m is None for m in margins] == [True, True, True, False, True]
+        assert margins[3] > 0
+        # Visits y2..y5; then each frame member but y5, the last to join;
+        # then y4 again over V = y1, y2, y3, y5.
+        assert margin_schedule(s, programs) == [
+            ("y2", 1),
+            ("y3", 2),
+            ("y4", 3),
+            ("y5", 3),
+            ("y1", 3),
+            ("y2", 3),
+            ("y3", 3),
+            ("y4", 4),
+        ]
+        report = {c.point_id: c.label for c in classify_all(s)}
+        assert report["y4"] == Label.UNSUPPORTED
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)))
+    def test_row_sum_ties_with_a_first_visited_non_vertex(self, data, p):
+        # Every row has sum 12, so the pass visits in input order, and the
+        # first row is the midpoint of two others: no vertex, margin 0.
+        rows = data.draw(
+            st.lists(on_plane(p, 12), min_size=2, max_size=7, unique_by=tuple)
+        )
+        a, b = data.draw(st.permutations(rows))[:2]
+        mid = [F(u + v, 2) for u, v in zip(a, b)]
+        assume(mid not in rows)
+        # Rows of larger sum come later, and no row of sum 12 is above them.
+        above = st.lists(st.integers(0, 12), min_size=p, max_size=p)
+        extra = data.draw(st.lists(above.filter(lambda r: sum(r) > 12), max_size=4))
+        yn = nondom(validate_instance([mid] + rows + extra))
+        assert yn.points[0].coords == tuple(mid)
+        margins = assert_frame_contract(yn)
+        assert margins[0] == 0
+
+    @given(st.lists(st.integers(-50, 50), min_size=2, max_size=5))
+    def test_a_single_point_is_a_vertex(self, row):
+        assert _margin_pass(nondom(validate_instance([row]))) == [None]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_point_of_a_convex_curve_is_a_vertex(self, data):
+        # Steps dx_k > 0 with strictly decreasing slopes -s_k: a strictly
+        # convex decreasing chain, every point a vertex, in any order.
+        n = data.draw(st.integers(1, 8))
+        steps = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        slopes = data.draw(
+            st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)
+        )
+        rows = [[0, sum(dx * sl for dx, sl in zip(steps, slopes))]]
+        for dx, sl in zip(steps, sorted(slopes, reverse=True)):
+            rows.append([rows[-1][0] + dx, rows[-1][1] - dx * sl])
+        yn = nondom(validate_instance(data.draw(st.permutations(rows))))
+        assert assert_frame_contract(yn) == [None] * (n + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True),
+        st.data(),
+    )
+    def test_lifted_near_collinear_sets(self, xs, data):
+        rows = [[x, 30 - x + data.draw(st.integers(0, 1))] for x in xs]
+        assert_frame_contract(nondom(lift_zero_objective(validate_instance(rows))))

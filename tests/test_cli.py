@@ -596,13 +596,16 @@ def count_classify_solves(monkeypatch) -> list:
 
 
 class TestSolveCount:
-    """Each per-point program is solved once per classify run: one
-    margin program for every non-dominated point, which gives its
-    vertex, boundary and interior verdicts, then frontier and witness
-    for each point on the boundary (an interior point is settled by its
-    margin).  The witness program is over V rows, and a fallback to the
-    full rows, when its optimum is not provably unique, is a fourth
-    solve."""
+    """Each per-point program is solved at most once per classify run,
+    except the margin, which the frame pass may solve twice: a visit
+    over the candidate frame, then either a re-solve over the rest of
+    the frame (a frame member) or a recompute over V (a zero found
+    before the frame last grew); the first visited point needs no
+    visit.  The margin gives the vertex, boundary and interior
+    verdicts; then frontier and witness follow for each point on the
+    boundary (an interior point is settled by its margin).  The witness
+    program is over V rows, and a fallback to the full rows, when its
+    optimum is not provably unique, is one more solve."""
 
     def test_at_most_four_solves_per_nondominated_point(
         self, counterexample_file, fig2d_file, monkeypatch, capsys

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     COUNTEREXAMPLE_ROWS,
     anticorr_rows,
+    clip_corpus_sets,
     random_rational_rows,
     random_rows,
     reference_below_program,
@@ -417,14 +418,16 @@ class TestLatticeGeometryPrograms:
                         ref_vertex,
                     )
                     verdicts.add(got)
-                    # The margin pass, over its shrinking columns, finds
-                    # every vertex and every full-width margin.
+                    # The margin pass, over its candidate frame, finds
+                    # every vertex and every zero margin, and bounds each
+                    # positive full-width margin from below.
                     if pts is vertices:
                         continue
-                    if ref_vertex:
-                        assert margin is None
-                    else:
-                        assert margin == yn.scale * ref_boundary.value
+                    assert (margin is None) == ref_vertex
+                    if not ref_vertex:
+                        assert (margin == 0) == (ref_boundary.value == 0)
+                        if margin:
+                            assert 0 < margin <= yn.scale * ref_boundary.value
         # Denominators and negative coordinates (``<=`` rows with a
         # negative rhs, so artificials) occur, and every verdict takes
         # both values.
@@ -501,39 +504,6 @@ def reference_fraction_clip(hrep):
                 clipped.append((q[0] + t * (r[0] - q[0]), q[1] + t * (r[1] - q[1])))
         polygon = clipped
     return fraction_convex_hull_ccw(polygon)
-
-
-def clip_corpus_sets(rng):
-    """p = 3 sets whose cells are empty, single points, segments and
-    polygons.  Points on a common plane (p = 3) or line (lifted p = 2)
-    get single-point and segment cells; points just above it get empty
-    or single-point ones."""
-    sets = [validate_instance(COUNTEREXAMPLE_ROWS), validate_instance([[5, 5, 5]])]
-    for _ in range(8):
-        sets.append(validate_instance(random_rows(rng, rng.randint(3, 10), 3, 0, 6)))
-        sets.append(
-            validate_instance(
-                [
-                    [x, y, 12 - x - y + rng.randint(0, 2)]
-                    for x, y in random_rows(rng, rng.randint(4, 12), 2, 0, 6)
-                ]
-            )
-        )
-        xs = rng.sample(range(13), rng.randint(3, 10))
-        sets.append(
-            lift_zero_objective(
-                validate_instance([[x, 12 - x + rng.randint(0, 1)] for x in xs])
-            )
-        )
-        sets.append(
-            validate_instance(
-                [
-                    [F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(3)]
-                    for _ in range(rng.randint(3, 10))
-                ]
-            )
-        )
-    return sets
 
 
 def weight_cells(sets):
