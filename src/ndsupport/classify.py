@@ -576,13 +576,13 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
             check=check,
         )
     report = []
-    for pt in outcome_set:
-        if pt.id in results:
-            report.append(results[pt.id])
+    for pid in outcome_set.ids:
+        if pid in results:
+            report.append(results[pid])
         else:
             report.append(
                 Classification(
-                    point_id=pt.id,
+                    point_id=pid,
                     label=Label.DOMINATED,
                     weak_witness=None,
                     strict_witness=None,

@@ -110,6 +110,11 @@ def _coords_str(coords) -> str:
     return "(" + ", ".join(str(format_rational(c)) for c in coords) + ")"
 
 
+def _row_str(row: Sequence[int], s: int) -> str:
+    """A lattice row over its scale s, as ``_coords_str`` writes it."""
+    return "(" + ", ".join([_over(v, s).strip('"') for v in row]) + ")"
+
+
 def _witness_str(vec) -> str:
     return "-" if vec is None else _coords_str(vec)
 
@@ -126,11 +131,12 @@ def report_to_table(report: Report) -> str:
     lines.append(f"counts: {digest}")
     header = ("id", "coords", "label", "frontier", "boundary", "weak", "strict")
     table = [header]
+    rows, s = report.outcomes.lattice_by_id, report.outcomes.scale
     for c in report.classifications:
         table.append(
             (
                 c.point_id,
-                _coords_str(report.outcomes.get(c.point_id).coords),
+                _row_str(rows[c.point_id], s),
                 c.label.value,
                 "yes" if c.frontier else "no",
                 "yes" if c.boundary else "no",
@@ -345,11 +351,18 @@ def _vector_text(vec) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
+def _row_text(row: Sequence[int], s: int) -> str:
+    """A lattice row over its scale s, as ``_vector_text`` writes its
+    coordinates."""
+    return "[\n        " + ",\n        ".join([_over(v, s) for v in row]) + "\n      ]"
+
+
 def _write_report_json(report: Report, out) -> None:
     """Write the classify document to out, exactly the text of
     ``json.dumps(doc, indent=2) + "\n"``, one point record at a time from
-    its Classification and OutcomePoint."""
+    its Classification and lattice row."""
     outcomes = report.outcomes
+    rows, s = outcomes.lattice_by_id, outcomes.scale
     labels = {label: _quote(label.value) for label in LABEL_ORDER}
     counts = ",\n".join(
         f"      {labels[label]}: {report.label_counts.get(label.value, 0)}"
@@ -359,7 +372,7 @@ def _write_report_json(report: Report, out) -> None:
         f"""
     {{
       "id": {_quote(c.point_id)},
-      "coords": {_vector_text(outcomes.get(c.point_id).coords)},
+      "coords": {_row_text(rows[c.point_id], s)},
       "multiplicity": {outcomes.multiplicity[c.point_id]},
       "label": {labels[c.label]},
       "frontier": {"true" if c.frontier else "false"},

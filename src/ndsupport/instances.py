@@ -128,7 +128,8 @@ class AssignmentSpec:
 Instance = Union[OutcomeSet, KnapsackSpec, AssignmentSpec]
 
 
-def _coord(value, where: str) -> Fraction:
+def _coord(value, where: str) -> Fraction | int:
+    """An exact coordinate: an int as it stands, a literal as a Fraction."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not coordinates")
     if isinstance(value, float):
@@ -136,7 +137,9 @@ def _coord(value, where: str) -> Fraction:
             f"{where}: float literal {value!r} is not exact; use an integer "
             'or a rational string like "9/2"'
         )
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
         try:
             return rational(value)
         except ValidationError as exc:
@@ -330,10 +333,19 @@ def lift_zero_objective(outcome_set: OutcomeSet) -> OutcomeSet:
     Dominance on the original coordinates is unchanged, and every
     originally non-dominated point becomes weakly supported in the
     lifted instance (the constant coordinate supplies a flat face of
-    the upper image).
+    the upper image).  The lifted lattice is the base lattice with a 0
+    column, at the same scale, so no point is built; the points are
+    named ``y1, y2, ...`` in the base set's order, as ``_collapse``
+    names them.
     """
-    counts = {pt.coords + (0,): outcome_set.multiplicity[pt.id] for pt in outcome_set}
-    return _collapse(counts, outcome_set.p + 1)
+    ids = tuple([f"y{k}" for k in range(1, len(outcome_set) + 1)])
+    return OutcomeSet._from_lattice(
+        outcome_set.p + 1,
+        ids,
+        tuple([row + (0,) for row in outcome_set.lattice]),
+        outcome_set.scale,
+        dict(zip(ids, map(outcome_set.multiplicity.__getitem__, outcome_set.ids))),
+    )
 
 
 # Documented generator ranges: knapsack weights 1..30 with capacity half

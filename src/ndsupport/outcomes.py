@@ -4,30 +4,35 @@ Minimization convention throughout: smaller is better in every
 objective.  One builder, ``_collapse``, makes every set built from
 rows: each distinct row becomes a point ``y1, y2, ...`` in order of
 first occurrence, and the number of solutions sharing that image
-becomes its multiplicity.  Enumerated rows hold ints with few distinct
-values, and each value becomes one ``Fraction``, built once.
+becomes its multiplicity.
 
-Each set also has an integer view, its ``lattice``: every coordinate
-scaled to an int by ``ratlp._scale``.  A positive scaling keeps equality,
-dominance, weighted-sum order and lexicographic order, so the
-distinctness check at construction, the Pareto filter here and the
-weighted-sum oracle in ``dichotomic`` run on ints; certificates read
-the exact coordinates.  Everything here is immutable and pure, so
-concurrent reads are safe.
+A set is stored on its integer lattice: every coordinate scaled to an
+int by ``ratlp._scale``, and rows of ints are their own lattice, kept
+as given.  A positive scaling keeps equality, dominance, weighted-sum
+order and lexicographic order, so the distinctness check at
+construction, the Pareto filter here and the weighted-sum oracle in
+``dichotomic`` run on ints, and so do the classify writers in ``cli``.
+The exact ``OutcomePoint``s, which certificates read, are built from
+the lattice when first read, so an enumerated set builds them for its
+non-dominated points only.  Sets are immutable and the functions here
+pure, so concurrent reads are safe: two first reads may both build the
+points, and either result is kept.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from math import gcd
 from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .ratlp import _scale, rational
+from .ratlp import _exact_vector, _scale, rational
 
 
 def _is_int(value) -> bool:
@@ -46,68 +51,122 @@ class OutcomePoint:
         object.__setattr__(self, "coords", tuple(map(rational, self.coords)))
 
 
-@dataclass(frozen=True)
+def _on_lattice(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm of the rows' denominators, and the rows times it as int
+    tuples.  Rows of ints are their own lattice, at scale 1."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, tuple(rows)
+    scale, ints = _scale(list(chain.from_iterable(rows)))
+    ints = iter(ints)
+    return scale, tuple([tuple(islice(ints, len(row))) for row in rows])
+
+
+class _Interned(dict):
+    """One ``Fraction(v, scale)`` per distinct int v, made on first lookup."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, value: int) -> Fraction:
+        exact = self[value] = Fraction(value, self.scale)
+        return exact
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class OutcomeSet:
     """A validated, deduplicated, nonempty finite set of outcome points.
 
-    ``lattice`` holds each point's coordinates times ``scale``, the lcm
-    of their denominators, as ints, in point order; ``lattice_by_id``
-    maps a point's id to its row.  Equal rows are equal coordinates, so
-    the lattice is the distinctness key.  ``_lattice``, passed by
-    ``_collapse`` only, is the lattice when the rows already are it: int
-    tuples, at scale 1."""
+    Stored on its lattice: ``ids`` in point order; ``lattice``, each
+    point's coordinates times ``scale``, the lcm of their denominators,
+    as ints; ``multiplicity`` by id, each an int >= 1 (a bool, float or
+    other type is refused, not coerced).  ``lattice_by_id`` maps an id
+    to its row.  Equal rows are equal coordinates, so the lattice is the
+    distinctness key, and equality on (p, ids, lattice, scale,
+    multiplicity) is equality on the points.
+
+    ``OutcomeSet(p, points, multiplicity)`` builds a set from
+    ``OutcomePoint``s, with multiplicity 1 for an id the mapping lacks.
+    ``points``, iteration, ``get``, ``in`` and ``coord_rows`` read the
+    points; a set built from rows makes them on the first such read,
+    with one ``Fraction`` per distinct value, and keeps them."""
 
     p: int
-    points: tuple[OutcomePoint, ...]
-    multiplicity: Mapping[str, int] = field(default_factory=dict)
-    _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    lattice: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    lattice_by_id: Mapping[str, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    scale: int = field(init=False, repr=False, compare=False)
-    _lattice: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
+    ids: tuple[str, ...]
+    lattice: tuple[tuple[int, ...], ...]
+    scale: int
+    multiplicity: Mapping[str, int]
+    lattice_by_id: Mapping[str, tuple[int, ...]] = field(compare=False)
 
-    def __post_init__(self, _lattice):
-        if not _is_int(self.p):
-            raise ValidationError(f"objectives must be an integer, got {self.p!r}")
-        if self.p < 2:
+    def __init__(
+        self,
+        p: int,
+        points: Iterable[OutcomePoint],
+        multiplicity: Optional[Mapping[str, int]] = None,
+    ):
+        points = tuple(points)
+        ids = tuple([pt.id for pt in points])
+        multiplicity = multiplicity or {}
+        scale, lattice = _on_lattice([pt.coords for pt in points])
+        self._store(p, ids, lattice, scale, {i: multiplicity.get(i, 1) for i in ids})
+        self.__dict__["points"] = points
+
+    @classmethod
+    def _from_lattice(cls, p, ids, lattice, scale, multiplicity) -> OutcomeSet:
+        """A set from its stored form: ``scale`` must be the lcm of the
+        coordinates' denominators, and ``multiplicity`` map every id."""
+        self = cls.__new__(cls)
+        self._store(p, ids, lattice, scale, multiplicity)
+        return self
+
+    def _store(self, p, ids, lattice, scale, multiplicity) -> None:
+        """Check every invariant of the stored form, at C speed where it
+        holds, then set it; the points are left to be built."""
+        if not _is_int(p):
+            raise ValidationError(f"objectives must be an integer, got {p!r}")
+        if p < 2:
             raise ValidationError("bi-objective minimum violated: need p >= 2")
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
+        if not lattice:
             raise ValidationError("empty outcome set")
-        scale = 1
-        if _lattice is None:
-            scale, ints = _scale([c for pt in self.points for c in pt.coords])
-            ints = iter(ints)
-            _lattice = tuple(tuple(islice(ints, len(pt.coords))) for pt in self.points)
-        object.__setattr__(self, "lattice", _lattice)
-        object.__setattr__(self, "scale", scale)
-        first_id: dict[tuple[int, ...], str] = {}
-        index: dict[str, OutcomePoint] = {}
-        rows: dict[str, tuple[int, ...]] = {}
-        for pt, row in zip(self.points, self.lattice):
-            if len(pt.coords) != self.p:
-                raise ValidationError(
-                    f"dimension mismatch: point {pt.id} has {len(pt.coords)} "
-                    f"coordinates, expected {self.p}"
-                )
-            if pt.id in index:
-                raise ValidationError(f"duplicate point id {pt.id!r}")
-            if first_id.setdefault(row, pt.id) != pt.id:
-                raise ValidationError(
-                    f"points {first_id[row]!r} and {pt.id!r} share "
-                    "coordinates; collapse duplicates via validate_instance"
-                )
-            index[pt.id] = pt
-            rows[pt.id] = row
-        mult = {pt.id: int(self.multiplicity.get(pt.id, 1)) for pt in self.points}
-        object.__setattr__(self, "multiplicity", mult)
-        object.__setattr__(self, "_by_id", index)
-        object.__setattr__(self, "lattice_by_id", rows)
+        if set(map(len, lattice)) != {p} or not (
+            len(ids) == len(set(ids)) == len(set(lattice))
+        ):
+            _reject_first_bad_point(p, ids, lattice)
+        counts = multiplicity.values()
+        if not set(map(type, counts)) <= {int} or min(counts) < 1:
+            bad = next(
+                i for i in ids if type(multiplicity[i]) is not int or multiplicity[i] < 1
+            )
+            raise ValidationError(
+                f"multiplicity of {bad!r} must be a positive integer, "
+                f"got {multiplicity[bad]!r}"
+            )
+        # the frozen fields are set here once, past the dataclass __setattr__
+        self.__dict__.update(
+            p=p, ids=ids, lattice=lattice, scale=scale, multiplicity=multiplicity,
+            lattice_by_id=dict(zip(ids, lattice)),
+        )
+
+    @cached_property
+    def points(self) -> tuple[OutcomePoint, ...]:
+        exact = _Interned(self.scale)
+        return tuple([
+            OutcomePoint(pid, tuple([exact[v] for v in row]))
+            for pid, row in zip(self.ids, self.lattice)
+        ])
+
+    @cached_property
+    def _by_id(self) -> dict[str, OutcomePoint]:
+        return dict(zip(self.ids, self.points))
+
+    def __repr__(self) -> str:
+        return (
+            f"OutcomeSet(p={self.p!r}, points={self.points!r}, "
+            f"multiplicity={self.multiplicity!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.points)
@@ -126,33 +185,37 @@ class OutcomeSet:
         return [pt.coords for pt in self.points]
 
 
-class _Interned(dict):
-    """One ``Fraction`` per distinct int, made on first lookup."""
-
-    def __missing__(self, value: int) -> Fraction:
-        exact = self[value] = Fraction(value)
-        return exact
+def _reject_first_bad_point(p, ids, lattice) -> None:
+    """Raise for the first point, in order, with the wrong dimension, a
+    repeated id or the coordinates of an earlier point."""
+    first_id: dict[tuple[int, ...], str] = {}
+    seen: set[str] = set()
+    for pid, row in zip(ids, lattice):
+        if len(row) != p:
+            raise ValidationError(
+                f"dimension mismatch: point {pid} has {len(row)} "
+                f"coordinates, expected {p}"
+            )
+        if pid in seen:
+            raise ValidationError(f"duplicate point id {pid!r}")
+        if first_id.setdefault(row, pid) != pid:
+            raise ValidationError(
+                f"points {first_id[row]!r} and {pid!r} share "
+                "coordinates; collapse duplicates via validate_instance"
+            )
+        seen.add(pid)
 
 
 def _collapse(counts: Mapping[tuple, int], p: int) -> OutcomeSet:
     """The one builder of sets from rows: ``counts`` maps each distinct
     row, in order of first occurrence, to how many solutions share it.
-    Each distinct int coordinate becomes one ``Fraction``, shared by
-    every coordinate that holds it; ``Fraction``s pass through unhashed.
-    Rows of ints are their own lattice, so it is handed over, not rebuilt."""
-    points, multiplicity = [], {}
-    interned = _Interned()
-    for row, count in counts.items():
-        pid = f"y{len(points) + 1}"
-        exact = tuple([interned[c] if type(c) is int else c for c in row])
-        points.append(OutcomePoint(pid, exact))
-        multiplicity[pid] = count
-    ints = all(type(c) is int for row in counts for c in row)
-    return OutcomeSet(
-        p=p,
-        points=tuple(points),
-        multiplicity=multiplicity,
-        _lattice=tuple(counts) if ints else None,
+    The rows are put on their lattice (rows of ints are handed over as
+    they stand) and no point is built; ``OutcomeSet`` makes the points
+    when they are first read."""
+    ids = tuple([f"y{k}" for k in range(1, len(counts) + 1)])
+    scale, lattice = _on_lattice(tuple(counts))
+    return OutcomeSet._from_lattice(
+        p, ids, lattice, scale, dict(zip(ids, counts.values()))
     )
 
 
@@ -163,10 +226,11 @@ def validate_instance(
 
     Coordinates may be ints, Fractions or exact literals like "9/2";
     floats are rejected, as are fewer than two objectives, empty input
-    and ragged rows.  Equal rows, however written, collapse once (see
+    and ragged rows.  Ints stay ints, so rows of ints are their own
+    lattice.  Equal rows, however written, collapse once (see
     ``_collapse``), their count retained in ``multiplicity``.
     """
-    rows = [tuple(rational(c) for c in row) for row in raw_points]
+    rows = [_exact_vector(row) for row in raw_points]
     if not rows:
         raise ValidationError("empty outcome set")
     if p is None:
@@ -214,11 +278,13 @@ def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
     compared only with the window of kept points, which suffices because
     a dominated dominator is itself dominated by a kept point.  The
     window is held in input order, so a removed point's witness is the
-    first kept point in input order that dominates it.
+    first kept point in input order that dominates it.  Points are named
+    by id and read as lattice rows; the subset's lattice is the kept
+    rows over their own lcm, ``scale`` divided by its gcd with them.
     """
-    pts = outcome_set.points
+    ids = outcome_set.ids
     rows = outcome_set.lattice
-    sums = [sum(row) for row in rows]
+    sums = list(map(sum, rows))
     window: list[int] = []
     witness: dict[int, int] = {}
     for i in sorted(range(len(rows)), key=sums.__getitem__):
@@ -230,11 +296,17 @@ def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
                 break
         else:
             insort(window, i)
-    keep = [pts[k] for k in window]
-    dominated_by = {pts[i].id: pts[witness[i]].id for i in sorted(witness)}
-    subset = OutcomeSet(
-        p=outcome_set.p,
-        points=tuple(keep),
-        multiplicity={pt.id: outcome_set.multiplicity[pt.id] for pt in keep},
+    keep = tuple([ids[k] for k in window])
+    kept = tuple([rows[k] for k in window])
+    g = gcd(outcome_set.scale, *chain.from_iterable(kept))
+    if g > 1:
+        kept = tuple([tuple([v // g for v in row]) for row in kept])
+    subset = OutcomeSet._from_lattice(
+        outcome_set.p,
+        keep,
+        kept,
+        outcome_set.scale // g,
+        {i: outcome_set.multiplicity[i] for i in keep},
     )
+    dominated_by = {ids[i]: ids[witness[i]] for i in sorted(witness)}
     return ParetoFilterResult(nondominated=subset, dominated_by=dominated_by)

@@ -2,8 +2,10 @@ import argparse
 import errno
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -16,11 +18,13 @@ from ndsupport.classify import Label
 from ndsupport.cli import (
     LABEL_ORDER,
     _CHUNK,
+    _coords_str,
     _write_report_json,
     _write_wsd_json,
     build_report,
     cross_check_to_json,
     main,
+    report_to_table,
 )
 from ndsupport.instances import (
     enumerate_instance,
@@ -265,6 +269,21 @@ class TestReportWriter:
             labels |= {c.label for c in report.classifications}
         assert labels == set(Label)
         assert any(m > 1 for s in sets for m in s.multiplicity.values())
+
+    def test_lattice_coords_over_a_scale_with_negative_values(self):
+        s = validate_instance(
+            [["-3/2", 4], ["1/3", "-5/6"], [2, "-7/4"], ["-1/2", "5/4"], [1, 1]]
+        )
+        values = [v for row in s.lattice for v in row]
+        assert s.scale == 12 and min(values) < 0
+        # values sharing a factor with the scale are written reduced
+        assert any(1 < math.gcd(v, s.scale) < s.scale for v in values)
+        report, _ = self._written(s)
+        rows = report_to_table(report).splitlines()[3:-2]
+        assert len(rows) == len(s)
+        for c, line in zip(report.classifications, rows):
+            cells = re.split(r"\s{2,}", line)
+            assert cells[:2] == [c.point_id, _coords_str(s.get(c.point_id).coords)]
 
     def test_quoted_and_non_ascii_ids(self):
         s = OutcomeSet(

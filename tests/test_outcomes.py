@@ -1,13 +1,16 @@
 import itertools
+import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_nondominated, random_rational_rows, random_rows
+import ndsupport.outcomes
 from ndsupport.errors import ValidationError
 from ndsupport.cli import main
 from ndsupport.instances import (
@@ -19,9 +22,10 @@ from ndsupport.instances import (
     generate_assignment,
     generate_knapsack,
     lift_zero_objective,
+    parse_instance,
     serialize_instance,
 )
-from ndsupport.ratlp import rational
+from ndsupport.ratlp import _scale, rational
 from ndsupport.outcomes import (
     OutcomePoint,
     OutcomeSet,
@@ -134,6 +138,42 @@ class TestValidateInstance:
         assert pt(9, 9, pid="y1") not in s
         with pytest.raises(ValidationError):
             s.get("nope")
+
+    @pytest.mark.parametrize(
+        "count, ok",
+        [
+            (1, True),
+            (2, True),
+            (7, True),
+            (0, False),
+            (-1, False),
+            (True, False),
+            (2.0, False),
+            (1.5, False),
+            ("2", False),
+            (F(2), False),
+            (None, False),
+        ],
+    )
+    def test_multiplicity_is_a_positive_int(self, count, ok):
+        points = (pt(1, 2, pid="y1"), pt(2, 1, pid="y2"))
+        builds = (
+            lambda: OutcomeSet(p=2, points=points, multiplicity={"y1": count}),
+            lambda: _collapse({(1, 2): count, (2, 1): 1}, 2),
+        )
+        for build in builds:
+            if not ok:
+                with pytest.raises(
+                    ValidationError,
+                    match=re.escape(
+                        f"multiplicity of 'y1' must be a positive integer, got {count!r}"
+                    ),
+                ):
+                    build()
+                continue
+            s = build()
+            assert s.multiplicity == {"y1": count, "y2": 1}
+            assert parse_instance(serialize_instance(s)) == s
 
 
 class TestFilterNondominated:
@@ -430,6 +470,33 @@ class TestEachJobOnce:
         assert capsys.readouterr().out
         assert len(hash_calls) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--format", "json"], ["classify"], ["dichotomic", "--format", "json"]],
+        ids=["classify-json", "classify-table", "dichotomic-json"],
+    )
+    def test_enumerated_requests_build_only_nondominated_points(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        spec = generate_knapsack(13, 2, 0)
+        path = tmp_path / "k13.json"
+        path.write_text(serialize_instance(spec))
+        outcomes = enumerate_knapsack(spec)
+        yn = set(filter_nondominated(outcomes).nondominated.ids)
+        assert len(yn) < len(outcomes)
+        built = []
+        post_init = OutcomePoint.__post_init__
+
+        def counting(point):
+            built.append(point.id)
+            post_init(point)
+
+        monkeypatch.setattr(OutcomePoint, "__post_init__", counting)
+        assert main([*argv, str(path)]) == 0
+        assert capsys.readouterr().out
+        assert built and set(built) <= yn
+        assert len(built) == len(set(built))
+
     def test_explicit_rows_hash_each_fraction_once(self, hash_calls):
         rows = random_rational_rows(random.Random(31), 200, 3)
         validate_instance(rows + rows[:50])
@@ -452,14 +519,39 @@ class TestEachJobOnce:
     def test_lifted_assignment_builds_each_value_once(self):
         base = enumerate_assignment(generate_assignment(5, 2, 6))
         lifted = lift_zero_objective(base)
+        # the lift reads the base lattice: no base point is built
+        assert "points" not in base.__dict__
+        assert lifted.lattice == tuple(r + (0,) for r in base.lattice)
+        assert lifted.scale == base.scale == 1
         shared = self._one_object_per_value(lifted)
         assert len(shared) < len(lifted) * lifted.p
-        # the lift passes the base set's Fractions through
-        assert all(
-            a is b
-            for p, q in zip(base, lifted)
-            for a, b in zip(p.coords, q.coords)
+        assert [q.coords for q in lifted] == [p.coords + (0,) for p in base]
+
+    def test_lift_makes_no_scale_call_and_keeps_the_collapsed_set(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values)
+            return _scale(values)
+
+        monkeypatch.setattr(ndsupport.outcomes, "_scale", counting)
+        base = OutcomeSet(
+            p=2,
+            points=[OutcomePoint("a", (F(1, 2), 3)), OutcomePoint("b", (F(-2, 3), 5))],
+            multiplicity={"b": 4},
         )
+        assert calls == [[F(1, 2), 3, F(-2, 3), 5]]
+        calls.clear()
+        lifted = lift_zero_objective(base)
+        assert calls == []
+        assert (lifted.scale, lifted.lattice) == (6, ((3, 18, 0), (-4, 30, 0)))
+        monkeypatch.undo()
+        # the set the lift built from the base points, named y1, y2, ...
+        reference = _collapse(
+            {pt.coords + (0,): base.multiplicity[pt.id] for pt in base}, 3
+        )
+        assert lifted == reference
+        assert lifted.multiplicity == {"y1": 1, "y2": 4}
 
 
 def recomputed_lattice(outcome_set):
@@ -472,6 +564,17 @@ def recomputed_lattice(outcome_set):
 
 
 class TestHandedLattice:
+    @pytest.fixture
+    def scale_calls(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return _scale(values)
+
+        monkeypatch.setattr(ndsupport.outcomes, "_scale", counting)
+        return calls
+
     def test_enumerated_rows_are_the_lattice(self):
         s = enumerate_knapsack(generate_knapsack(12, 3, 4))
         assert s.lattice == recomputed_lattice(s)
@@ -482,15 +585,83 @@ class TestHandedLattice:
         assert all(a is b for a, b in zip(s.lattice, counts))
         assert s.lattice == recomputed_lattice(s)
 
-    def test_rational_and_mixed_sets_are_recomputed(self):
+    def test_explicit_int_rows_are_handed_over(self, scale_calls):
+        rows = random_rows(random.Random(41), 60, 3, -20, 20)
+        rows += rows[:10]
+        s = validate_instance(rows)
+        assert parse_instance(json.dumps({"objectives": 3, "points": rows})) == s
+        assert scale_calls == []
+        assert s.scale == 1
+        assert s.lattice == tuple(dict.fromkeys(map(tuple, rows)))
+        assert s.lattice == recomputed_lattice(s)
+
+    def test_rational_and_mixed_sets_are_recomputed(self, scale_calls):
         rational_set = validate_instance(random_rational_rows(random.Random(37), 40, 3))
         mixed = _collapse({(F(1, 2), 3): 1, (1, F(2, 3)): 2}, 2)
         assert mixed.lattice == ((3, 18), (6, 4))
+        written = validate_instance([[1, "1/2"], [3, 4], ["5", F(2)]])
+        assert (written.scale, written.lattice) == (2, ((2, 1), (6, 8), (10, 4)))
+        assert scale_calls == [120, 4, 6]
         knapsack = enumerate_knapsack(generate_knapsack(12, 3, 4))
         for s in (
             rational_set,
             lift_zero_objective(rational_set),
             mixed,
+            written,
             filter_nondominated(knapsack).nondominated,
         ):
             assert s.lattice == recomputed_lattice(s)
+
+    def test_int_and_string_spellings_collapse_into_one_point(self):
+        for rows in (
+            [[3, 1], ["3", 1]],
+            [["3", 1], [3, 1]],
+            [[3, "1"], [F(3), 1], ["6/2", 1], [3, 1]],
+        ):
+            s = validate_instance(rows)
+            assert s.multiplicity == {"y1": len(rows)}
+            assert (s.scale, s.lattice) == (1, ((3, 1),))
+            assert s.get("y1").coords == (F(3), F(1))
+
+
+_INTS = st.integers(-40, 40)
+_RATIONALS = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+class TestLatticeBuiltSetDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_collapse_matches_the_public_constructor(self, data):
+        p = data.draw(st.integers(2, 4))
+        value = data.draw(
+            st.sampled_from((_INTS, _RATIONALS, st.one_of(_INTS, _RATIONALS)))
+        )
+        rows = data.draw(
+            st.lists(st.tuples(*[value] * p), min_size=1, max_size=12, unique=True)
+        )
+        if data.draw(st.booleans()):  # lifted: a constant int 0 objective
+            rows, p = [row + (0,) for row in rows], p + 1
+        counts = data.draw(
+            st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows))
+        )
+        got = _collapse(dict(zip(rows, counts)), p)
+        ids = [f"y{k}" for k in range(1, len(rows) + 1)]
+        ref = OutcomeSet(
+            p=p,
+            points=[OutcomePoint(i, row) for i, row in zip(ids, rows)],
+            multiplicity=dict(zip(ids, counts)),
+        )
+        assert got == ref
+        assert (got.lattice, got.scale) == (ref.lattice, ref.scale)
+        assert got.lattice_by_id == ref.lattice_by_id
+        assert got.multiplicity == ref.multiplicity
+        assert len(got) == len(ref) == len(rows)
+        assert list(got) == list(ref)
+        assert got.points == ref.points
+        assert got.coord_rows() == ref.coord_rows()
+        for q in ref:
+            assert got.get(q.id) == q
+            assert q in got
+            assert OutcomePoint(q.id, q.coords + (0,)) not in got
+        assert repr(got) == repr(ref)
+        assert parse_instance(serialize_instance(got)) == got
