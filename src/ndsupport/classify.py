@@ -54,8 +54,15 @@ each coordinate times S, the lcm of the set's denominators), so its
 rows reach ``lp_solve`` as ints.  A row times S > 0 keeps the
 solutions, the pivots, the optimal t and the statuses; a frontier value
 is S times the rational one and is compared with S times sum(y), and a
-boundary margin is zero on either scale.  Certificates read the exact
-coordinates, never the lattice.
+boundary margin is zero on either scale.  The weight certificate reads
+the lattice too: ``_check_weight_certificate`` scales the witness once
+to ints and dots it with the lattice rows, and both scales are > 0, so
+every comparison is the exact one.
+
+A dominated point gets a constant label with no witness.  ``classify_all``
+still makes it a record; the CLI's report does not: it keeps the
+records of ``_classify_nondominated``, Y_N's only, and writes each
+dominated row from the point's id, lattice row and multiplicity.
 
 All functions are pure.  Once the margin pass has fixed V, the
 per-point tests are independent of each other and safe to evaluate
@@ -534,6 +541,28 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
     non-dominated record carries its cross-check row, in the order
     ``cross_check`` reports them.
     """
+    results = _classify_nondominated(outcome_set)
+    report = []
+    for pid in outcome_set.ids:
+        if pid in results:
+            report.append(results[pid])
+        else:
+            report.append(
+                Classification(
+                    point_id=pid,
+                    label=Label.DOMINATED,
+                    weak_witness=None,
+                    strict_witness=None,
+                    frontier=False,
+                    boundary=False,
+                )
+            )
+    return report
+
+
+def _classify_nondominated(outcome_set: OutcomeSet) -> dict[str, Classification]:
+    """The records of ``classify_all`` for the non-dominated points
+    only, by id in input order; a dominated point gets no record."""
     filtered = filter_nondominated(outcome_set)
     yn = filtered.nondominated
     margins = _margin_pass(yn)
@@ -575,19 +604,4 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
             boundary=check.on_boundary,
             check=check,
         )
-    report = []
-    for pid in outcome_set.ids:
-        if pid in results:
-            report.append(results[pid])
-        else:
-            report.append(
-                Classification(
-                    point_id=pid,
-                    label=Label.DOMINATED,
-                    weak_witness=None,
-                    strict_witness=None,
-                    frontier=False,
-                    boundary=False,
-                )
-            )
-    return report
+    return results

@@ -26,7 +26,7 @@ from .classify import (
     Classification,
     CrossCheckReport,
     Label,
-    classify_all,
+    _classify_nondominated,
     cross_check,
 )
 from .dichotomic import dichotomic_extremes
@@ -57,30 +57,36 @@ LABEL_ORDER = (
 
 @dataclass(frozen=True)
 class Report:
-    """Classification report: per-point records and timing.  The digest
-    counts and the cross-check verdicts computed while labelling are both
-    read off the records, so they always agree with them."""
+    """Classification report: the non-dominated points' records, by id
+    in input order, and timing.  A point with no record is dominated.
+    The digest counts and the cross-check verdicts computed while
+    labelling are both read off the records, so they always agree with
+    them."""
 
     outcomes: OutcomeSet
-    classifications: tuple[Classification, ...]
+    records: Mapping[str, Classification]
     elapsed_seconds: float
 
     @cached_property
     def label_counts(self) -> Mapping[str, int]:
-        return Counter(c.label.value for c in self.classifications)
+        counts = Counter(c.label.value for c in self.records.values())
+        dominated = len(self.outcomes) - len(self.records)
+        if dominated:
+            counts[Label.DOMINATED.value] = dominated
+        return counts
 
     @cached_property
     def checks(self) -> CrossCheckReport:
         return CrossCheckReport(
             p=self.outcomes.p,
-            checks=tuple(c.check for c in self.classifications if c.check is not None),
+            checks=tuple(c.check for c in self.records.values()),
         )
 
 
 def build_report(outcome_set: OutcomeSet) -> Report:
     start = time.perf_counter()
-    classifications = tuple(classify_all(outcome_set))
-    return Report(outcome_set, classifications, time.perf_counter() - start)
+    records = _classify_nondominated(outcome_set)
+    return Report(outcome_set, records, time.perf_counter() - start)
 
 
 def _vector_json(vec):
@@ -119,6 +125,11 @@ def _witness_str(vec) -> str:
     return "-" if vec is None else _coords_str(vec)
 
 
+# The label, frontier, boundary, weak and strict cells of a dominated
+# point's row.
+_DOMINATED_CELLS = (Label.DOMINATED.value, "no", "no", "-", "-")
+
+
 def report_to_table(report: Report) -> str:
     lines = [
         f"instance: {report.outcomes.p} objectives, {len(report.outcomes)} points"
@@ -131,19 +142,17 @@ def report_to_table(report: Report) -> str:
     lines.append(f"counts: {digest}")
     header = ("id", "coords", "label", "frontier", "boundary", "weak", "strict")
     table = [header]
-    rows, s = report.outcomes.lattice_by_id, report.outcomes.scale
-    for c in report.classifications:
-        table.append(
-            (
-                c.point_id,
-                _row_str(rows[c.point_id], s),
-                c.label.value,
-                "yes" if c.frontier else "no",
-                "yes" if c.boundary else "no",
-                _witness_str(c.weak_witness),
-                _witness_str(c.strict_witness),
-            )
+    outcomes, records = report.outcomes, report.records
+    for pid, row in zip(outcomes.ids, outcomes.lattice):
+        c = records.get(pid)
+        cells = _DOMINATED_CELLS if c is None else (
+            c.label.value,
+            "yes" if c.frontier else "no",
+            "yes" if c.boundary else "no",
+            _witness_str(c.weak_witness),
+            _witness_str(c.strict_witness),
         )
+        table.append((pid, _row_str(row, outcomes.scale), *cells))
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -357,36 +366,52 @@ def _row_text(row: Sequence[int], s: int) -> str:
     return "[\n        " + ",\n        ".join([_over(v, s) for v in row]) + "\n      ]"
 
 
+# The fields of a dominated point's record after its multiplicity.
+_DOMINATED_FIELDS = """"label": "dominated",
+      "frontier": false,
+      "boundary": false,
+      "weak_witness": null,
+      "strict_witness": null"""
+
+
 def _write_report_json(report: Report, out) -> None:
     """Write the classify document to out, exactly the text of
     ``json.dumps(doc, indent=2) + "\n"``, one point record at a time from
-    its Classification and lattice row."""
-    outcomes = report.outcomes
-    rows, s = outcomes.lattice_by_id, outcomes.scale
+    its id, lattice row and multiplicity, and its Classification if it
+    has one; a point without is dominated."""
+    outcomes, records = report.outcomes, report.records
+    s, multiplicity = outcomes.scale, outcomes.multiplicity
     labels = {label: _quote(label.value) for label in LABEL_ORDER}
     counts = ",\n".join(
         f"      {labels[label]}: {report.label_counts.get(label.value, 0)}"
         for label in LABEL_ORDER
     )
-    records = (
-        f"""
-    {{
-      "id": {_quote(c.point_id)},
-      "coords": {_row_text(rows[c.point_id], s)},
-      "multiplicity": {outcomes.multiplicity[c.point_id]},
-      "label": {labels[c.label]},
+
+    def fields(pid: str) -> str:
+        c = records.get(pid)
+        if c is None:
+            return _DOMINATED_FIELDS
+        return f""""label": {labels[c.label]},
       "frontier": {"true" if c.frontier else "false"},
       "boundary": {"true" if c.boundary else "false"},
       "weak_witness": {_vector_text(c.weak_witness)},
-      "strict_witness": {_vector_text(c.strict_witness)}
+      "strict_witness": {_vector_text(c.strict_witness)}"""
+
+    items = (
+        f"""
+    {{
+      "id": {_quote(pid)},
+      "coords": {_row_text(row, s)},
+      "multiplicity": {multiplicity[pid]},
+      {fields(pid)}
     }}"""
-        for c in report.classifications
+        for pid, row in zip(outcomes.ids, outcomes.lattice)
     )
     cross_check = json.dumps(cross_check_to_json(report.checks), indent=2)
     _write_chunked(
         out,
         _REPORT_HEAD % (outcomes.p, len(outcomes), counts),
-        records,
+        items,
         _REPORT_TAIL
         % (cross_check.replace("\n", "\n  "), round(report.elapsed_seconds, 6)),
     )
@@ -461,7 +486,7 @@ def _cmd_classify(args) -> int:
         else:
             streams[0].write(report_to_table(report))
         if draw:
-            streams[1].write(svg_objective_space(outcomes, report.classifications))
+            streams[1].write(svg_objective_space(outcomes, report.records.values()))
     if args.svg is not None and not draw:
         print(
             f"note: objective-space figure needs 2 objectives, instance has "

@@ -162,39 +162,44 @@ def svg_objective_space(
     filled circles for extreme supported points, filled squares for
     supported points on open edges, crosses for unsupported points and
     small diamonds for dominated ones.  The staircase of extreme points
-    is joined by the frontier polyline."""
+    is joined by the frontier polyline.  A point with no record among
+    classifications is dominated.
+
+    Markers are placed from the lattice rows: (v - lo) / span over the
+    lattice is the exact ratio over the coordinates, and int true
+    division rounds it to the float ``float(Fraction(...))`` gives, so
+    no point is built."""
     if outcome_set.p != 2:
         raise ValueError("objective-space figure requires exactly two objectives")
     size, margin = 420, 50
-    xs = [pt.coords[0] for pt in outcome_set]
-    ys = [pt.coords[1] for pt in outcome_set]
+    rows = outcome_set.lattice
+    xs = [row[0] for row in rows]
+    ys = [row[1] for row in rows]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    span_x = hi_x - lo_x or Fraction(1)
-    span_y = hi_y - lo_y or Fraction(1)
+    span_x = hi_x - lo_x or 1
+    span_y = hi_y - lo_y or 1
     scale = size - 2 * margin
 
-    def place(coords) -> tuple[float, float]:
-        x = margin + float((coords[0] - lo_x) / span_x) * scale
-        y = size - margin - float((coords[1] - lo_y) / span_y) * scale
+    def place(row) -> tuple[float, float]:
+        x = margin + (row[0] - lo_x) / span_x * scale
+        y = size - margin - (row[1] - lo_y) / span_y * scale
         return x, y
 
-    by_id = {c.point_id: c for c in classifications}
-    body = ['<rect width="100%" height="100%" fill="white"/>']
-    extremes = [
-        pt for pt in outcome_set if by_id[pt.id].label == Label.EXTREME_SUPPORTED
+    labels = {c.point_id: c.label for c in classifications}
+    points = [
+        (pid, row, labels.get(pid, Label.DOMINATED))
+        for pid, row in zip(outcome_set.ids, rows)
     ]
-    extremes.sort(key=lambda pt: pt.coords)
+    body = ['<rect width="100%" height="100%" fill="white"/>']
+    extremes = sorted(row for _, row, label in points if label == Label.EXTREME_SUPPORTED)
     if len(extremes) >= 2:
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (place(pt.coords) for pt in extremes)
-        )
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(place, extremes))
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="#888" stroke-width="1.5"/>'
         )
-    for pt in outcome_set:
-        x, y = place(pt.coords)
-        label = by_id[pt.id].label
+    for pid, row, label in points:
+        x, y = place(row)
         if label == Label.EXTREME_SUPPORTED:
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="#1f5fa8"/>')
         elif label == Label.SUPPORTED:
@@ -220,7 +225,7 @@ def svg_objective_space(
             )
         body.append(
             f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" font-size="11" '
-            f'font-family="sans-serif">{pt.id}</text>'
+            f'font-family="sans-serif">{pid}</text>'
         )
     ly = margin
     for name in ("extreme supported", "supported", "unsupported", "dominated"):

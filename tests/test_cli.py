@@ -8,13 +8,14 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import ndsupport.classify
 import ndsupport.cli
 from conftest import random_rational_rows, random_rows
-from ndsupport.classify import Label
+from ndsupport.classify import CrossCheckReport, Label, classify_all
 from ndsupport.cli import (
     LABEL_ORDER,
     _CHUNK,
@@ -173,16 +174,20 @@ def _vector_json(vec):
 
 
 def report_to_json(report) -> dict:
-    """The classify document as a dict, as the CLI built it before it
-    streamed the text: the reference for ``_write_report_json``."""
+    """The classify document as a dict, as the CLI built it from
+    ``classify_all``'s records, one per point, before it streamed the
+    text: the reference for ``_write_report_json``."""
+    classifications = classify_all(report.outcomes)
+    counts = Counter(c.label.value for c in classifications)
+    checks = CrossCheckReport(
+        p=report.outcomes.p,
+        checks=tuple(c.check for c in classifications if c.check is not None),
+    )
     return {
         "digest": {
             "objectives": report.outcomes.p,
             "points": len(report.outcomes),
-            "counts": {
-                label.value: report.label_counts.get(label.value, 0)
-                for label in LABEL_ORDER
-            },
+            "counts": {label.value: counts.get(label.value, 0) for label in LABEL_ORDER},
         },
         "points": [
             {
@@ -195,9 +200,9 @@ def report_to_json(report) -> dict:
                 "weak_witness": _vector_json(c.weak_witness),
                 "strict_witness": _vector_json(c.strict_witness),
             }
-            for c in report.classifications
+            for c in classifications
         ],
-        "cross_check": cross_check_to_json(report.checks),
+        "cross_check": cross_check_to_json(checks),
         "elapsed_seconds": round(report.elapsed_seconds, 6),
     }
 
@@ -250,7 +255,8 @@ class TestReportWriter:
         assert out.getvalue() == json.dumps(report_to_json(report), indent=2) + "\n"
         return report, out
 
-    def test_matches_json_dumps_of_the_dict_document(self):
+    @staticmethod
+    def sets():
         rng = random.Random(113)
         sets = [
             # all five labels: weakly-supported-only needs p >= 3
@@ -263,12 +269,27 @@ class TestReportWriter:
             sets.append(generate_points(25, p, p))
             sets.append(validate_instance(random_rows(rng, 20, p, 0, 6)))
             sets.append(validate_instance(random_rational_rows(rng, 15, p)))
+        return sets
+
+    def test_matches_json_dumps_of_the_dict_document(self):
+        sets = self.sets()
         labels = set()
         for s in sets:
             report, _ = self._written(s)
-            labels |= {c.label for c in report.classifications}
+            labels |= {c.label for c in classify_all(report.outcomes)}
         assert labels == set(Label)
         assert any(m > 1 for s in sets for m in s.multiplicity.values())
+
+    def test_label_counts_are_the_tally_of_classify_all(self):
+        dominated = []
+        for s in self.sets():
+            report = build_report(s)
+            expected = Counter(c.label.value for c in classify_all(s))
+            # no dominated key when no point is dominated, as in a Counter
+            assert dict(report.label_counts) == dict(expected)
+            dominated.append(expected[Label.DOMINATED.value])
+            assert len(report.records) == len(s) - dominated[-1]
+        assert 0 in dominated and max(dominated) > 0
 
     def test_lattice_coords_over_a_scale_with_negative_values(self):
         s = validate_instance(
@@ -281,7 +302,7 @@ class TestReportWriter:
         report, _ = self._written(s)
         rows = report_to_table(report).splitlines()[3:-2]
         assert len(rows) == len(s)
-        for c, line in zip(report.classifications, rows):
+        for c, line in zip(classify_all(report.outcomes), rows):
             cells = re.split(r"\s{2,}", line)
             assert cells[:2] == [c.point_id, _coords_str(s.get(c.point_id).coords)]
 

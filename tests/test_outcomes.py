@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import oracle_nondominated, random_rational_rows, random_rows
 import ndsupport.outcomes
 from ndsupport.errors import ValidationError
+from ndsupport.classify import Classification
 from ndsupport.cli import main
 from ndsupport.instances import (
     AssignmentSpec,
@@ -470,32 +471,57 @@ class TestEachJobOnce:
         assert capsys.readouterr().out
         assert len(hash_calls) == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["classify", "--format", "json"], ["classify"], ["dichotomic", "--format", "json"]],
-        ids=["classify-json", "classify-table", "dichotomic-json"],
-    )
-    def test_enumerated_requests_build_only_nondominated_points(
-        self, tmp_path, capsys, monkeypatch, argv
-    ):
+    @staticmethod
+    def _builds_only_nondominated(tmp_path, capsys, monkeypatch, argv, cls, key):
+        """Run argv on gen knapsack 13 2 and check that every cls built
+        while it runs has a Y_N id, key(obj), and that none is built twice."""
         spec = generate_knapsack(13, 2, 0)
         path = tmp_path / "k13.json"
         path.write_text(serialize_instance(spec))
+        svg = tmp_path / "k13.svg"
         outcomes = enumerate_knapsack(spec)
         yn = set(filter_nondominated(outcomes).nondominated.ids)
         assert len(yn) < len(outcomes)
         built = []
-        post_init = OutcomePoint.__post_init__
+        post_init = cls.__post_init__
 
-        def counting(point):
-            built.append(point.id)
-            post_init(point)
+        def counting(obj):
+            built.append(key(obj))
+            post_init(obj)
 
-        monkeypatch.setattr(OutcomePoint, "__post_init__", counting)
-        assert main([*argv, str(path)]) == 0
+        monkeypatch.setattr(cls, "__post_init__", counting)
+        assert main([*(a.format(svg=svg) for a in argv), str(path)]) == 0
         assert capsys.readouterr().out
         assert built and set(built) <= yn
         assert len(built) == len(set(built))
+        assert svg.exists() == ("--svg" in argv)
+
+    _CLASSIFY_ARGV = [
+        ["classify", "--format", "json"],
+        ["classify"],
+        ["classify", "--format", "json", "--svg", "{svg}"],
+    ]
+    _CLASSIFY_IDS = ["classify-json", "classify-table", "classify-json-svg"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [*_CLASSIFY_ARGV, ["dichotomic", "--format", "json"]],
+        ids=[*_CLASSIFY_IDS, "dichotomic-json"],
+    )
+    def test_enumerated_requests_build_only_nondominated_points(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        self._builds_only_nondominated(
+            tmp_path, capsys, monkeypatch, argv, OutcomePoint, lambda pt: pt.id
+        )
+
+    @pytest.mark.parametrize("argv", _CLASSIFY_ARGV, ids=_CLASSIFY_IDS)
+    def test_enumerated_classify_builds_records_for_nondominated_points_only(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        self._builds_only_nondominated(
+            tmp_path, capsys, monkeypatch, argv, Classification, lambda c: c.point_id
+        )
 
     def test_explicit_rows_hash_each_fraction_once(self, hash_calls):
         rows = random_rational_rows(random.Random(31), 200, 3)
