@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
@@ -41,7 +41,7 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-from .outcomes import OutcomeSet
+from .outcomes import OutcomeSet, _Interned
 from .ratlp import format_rational
 from .render import svg_objective_space, svg_weight_space
 from .weightspace import WeightCell, cell_interval, decompose
@@ -360,10 +360,10 @@ def _vector_text(vec) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _row_text(row: Sequence[int], s: int) -> str:
-    """A lattice row over its scale s, as ``_vector_text`` writes its
-    coordinates."""
-    return "[\n        " + ",\n        ".join([_over(v, s) for v in row]) + "\n      ]"
+def _row_text(row: Sequence[int], text: Mapping[int, str]) -> str:
+    """A lattice row as ``_vector_text`` writes its coordinates, each
+    value's text looked up in text."""
+    return "[\n        " + ",\n        ".join(map(text.__getitem__, row)) + "\n      ]"
 
 
 # The fields of a dominated point's record after its multiplicity.
@@ -378,9 +378,11 @@ def _write_report_json(report: Report, out) -> None:
     """Write the classify document to out, exactly the text of
     ``json.dumps(doc, indent=2) + "\n"``, one point record at a time from
     its id, lattice row and multiplicity, and its Classification if it
-    has one; a point without is dominated."""
+    has one; a point without is dominated.  Each distinct lattice value's
+    text is made once."""
     outcomes, records = report.outcomes, report.records
-    s, multiplicity = outcomes.scale, outcomes.multiplicity
+    multiplicity = outcomes.multiplicity
+    text = _Interned(partial(_over, s=outcomes.scale))
     labels = {label: _quote(label.value) for label in LABEL_ORDER}
     counts = ",\n".join(
         f"      {labels[label]}: {report.label_counts.get(label.value, 0)}"
@@ -401,7 +403,7 @@ def _write_report_json(report: Report, out) -> None:
         f"""
     {{
       "id": {_quote(pid)},
-      "coords": {_row_text(row, s)},
+      "coords": {_row_text(row, text)},
       "multiplicity": {multiplicity[pid]},
       {fields(pid)}
     }}"""

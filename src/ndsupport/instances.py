@@ -28,8 +28,8 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from operator import add
+from itertools import compress, permutations, repeat
+from operator import add, le
 from typing import Union
 
 from .errors import EnumerationCapError, ParseError, ValidationError
@@ -290,7 +290,11 @@ def enumerate_knapsack(spec: KnapsackSpec) -> OutcomeSet:
     """Outcome vectors of all feasible item subsets (weight <= capacity).
 
     Solutions sharing an image collapse into one stored point whose
-    multiplicity records how many selections map there.
+    multiplicity records how many selections map there.  Subsets are
+    kept column by column, one int list for the weights and one per
+    objective; each item appends the subsets it fits, in their order,
+    so subset k is the k-th feasible bitmask (item i is bit i) and ids
+    follow first occurrence in that order.
     """
     n = len(spec.items)
     cap = knapsack_item_cap()
@@ -299,14 +303,14 @@ def enumerate_knapsack(spec: KnapsackSpec) -> OutcomeSet:
             f"knapsack with {n} items exceeds the enumeration cap of {cap} "
             f"(set {ENUM_CAP_ENV_VAR} to override)"
         )
-    partial: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * spec.p)]
+    weights = [0]
+    columns = [[0] for _ in range(spec.p)]
     for weight, costs in spec.items:
-        partial += [
-            (total + weight, tuple(map(add, vec, costs)))
-            for total, vec in partial
-            if total + weight <= spec.capacity
-        ]
-    return _collapse(Counter(vec for _, vec in partial), spec.p)
+        fits = list(map(le, weights, repeat(spec.capacity - weight)))
+        # compress stops where fits ends, at the column's old length
+        for column, c in zip([weights, *columns], (weight, *costs)):
+            column += map(add, compress(column, fits), repeat(c))
+    return _collapse(Counter(zip(*columns)), spec.p)
 
 
 def enumerate_assignment(spec: AssignmentSpec) -> OutcomeSet:

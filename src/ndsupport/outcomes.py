@@ -22,9 +22,9 @@ points, and either result is kept.
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import Counter, UserDict
+from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
@@ -62,15 +62,15 @@ def _on_lattice(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], .
 
 
 class _Interned(dict):
-    """One ``Fraction(v, scale)`` per distinct int v, made on first lookup."""
+    """One ``make(v)`` per distinct int v, made on first lookup."""
 
-    def __init__(self, scale: int):
+    def __init__(self, make):
         super().__init__()
-        self.scale = scale
+        self.make = make
 
-    def __missing__(self, value: int) -> Fraction:
-        exact = self[value] = Fraction(value, self.scale)
-        return exact
+    def __missing__(self, value: int):
+        made = self[value] = self.make(value)
+        return made
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -81,9 +81,10 @@ class OutcomeSet:
     point's coordinates times ``scale``, the lcm of their denominators,
     as ints; ``multiplicity`` by id, each an int >= 1 (a bool, float or
     other type is refused, not coerced).  ``lattice_by_id`` maps an id
-    to its row.  Equal rows are equal coordinates, so the lattice is the
-    distinctness key, and equality on (p, ids, lattice, scale,
-    multiplicity) is equality on the points.
+    to its row; it is built on first read, so an enumerated set whose
+    rows are only walked in order never builds it.  Equal rows are equal
+    coordinates, so the lattice is the distinctness key, and equality on
+    (p, ids, lattice, scale, multiplicity) is equality on the points.
 
     ``OutcomeSet(p, points, multiplicity)`` builds a set from
     ``OutcomePoint``s, with multiplicity 1 for an id the mapping lacks.
@@ -96,7 +97,6 @@ class OutcomeSet:
     lattice: tuple[tuple[int, ...], ...]
     scale: int
     multiplicity: Mapping[str, int]
-    lattice_by_id: Mapping[str, tuple[int, ...]] = field(compare=False)
 
     def __init__(
         self,
@@ -143,13 +143,16 @@ class OutcomeSet:
             )
         # the frozen fields are set here once, past the dataclass __setattr__
         self.__dict__.update(
-            p=p, ids=ids, lattice=lattice, scale=scale, multiplicity=multiplicity,
-            lattice_by_id=dict(zip(ids, lattice)),
+            p=p, ids=ids, lattice=lattice, scale=scale, multiplicity=multiplicity
         )
 
     @cached_property
+    def lattice_by_id(self) -> dict[str, tuple[int, ...]]:
+        return dict(zip(self.ids, self.lattice))
+
+    @cached_property
     def points(self) -> tuple[OutcomePoint, ...]:
-        exact = _Interned(self.scale)
+        exact = _Interned(partial(Fraction, denominator=self.scale))
         return tuple([
             OutcomePoint(pid, tuple([exact[v] for v in row]))
             for pid, row in zip(self.ids, self.lattice)
@@ -263,7 +266,8 @@ def dominates(a: OutcomePoint, b: OutcomePoint) -> bool:
 @dataclass(frozen=True)
 class ParetoFilterResult:
     """Non-dominated subset plus, for each removed point, a retained
-    dominator as witness."""
+    dominator as witness.  ``filter_nondominated`` hands ``dominated_by``
+    over as a mapping that is built when first read."""
 
     nondominated: OutcomeSet
     dominated_by: Mapping[str, str]
@@ -277,22 +281,21 @@ def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
     has a strictly smaller sum, so it is visited first.  Each point is
     compared only with the window of kept points, which suffices because
     a dominated dominator is itself dominated by a kept point.  The
-    window is held in input order, so a removed point's witness is the
-    first kept point in input order that dominates it.  Points are named
-    by id and read as lattice rows; the subset's lattice is the kept
-    rows over their own lcm, ``scale`` divided by its gcd with them.
+    window is held in input order.  Points are named by id and read as
+    lattice rows; the subset's lattice is the kept rows over their own
+    lcm, ``scale`` divided by its gcd with them.  ``dominated_by`` is
+    built when first read (``_Witnesses``), so a caller that reads only
+    the subset pays nothing for it.
     """
     ids = outcome_set.ids
     rows = outcome_set.lattice
     sums = list(map(sum, rows))
     window: list[int] = []
-    witness: dict[int, int] = {}
     for i in sorted(range(len(rows)), key=sums.__getitem__):
         row = rows[i]
         for k in window:
             # stored points are distinct, so <= everywhere is dominance
             if all(map(le, rows[k], row)):
-                witness[i] = k
                 break
         else:
             insort(window, i)
@@ -308,5 +311,26 @@ def filter_nondominated(outcome_set: OutcomeSet) -> ParetoFilterResult:
         outcome_set.scale // g,
         {i: outcome_set.multiplicity[i] for i in keep},
     )
-    dominated_by = {ids[i]: ids[witness[i]] for i in sorted(witness)}
-    return ParetoFilterResult(nondominated=subset, dominated_by=dominated_by)
+    return ParetoFilterResult(
+        nondominated=subset, dominated_by=_Witnesses(ids, rows, window)
+    )
+
+
+class _Witnesses(UserDict):
+    """``dominated_by`` of one filter run, built on first read: each
+    removed id, in input order, to the first kept id in input order that
+    dominates it.  One exists, because a dominated dominator is itself
+    dominated by a kept point."""
+
+    def __init__(self, ids, rows, window):
+        self._run = ids, rows, window
+
+    @cached_property
+    def data(self) -> dict[str, str]:
+        ids, rows, window = self._run
+        kept = set(window)
+        return {
+            ids[i]: ids[next(k for k in window if all(map(le, rows[k], row)))]
+            for i, row in enumerate(rows)
+            if i not in kept
+        }

@@ -412,6 +412,25 @@ def _collapse_corpus():
         items=((1, (-1, -2)), (1, (-1, -2)), (2, (-2, -4)), (0, (0, 0)), (3, (-5, 1))),
     )
     cases.append(("knapsack coinciding", enumerate_knapsack(spec), knapsack_rows(spec), 2))
+    # the column-wise enumerator's edges: 2 + 3 and 5 meet the capacity
+    # exactly, 6 and 9 exceed it, two free items have nonzero costs, and
+    # the costs mix signs
+    spec = KnapsackSpec(
+        p=3,
+        capacity=5,
+        items=(
+            (2, (1, -3, 0)), (3, (-2, 4, 1)), (5, (-3, -1, 2)), (6, (-9, -9, -9)),
+            (0, (2, -1, 0)), (9, (0, 0, -1)), (0, (-1, 1, 0)),
+        ),
+    )
+    cases.append(("knapsack edges", enumerate_knapsack(spec), knapsack_rows(spec), 3))
+    items = tuple(
+        (rng.randint(0, 9), tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(10)
+    )
+    spec = KnapsackSpec(p=4, capacity=8, items=items)
+    cases.append(("knapsack p4 mixed", enumerate_knapsack(spec), knapsack_rows(spec), 4))
+    spec = generate_knapsack(13, 2, 0)  # the bench size
+    cases.append(("knapsack 13 2 0", enumerate_knapsack(spec), knapsack_rows(spec), 2))
     for n in range(1, 6):
         for p in (2, 3):
             spec = generate_assignment(n, p, n)
@@ -522,6 +541,32 @@ class TestEachJobOnce:
         self._builds_only_nondominated(
             tmp_path, capsys, monkeypatch, argv, Classification, lambda c: c.point_id
         )
+
+    def test_enumerated_classify_builds_no_id_map_and_no_witness_map(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = generate_knapsack(13, 2, 0)
+        path = tmp_path / "k13.json"
+        path.write_text(serialize_instance(spec))
+        sets, witnesses = [], []
+        store, init = OutcomeSet._store, ndsupport.outcomes._Witnesses.__init__
+
+        def storing(self, *args):
+            sets.append(self)
+            store(self, *args)
+
+        def initing(self, *args):
+            witnesses.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(OutcomeSet, "_store", storing)
+        monkeypatch.setattr(ndsupport.outcomes._Witnesses, "__init__", initing)
+        assert main(["classify", "--format", "json", str(path)]) == 0
+        assert capsys.readouterr().out
+        enumerated = [s for s in sets if len(s) == len(set(knapsack_rows(spec)))]
+        assert len(enumerated) == 1 and witnesses
+        assert "lattice_by_id" not in enumerated[0].__dict__
+        assert all("data" not in w.__dict__ for w in witnesses)
 
     def test_explicit_rows_hash_each_fraction_once(self, hash_calls):
         rows = random_rational_rows(random.Random(31), 200, 3)
