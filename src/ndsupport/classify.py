@@ -34,8 +34,8 @@ the same objective.  The V-row result is kept only when the final
 reduced costs prove its optimum unique, since the full-row program
 then ends at the same one; otherwise Bland's rule over fewer rows may
 pick a different optimal weight, which would be printed, so the
-full-row program is solved instead (``_vertex_row_witness``).
-``cross_check`` keeps all three full-width programs for every point.
+full-row program is solved instead (``_witness``).  ``cross_check``
+keeps all three full-width programs for every point.
 A supported point is extreme exactly when it is a vertex, and a vertex
 off the frontier is a consistency failure.
 
@@ -58,6 +58,11 @@ boundary margin is zero on either scale.  The weight certificate reads
 the lattice too: ``_check_weight_certificate`` scales the witness once
 to ints and dots it with the lattice rows, and both scales are > 0, so
 every comparison is the exact one.
+
+Inside the module a point of Y_N is named by its index k into yn (id
+``yn.ids[k]``, row ``yn.lattice[k]``) and programs take lattice rows,
+so V is held once, as rows, and labelling builds no ``OutcomePoint``;
+a public function finds its point's index once (``_index``).
 
 A dominated point gets a constant label with no witness.  ``classify_all``
 still makes it a record; the CLI's report does not: it keeps the
@@ -90,7 +95,6 @@ from .ratlp import (
     MINIMIZE,
     OPTIMAL,
     UNBOUNDED,
-    LpOutcome,
     _dot,
     _scale,
     _solve,
@@ -198,16 +202,18 @@ class Classification:
                 )
 
 
-def _require_member(y: OutcomePoint, yn: OutcomeSet) -> None:
+def _index(y: OutcomePoint, yn: OutcomeSet) -> int:
+    """y's position in yn, which the private functions name it by."""
     if y not in yn:
         raise ValidationError(
             f"point {y.id!r} with coords {y.coords} is not in the given set"
         )
+    return yn.ids.index(y.id)
 
 
-def _cell_program(y: OutcomePoint, yn: OutcomeSet, rows) -> LinearProgram:
-    """The witness program of y over rows, points of yn, with one more
-    column t:
+def _cell_program(k: int, yn: OutcomeSet, rows) -> LinearProgram:
+    """The witness program of yn's point k over rows, lattice rows of
+    yn, with one more column t:
 
         maximize t  s.t.  lambda_i - t >= 0  (i = 1..p),  sum(lambda) = 1,
         lambda . (y' - y) >= 0  for every other y' of rows,
@@ -215,8 +221,9 @@ def _cell_program(y: OutcomePoint, yn: OutcomeSet, rows) -> LinearProgram:
     in that row order, over lambda, t >= 0.  Every row is built as S
     times the row above, S = yn.scale, so the program is all ints and
     its rows without t, divided by S, are the cell's H-representation.
-    t = 0 gives the cell, so the program is feasible exactly when y is
-    weakly supported over rows, and its first p + 1 rows bound
+    The cuts skip y's own row, the one equal to it: a set's rows are
+    distinct.  t = 0 gives the cell, so the program is feasible exactly when
+    y is weakly supported over rows, and its first p + 1 rows bound
     t <= 1/p.  A positive optimum is a strictly positive weight in the
     cell: y is supported."""
     p = yn.p
@@ -228,69 +235,58 @@ def _cell_program(y: OutcomePoint, yn: OutcomeSet, rows) -> LinearProgram:
         coeffs[p] = -scale
         cons.append(LinearConstraint(coeffs, GREATER_EQUAL, 0))
     cons.append(LinearConstraint((scale,) * p + (0,), EQUAL, scale))
-    lattice = yn.lattice_by_id
-    base = lattice[y.id]
-    for other in rows:
-        if other.id == y.id:
+    base = yn.lattice[k]
+    for row in rows:
+        if row == base:
             continue
-        diff = tuple([o - a for o, a in zip(lattice[other.id], base)]) + (0,)
+        diff = tuple([o - a for o, a in zip(row, base)]) + (0,)
         cons.append(LinearConstraint(diff, GREATER_EQUAL, 0))
     return LinearProgram(MAXIMIZE, (0,) * p + (1,), tuple(cons))
 
 
-def _solve_witness(
-    y: OutcomePoint, yn: OutcomeSet, rows
-) -> Optional[tuple[WeightVector, Fraction]]:
-    """Optimizing weight vector and optimal t, or None if no weight in
-    the closed simplex makes y weighted-sum minimal over rows; the
-    certificate is checked over all of yn."""
-    return _witness(y, yn, lp_solve(_cell_program(y, yn, rows)))
-
-
-def _vertex_row_witness(
-    y: OutcomePoint, yn: OutcomeSet, vertices
-) -> Optional[tuple[WeightVector, Fraction]]:
-    """``_solve_witness(y, yn, yn)``, solved over the rows of the vertex
-    points instead when the optimum there is provably unique.
-
-    Every point of yn lies in conv(V) + R^p_+, so with lambda >= 0 the
-    V rows imply every other cut row: both programs have the same
-    feasible (lambda, t) and the same objective.  A unique optimum over
-    V rows is therefore the full-row optimum, which the full-row solve
-    must return.  When the final reduced costs do not prove it unique,
-    Bland's rule over fewer rows may end at another optimal vertex, so
-    the full-row program is solved instead.  An infeasible V-row
-    program means the full-row one is infeasible too."""
-    outcome, tab, r = _solve(_cell_program(y, yn, vertices))
-    if outcome.status == OPTIMAL and not _unique_optimum(tab, r):
-        return _solve_witness(y, yn, yn)
-    return _witness(y, yn, outcome)
-
-
 def _witness(
-    y: OutcomePoint, yn: OutcomeSet, outcome: LpOutcome
+    k: int, yn: OutcomeSet, rows
 ) -> Optional[tuple[WeightVector, Fraction]]:
-    """The weight vector and optimal t of a solved witness program of
-    y, its certificate checked over all of yn."""
+    """The weight vector and optimal t of point k's witness program over
+    all of yn's rows, or None if no weight in the closed simplex makes
+    it weighted-sum minimal; the certificate is checked over all of yn.
+
+    rows are yn's lattice rows or V's.  Every point of yn lies in
+    conv(V) + R^p_+, so with lambda >= 0 the V rows imply every other
+    cut row: both programs have the same feasible (lambda, t) and the
+    same objective.  A unique optimum over V rows is therefore the
+    full-row optimum, which the full-row solve must return.  When the
+    final reduced costs do not prove it unique, Bland's rule over fewer
+    rows may end at another optimal vertex, so the full-row program is
+    solved instead.  An infeasible V-row program means the full-row one
+    is infeasible too."""
+    outcome, tab, r = _solve(_cell_program(k, yn, rows))
+    if (
+        len(rows) < len(yn.lattice)
+        and outcome.status == OPTIMAL
+        and not _unique_optimum(tab, r)
+    ):
+        outcome = lp_solve(_cell_program(k, yn, yn.lattice))
     if outcome.status != OPTIMAL:
         return None
     lam = WeightVector(outcome.solution[: yn.p])
-    _check_weight_certificate(lam, y, yn)
+    _check_weight_certificate(lam, k, yn)
     return lam, outcome.value
 
 
-def _check_weight_certificate(lam: WeightVector, y: OutcomePoint, yn: OutcomeSet) -> None:
-    """Certificates are checked, never trusted: the witness must make y
-    a weighted-sum minimizer over the whole set, exactly.  lam is scaled
-    once to ints and dotted with the lattice rows; both scales are > 0,
-    so every comparison is the exact one."""
+def _check_weight_certificate(lam: WeightVector, k: int, yn: OutcomeSet) -> None:
+    """Certificates are checked, never trusted: the witness must make
+    point k a weighted-sum minimizer over the whole set, exactly.  lam
+    is scaled once to ints and dotted with the lattice rows; both scales
+    are > 0, so every comparison is the exact one."""
     _, weights = _scale(lam.values)
-    score = sum(map(mul, weights, yn.lattice_by_id[y.id]))
-    for other, row in zip(yn, yn.lattice):
+    rows = yn.lattice
+    score = sum(map(mul, weights, rows[k]))
+    for pid, row in zip(yn.ids, rows):
         if sum(map(mul, weights, row)) < score:
             raise ConsistencyError(
                 f"witness {tuple(lam)} fails its certificate: "
-                f"{other.id} scores below {y.id}"
+                f"{pid} scores below {yn.ids[k]}"
             )
 
 
@@ -300,8 +296,7 @@ def weakly_supported_witness(
     """Some nonnegative normalized weight making y weighted-sum minimal
     over yn, or None (then y is unsupported).  yn must be an antichain
     containing y."""
-    _require_member(y, yn)
-    solved = _solve_witness(y, yn, yn)
+    solved = _witness(_index(y, yn), yn, yn.lattice)
     return None if solved is None else solved[0]
 
 
@@ -309,8 +304,7 @@ def supported_witness(y: OutcomePoint, yn: OutcomeSet) -> Optional[WeightVector]
     """A strictly positive witness for y, or None when the best
     attainable minimum weight component is exactly zero (or no witness
     exists at all)."""
-    _require_member(y, yn)
-    solved = _solve_witness(y, yn, yn)
+    solved = _witness(_index(y, yn), yn, yn.lattice)
     if solved is None:
         return None
     lam, t = solved
@@ -356,8 +350,7 @@ def is_on_frontier(y: OutcomePoint, yn: OutcomeSet) -> bool:
     component-wise at or below y; the minimum equals sum(y) exactly
     when no convex combination other than y itself sits weakly below y.
     """
-    _require_member(y, yn)
-    return _on_frontier(yn.lattice_by_id[y.id], yn.lattice)
+    return _on_frontier(yn.lattice[_index(y, yn)], yn.lattice)
 
 
 def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -368,8 +361,7 @@ def is_on_boundary_upper_image(y: OutcomePoint, yn: OutcomeSet) -> bool:
     exhibits a ball around y inside the upper image (interior); an
     optimum of exactly zero puts y on the boundary.
     """
-    _require_member(y, yn)
-    return _margin(yn.lattice_by_id[y.id], yn.lattice) == 0
+    return _margin(yn.lattice[_index(y, yn)], yn.lattice) == 0
 
 
 def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
@@ -379,9 +371,14 @@ def is_extreme_supported(y: OutcomePoint, yn: OutcomeSet) -> bool:
     the other points pushed down by the nonnegative cone, i.e. the
     system over weights mu on yn minus y is infeasible.
     """
-    _require_member(y, yn)
-    row = yn.lattice_by_id[y.id]
-    return _margin(row, [col for col in yn.lattice if col != row]) is None
+    return _margin_over_others(_index(y, yn), yn) is None
+
+
+def _margin_over_others(k: int, yn: OutcomeSet) -> Optional[Fraction]:
+    """Point k's margin over every other point of yn: None exactly at a
+    vertex of the upper image."""
+    rows = yn.lattice
+    return _margin(rows[k], rows[:k] + rows[k + 1 :])
 
 
 def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
@@ -469,36 +466,31 @@ class CrossCheckReport:
 
 
 def _point_check(
-    y: OutcomePoint, yn: OutcomeSet, cols, margin, *, vertices=None
+    k: int, yn: OutcomeSet, cols, margin
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
-    """Take y's boundary verdict from its margin (None, a vertex, is on
-    the boundary), solve its frontier program over the lattice rows cols
-    (V's for classify; all of yn's give the full-width program ``check``
-    runs), then its witness program over all of yn's rows.
+    """Take point k's boundary verdict from its margin (None, a vertex,
+    is on the boundary), then solve its frontier and witness programs
+    over the lattice rows cols: V's for classify, all of yn's for the
+    full-width programs ``check`` runs.
 
-    With vertices, V's points in yn's order (set by classify_all only),
-    a point with a certified margin eps > 0 gets no further program: a
-    point of conv(Y_N) sits at or below y - eps in every coordinate (a
-    margin over the frame's subset of Y_N is at most the full one), so y
-    is off the frontier, and every weight in the simplex scores that
-    point strictly below y, so y is unsupported.  A boundary point's
-    witness program is solved over V rows and kept only when its
-    optimum is provably unique (``_vertex_row_witness``), so the
-    witness is still the one the full program prints."""
-    row = yn.lattice_by_id[y.id]
+    With cols fewer than yn's rows, a point with a certified margin
+    eps > 0 gets no further program: a point of conv(Y_N) sits at or
+    below y - eps in every coordinate (a margin over the frame's subset
+    of Y_N is at most the full one), so y is off the frontier, and every
+    weight in the simplex scores that point strictly below y, so y is
+    unsupported.  When V = Y_N every point is a vertex and no margin is
+    positive, so the shortcut applies exactly when cols are fewer than
+    yn's rows, as the V-row witness does (``_witness``)."""
     boundary = not margin
-    if vertices is not None and not boundary:
+    if not boundary and len(cols) < len(yn.lattice):
         frontier, solved = False, None
     else:
-        frontier = _on_frontier(row, cols)
-        if vertices is None:
-            solved = _solve_witness(y, yn, yn)
-        else:
-            solved = _vertex_row_witness(y, yn, vertices)
+        frontier = _on_frontier(yn.lattice[k], cols)
+        solved = _witness(k, yn, cols)
     weak = solved is not None
     strict = weak and solved[1] > 0
     check = PointCheck(
-        point_id=y.id,
+        point_id=yn.ids[k],
         weakly_supported=weak,
         on_boundary=boundary,
         supported=strict,
@@ -523,7 +515,7 @@ def cross_check(outcome_set: OutcomeSet) -> CrossCheckReport:
     yn = filter_nondominated(outcome_set).nondominated
     cols = yn.lattice
     checks = tuple(
-        _point_check(y, yn, cols, _margin(row, cols))[0] for y, row in zip(yn, cols)
+        _point_check(k, yn, cols, _margin(row, cols))[0] for k, row in enumerate(cols)
     )
     return CrossCheckReport(p=outcome_set.p, checks=checks)
 
@@ -563,24 +555,22 @@ def classify_all(outcome_set: OutcomeSet) -> list[Classification]:
 def _classify_nondominated(outcome_set: OutcomeSet) -> dict[str, Classification]:
     """The records of ``classify_all`` for the non-dominated points
     only, by id in input order; a dominated point gets no record."""
-    filtered = filter_nondominated(outcome_set)
-    yn = filtered.nondominated
+    yn = filter_nondominated(outcome_set).nondominated
     margins = _margin_pass(yn)
     cols = [row for row, margin in zip(yn.lattice, margins) if margin is None]
-    vertices = [y for y, margin in zip(yn, margins) if margin is None]
     results: dict[str, Classification] = {}
-    for y, margin in zip(yn, margins):
-        check, solved = _point_check(y, yn, cols, margin, vertices=vertices)
+    for k, (pid, margin) in enumerate(zip(yn.ids, margins)):
+        check, solved = _point_check(k, yn, cols, margin)
         if margin is None and not check.on_frontier:
             raise ConsistencyError(
                 "a vertex of the upper image is off the frontier: "
-                f"{check!r} for point {y.id} {y.coords} in instance "
+                f"{check!r} for point {pid} {yn.points[k].coords} in instance "
                 f"{outcome_set.coord_rows()}"
             )
         if not check.ok:
             raise ConsistencyError(
                 "supportedness tests disagree on a proven equivalence: "
-                f"{check!r} for point {y.id} {y.coords} in instance "
+                f"{check!r} for point {pid} {yn.points[k].coords} in instance "
                 f"{outcome_set.coord_rows()}"
             )
         if solved is None:
@@ -595,8 +585,8 @@ def _classify_nondominated(outcome_set: OutcomeSet) -> dict[str, Classification]
             else:
                 weak, strict = lam, None
                 label = Label.WEAKLY_SUPPORTED_ONLY
-        results[y.id] = Classification(
-            point_id=y.id,
+        results[pid] = Classification(
+            point_id=pid,
             label=label,
             weak_witness=weak,
             strict_witness=strict,

@@ -13,8 +13,9 @@ The weighted-sum oracle breaks ties lexicographically, which keeps the
 recursion deterministic and vertex-directed.  It scores the set's
 integer lattice with integer weights, both positive scalings of the
 exact values by ``ratlp._scale``, so its argmin and tie-break are those
-of the exact weighted sum; the certificates below are checked on the
-coordinates themselves.  All weights are exact segment normals, so no
+of the exact weighted sum; the chain check below reads the same
+lattice, on which every point lies on the same side of every edge line
+as its exact coordinates do.  All weights are exact segment normals, so no
 tolerance enters anywhere.  The result carries one certifying weight per
 extreme: an interior vertex gets the average of its two adjacent
 segment normals (strictly positive, uniquely optimal there); the
@@ -130,13 +131,13 @@ def _check_chain(
     ``dichotomic_extremes`` passes Y_N: a dominated point scores at or
     above its dominator under every normal, so it needs no check.
     """
-    # The chain in one int frame: (X_i, Y_i) = (x_i, y_i) * s.
-    s, ints = _scale([c for e in extremes for c in e.coords])
-    xs, ys = ints[0::2], ints[1::2]
+    # The set's lattice is one int frame: (X, Y) = (x, y) * S.
+    lattice = outcome_set.lattice_by_id
+    xs, ys = zip(*[lattice[e.id] for e in extremes])
     # The normals around each extreme: the unit weights at the two ends,
     # the exact edge normals in between.
     normals = [(Fraction(1), Fraction(0))]
-    edges = []  # per edge (A, B, C): A x + B y >= C for exact x, y
+    edges = []  # per edge (A, B, C): A X + B Y >= C on the lattice
     for i, (e, f) in enumerate(zip(extremes, extremes[1:])):
         a, b = ys[i] - ys[i + 1], xs[i + 1] - xs[i]
         if not (a > 0 and b > 0):
@@ -146,7 +147,7 @@ def _check_chain(
         if edges and a * edges[-1][1] >= b * edges[-1][0]:
             raise ConsistencyError(f"edge slopes do not strictly increase at {e.id}")
         normals.append((Fraction(a, a + b), Fraction(b, a + b)))
-        edges.append((a * s, b * s, a * xs[i] + b * ys[i]))
+        edges.append((a, b, a * xs[i] + b * ys[i]))
     normals.append((Fraction(0), Fraction(1)))
     for e, lam, u, v in zip(extremes, witnesses, normals, normals[1:]):
         if 2 * lam[0] != u[0] + v[0] or 2 * lam[1] != u[1] + v[1]:
@@ -154,27 +155,23 @@ def _check_chain(
                 f"witness {tuple(lam)} of {e.id} is not the average of its "
                 "neighbouring normals"
             )
-    # Locate x by bisecting the ints X_i: the number of X_i <= x * s
-    # equals the number of X_i <= floor(x * s).
     k = len(extremes)
-    for pt in outcome_set.points:
-        x, y = pt.coords
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        i = bisect_right(xs, xn * s // xd)
+    for pid, (x, y) in zip(outcome_set.ids, outcome_set.lattice):
+        i = bisect_right(xs, x)
         if i == 0:
             raise ConsistencyError(
-                f"{pt.id} lies left of the left anchor {extremes[0].id}"
+                f"{pid} lies left of the left anchor {extremes[0].id}"
             )
         if i == k:  # right of the chain; above an edge, (d) implies (b)
-            if yn * s < ys[-1] * yd:
+            if y < ys[-1]:
                 raise ConsistencyError(
-                    f"{pt.id} lies below the right anchor {extremes[-1].id}"
+                    f"{pid} lies below the right anchor {extremes[-1].id}"
                 )
             continue
         a, b, c = edges[i - 1]
-        if a * xn * yd + b * yn * xd < c * xd * yd:
+        if a * x + b * y < c:
             raise ConsistencyError(
-                f"{pt.id} lies below the edge from {extremes[i - 1].id} "
+                f"{pid} lies below the edge from {extremes[i - 1].id} "
                 f"to {extremes[i].id}"
             )
 

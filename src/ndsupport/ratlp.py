@@ -46,17 +46,18 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import eq, ge, le, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, ValidationError
 
-# Relations accepted in constraints, and the coefficient each gives its
-# row's slack column before any sign flip.
+# Relations accepted in constraints, the comparison each makes of a
+# row's two sides, and the coefficient each gives its row's slack column
+# before any sign flip.
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_HOLDS = {LESS_EQUAL: le, EQUAL: eq, GREATER_EQUAL: ge}
 _SLACK_SIGN = {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}
 
 # Solver statuses.
@@ -132,7 +133,7 @@ class LinearConstraint:
         object.__setattr__(self, "coeffs", _exact_vector(self.coeffs))
         if type(self.rhs) is not int:
             object.__setattr__(self, "rhs", rational(self.rhs))
-        if self.relation not in _RELATIONS:
+        if self.relation not in _HOLDS:
             raise ValidationError(f"unknown relation {self.relation!r}")
 
     def holds_at(self, x: Sequence[Fraction]) -> bool:
@@ -144,13 +145,9 @@ class LinearConstraint:
         num, den = _dot(self.coeffs, x)
         # Compare num / den with rhs by cross-multiplying: both
         # denominators are positive.
-        lhs = num * self.rhs.denominator
-        rhs = self.rhs.numerator * den
-        if self.relation == LESS_EQUAL:
-            return lhs <= rhs
-        if self.relation == GREATER_EQUAL:
-            return lhs >= rhs
-        return lhs == rhs
+        return _HOLDS[self.relation](
+            num * self.rhs.denominator, self.rhs.numerator * den
+        )
 
 
 @dataclass(frozen=True)
@@ -424,15 +421,7 @@ def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
             raise ConsistencyError(f"solver returned negative x[{i}] = {v}")
     d, scaled = _scale(x)
     for idx, con in enumerate(program.constraints):
-        lhs = sum(map(mul, con.coeffs, scaled))
-        rhs = con.rhs * d
-        if con.relation == LESS_EQUAL:
-            holds = lhs <= rhs
-        elif con.relation == GREATER_EQUAL:
-            holds = lhs >= rhs
-        else:
-            holds = lhs == rhs
-        if not holds:
+        if not _HOLDS[con.relation](sum(map(mul, con.coeffs, scaled)), con.rhs * d):
             raise ConsistencyError(
                 f"solver solution violates constraint {idx}: "
                 f"{con.coeffs} {con.relation} {con.rhs} at {x}"

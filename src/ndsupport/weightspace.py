@@ -4,12 +4,14 @@ For a non-dominated point y, its cell is the set of normalized
 nonnegative weights under which y is weighted-sum minimal over the
 whole non-dominated set.  It is nonempty exactly when y is on the
 boundary of the upper image and full-dimensional exactly at a vertex,
-so y's margin (``classify._margin``) decides it.  A cell keeps the
-unsolved int rows of y's witness program, ``classify._cell_program``,
-each S times an exact row; its exact half-spaces over the full weight
-space are those rows without t, divided by S.  For three objectives
-the cell is also projected to the first two weight coordinates and its
-polygon vertices are enumerated exactly.
+so y's margin (``classify._margin``) decides it.  As in ``classify``,
+the private functions name y by its index into the non-dominated set.
+A cell keeps the unsolved int rows of y's witness program,
+``classify._cell_program``, each S times an exact row; its exact
+half-spaces over the full weight space are those rows without t,
+divided by S.  For three objectives the cell is also projected to the
+first two weight coordinates and its polygon vertices are enumerated
+exactly.
 
 The polygon is the projected simplex triangle clipped by one
 half-plane at a time (Sutherland & Hodgman 1974), in ints: the clip
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .classify import WeightVector, _cell_program, _margin, _margin_pass, _require_member
+from .classify import WeightVector, _cell_program, _index, _margin_over_others, _margin_pass
 from .dichotomic import weighted_sum_argmin
 from .errors import ValidationError
 from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
@@ -112,16 +114,16 @@ def _projected_vertices(rows) -> tuple[Point2, ...]:
     return tuple(ring[k:] + ring[:k])
 
 
-def _cell(y: OutcomePoint, yn: OutcomeSet, margin) -> WeightCell:
-    """y's cell from its margin over the other points: None (a vertex)
-    gives a full-dimensional cell, 0 (on the boundary) a degenerate one,
-    and a positive margin (interior) an empty one."""
-    rows = _cell_program(y, yn, yn).constraints
+def _cell(k: int, yn: OutcomeSet, margin) -> WeightCell:
+    """The cell of yn's point k from its margin over the other points:
+    None (a vertex) gives a full-dimensional cell, 0 (on the boundary) a
+    degenerate one, and a positive margin (interior) an empty one."""
+    rows = _cell_program(k, yn, yn.lattice).constraints
     vertices = None
     if yn.p == 3:
         vertices = () if margin else _projected_vertices(rows)
     return WeightCell(
-        point_id=y.id,
+        point_id=yn.ids[k],
         rows=rows,
         scale=yn.scale,
         projected_vertices=vertices,
@@ -138,9 +140,8 @@ def weight_cell(y: OutcomePoint, yn: OutcomeSet) -> WeightCell:
     over S, are the H-representation (redundant half-spaces retained).
     The cell is empty exactly when y is unsupported.
     """
-    _require_member(y, yn)
-    row = yn.lattice_by_id[y.id]
-    return _cell(y, yn, _margin(row, [col for col in yn.lattice if col != row]))
+    k = _index(y, yn)
+    return _cell(k, yn, _margin_over_others(k, yn))
 
 
 def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
@@ -156,7 +157,7 @@ def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
     cell's verdict is read off the margin's sign.
     """
     yn = filter_nondominated(outcome_set).nondominated
-    return [_cell(y, yn, m) for y, m in zip(yn, _margin_pass(yn)) if not m]
+    return [_cell(k, yn, m) for k, m in enumerate(_margin_pass(yn)) if not m]
 
 
 def cell_membership(

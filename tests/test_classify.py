@@ -117,7 +117,7 @@ class TestStrictWitness:
 
     def test_certificate_check_rejects_a_wrong_weight(self, counterexample_set):
         yn = nondom(counterexample_set)
-        y1 = yn.get("y1")
+        y1 = yn.ids.index("y1")
         _check_weight_certificate(WeightVector((1, 0, 0)), y1, yn)
         # Under (0, 1, 0), y1 scores 9 and y2 scores 6.
         with pytest.raises(ConsistencyError, match="y2 scores below y1"):
@@ -373,8 +373,8 @@ def full_width_classify(outcome_set):
     program built here from the exact coordinates."""
     yn = nondom(outcome_set)
     records = {}
-    for y, row in zip(yn, yn.lattice):
-        check, solved = _point_check(y, yn, yn.lattice, _margin(row, yn.lattice))
+    for k, (y, row) in enumerate(zip(yn, yn.lattice)):
+        check, solved = _point_check(k, yn, yn.lattice, _margin(row, yn.lattice))
         assert check.ok
         weak = strict = None
         if solved is None:

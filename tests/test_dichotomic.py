@@ -334,7 +334,7 @@ class TestChainSweep:
             result = dichotomic_extremes(s)
             assert list(result.witness_weights) == chain_witnesses(result.extremes)
             for pt, lam in zip(result.extremes, result.witness_weights):
-                _check_weight_certificate(lam, pt, s)
+                _check_weight_certificate(lam, s.ids.index(pt.id), s)
 
     def test_every_point_of_a_convex_curve_is_extreme(self):
         s = validate_instance([[i, (1200 - i) ** 2] for i in range(1201)])
@@ -343,4 +343,4 @@ class TestChainSweep:
         assert list(result.witness_weights) == chain_witnesses(result.extremes)
         # the check the sweep replaced: one pass over the set per extreme
         for pt, lam in zip(result.extremes, result.witness_weights):
-            _check_weight_certificate(lam, pt, s)
+            _check_weight_certificate(lam, s.ids.index(pt.id), s)

@@ -491,9 +491,12 @@ class TestEachJobOnce:
         assert len(hash_calls) == 0
 
     @staticmethod
-    def _builds_only_nondominated(tmp_path, capsys, monkeypatch, argv, cls, key):
+    def _builds_only_nondominated(
+        tmp_path, capsys, monkeypatch, argv, cls, key, *, none=False
+    ):
         """Run argv on gen knapsack 13 2 and check that every cls built
-        while it runs has a Y_N id, key(obj), and that none is built twice."""
+        while it runs has a Y_N id, key(obj), and that none is built
+        twice; with none, that no cls is built at all."""
         spec = generate_knapsack(13, 2, 0)
         path = tmp_path / "k13.json"
         path.write_text(serialize_instance(spec))
@@ -511,8 +514,11 @@ class TestEachJobOnce:
         monkeypatch.setattr(cls, "__post_init__", counting)
         assert main([*(a.format(svg=svg) for a in argv), str(path)]) == 0
         assert capsys.readouterr().out
-        assert built and set(built) <= yn
-        assert len(built) == len(set(built))
+        if none:
+            assert built == []
+        else:
+            assert built and set(built) <= yn
+            assert len(built) == len(set(built))
         assert svg.exists() == ("--svg" in argv)
 
     _CLASSIFY_ARGV = [
@@ -530,8 +536,16 @@ class TestEachJobOnce:
     def test_enumerated_requests_build_only_nondominated_points(
         self, tmp_path, capsys, monkeypatch, argv
     ):
+        # classify names every point by its place in the set and builds
+        # none; dichotomic builds Y_N's, each once.
         self._builds_only_nondominated(
-            tmp_path, capsys, monkeypatch, argv, OutcomePoint, lambda pt: pt.id
+            tmp_path,
+            capsys,
+            monkeypatch,
+            argv,
+            OutcomePoint,
+            lambda pt: pt.id,
+            none=argv[0] == "classify",
         )
 
     @pytest.mark.parametrize("argv", _CLASSIFY_ARGV, ids=_CLASSIFY_IDS)

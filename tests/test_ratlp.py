@@ -767,9 +767,9 @@ class TestDictionary:
         monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", checked)
         statuses = set()
         for outcomes in (generate_points(150, p, 7), generate_points(150, p, 8)):
-            for y in outcomes.points:
-                program = _cell_program(y, outcomes, outcomes.points)
-                assert len(program.constraints) == len(outcomes.points) + p
+            for k in range(len(outcomes)):
+                program = _cell_program(k, outcomes, outcomes.lattice)
+                assert len(program.constraints) == len(outcomes) + p
                 statuses.add(lp_solve(program).status)
         assert statuses == {OPTIMAL, INFEASIBLE}
         assert len(pivots) >= 500

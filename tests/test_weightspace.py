@@ -22,7 +22,7 @@ from ndsupport.classify import (
     _margin,
     _margin_pass,
     _on_frontier,
-    _solve_witness,
+    _witness,
     classify_all,
 )
 from ndsupport.errors import ValidationError
@@ -333,17 +333,23 @@ class TestOneCellBuilder:
             yn = nondom(s)
             p = yn.p
             vertices = reference_vertices(yn)
-            for y in yn:
+            vertex_rows = [yn.lattice_by_id[v.id] for v in vertices]
+            for k, y in enumerate(yn):
+                full = lp_solve(_cell_program(k, yn, yn.lattice))
+                printed = (
+                    None
+                    if full.status != OPTIMAL
+                    else (WeightVector(full.solution[:p]), full.value)
+                )
                 # The witness program, over Y_N rows and over V rows,
-                # with the simplex equality moved.
-                for rows in (yn, vertices):
-                    got = lp_solve(_cell_program(y, yn, rows))
-                    assert got == lp_solve(reference_witness_program(y, p, rows))
-                    assert _solve_witness(y, yn, rows) == (
-                        None
-                        if got.status != OPTIMAL
-                        else (WeightVector(got.solution[:p]), got.value)
-                    )
+                # with the simplex equality moved.  Both have the full
+                # program's status and optimum, and the witness solved
+                # over either is the full-row one.
+                for points, rows in ((yn, yn.lattice), (vertices, vertex_rows)):
+                    got = lp_solve(_cell_program(k, yn, rows))
+                    assert got == lp_solve(reference_witness_program(y, p, points))
+                    assert (got.status, got.value) == (full.status, full.value)
+                    assert _witness(k, yn, rows) == printed
                     witness_kinds.add(
                         got.status if got.status != OPTIMAL else got.value > 0
                     )
