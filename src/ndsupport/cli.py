@@ -113,12 +113,8 @@ def cross_check_to_json(checks: CrossCheckReport) -> dict:
 
 
 def _coords_str(coords) -> str:
-    return "(" + ", ".join(str(format_rational(c)) for c in coords) + ")"
-
-
-def _row_str(row: Sequence[int], s: int) -> str:
-    """A lattice row over its scale s, as ``_coords_str`` writes it."""
-    return "(" + ", ".join([_over(v, s).strip('"') for v in row]) + ")"
+    """Exact values as a table writes them: (1, -3/2, ...)."""
+    return "(" + ", ".join([_plain(c.numerator, c.denominator) for c in coords]) + ")"
 
 
 def _witness_str(vec) -> str:
@@ -143,6 +139,7 @@ def report_to_table(report: Report) -> str:
     header = ("id", "coords", "label", "frontier", "boundary", "weak", "strict")
     table = [header]
     outcomes, records = report.outcomes, report.records
+    text = _Interned(partial(_plain, s=outcomes.scale))
     for pid, row in zip(outcomes.ids, outcomes.lattice):
         c = records.get(pid)
         cells = _DOMINATED_CELLS if c is None else (
@@ -152,10 +149,11 @@ def report_to_table(report: Report) -> str:
             _witness_str(c.weak_witness),
             _witness_str(c.strict_witness),
         )
-        table.append((pid, _row_str(row, outcomes.scale), *cells))
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        coords = "(" + ", ".join(map(text.__getitem__, row)) + ")"
+        table.append((pid, coords, *cells))
+    widths = [max(map(len, column)) for column in zip(*table)]
     for r in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        lines.append("  ".join(map(str.ljust, r, widths)).rstrip())
     verdict = "all equivalences hold" if report.checks.all_ok else "VIOLATIONS FOUND"
     lines.append(f"cross-check: {verdict} ({len(report.checks.checks)} points)")
     lines.append(f"elapsed: {report.elapsed_seconds:.3f}s")
@@ -353,10 +351,7 @@ def _vector_text(vec) -> str:
     classify point record or a wsd cell."""
     if vec is None:
         return "null"
-    items = []
-    for v in vec:
-        text = format_rational(v)
-        items.append(str(text) if type(text) is int else f'"{text}"')
+    items = [_over(v.numerator, v.denominator) for v in vec]
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
@@ -427,6 +422,11 @@ def _over(v: int, s: int) -> str:
     return str(v // s)
 
 
+def _plain(v: int, s: int) -> str:
+    """Fraction(v, s), s > 0, as a table writes it: ``_over`` unquoted."""
+    return _over(v, s).strip('"')
+
+
 def _cell_text(cell: WeightCell, p: int) -> str:
     """One wsd cell record.  Its hrep rows are the cell's int rows
     without t, each value over the scale."""
@@ -478,6 +478,14 @@ def _write_wsd_json(cells: Sequence[WeightCell], p: int, out) -> None:
     )
 
 
+def _no_figure(kind: str, needs: str, p: int) -> None:
+    print(
+        f"note: {kind} figure needs {needs} objectives, instance has {p}; "
+        "no SVG written",
+        file=sys.stderr,
+    )
+
+
 def _cmd_classify(args) -> int:
     outcomes = _load_outcomes(args.path)
     draw = args.svg is not None and outcomes.p == 2
@@ -490,11 +498,7 @@ def _cmd_classify(args) -> int:
         if draw:
             streams[1].write(svg_objective_space(outcomes, report.records.values()))
     if args.svg is not None and not draw:
-        print(
-            f"note: objective-space figure needs 2 objectives, instance has "
-            f"{outcomes.p}; no SVG written",
-            file=sys.stderr,
-        )
+        _no_figure("objective-space", "2", outcomes.p)
     return 0 if report.checks.all_ok else 3
 
 
@@ -518,11 +522,7 @@ def _cmd_wsd(args) -> int:
         if draw:
             streams[1].write(svg_weight_space(cells, outcomes.p))
     if args.svg is not None and not draw:
-        print(
-            f"note: weight-space figure needs 2 or 3 objectives, instance "
-            f"has {outcomes.p}; no SVG written",
-            file=sys.stderr,
-        )
+        _no_figure("weight-space", "2 or 3", outcomes.p)
     return 0
 
 

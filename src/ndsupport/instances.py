@@ -256,7 +256,10 @@ def _bad_cell(i, j):
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical text for an instance; parse(serialize(x)) == x."""
+    """Canonical text for an instance; parse(serialize(x)) == x for a
+    spec, and for a set whose ids are y1 ... yn in order.  A set's ids
+    are not written: any other set parses back to the same rows, scale
+    and multiplicities in order, under ids y1 ... yn."""
     if isinstance(instance, OutcomeSet):
         rows = []
         for pt in instance:

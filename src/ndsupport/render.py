@@ -4,7 +4,11 @@ bi-objective outcome plot.
 Exact rationals are converted to floats only here, at the last moment
 before formatting; nothing rendered ever feeds back into a decision.
 Output bytes are a pure function of the input (fixed palette, fixed
-coordinate formatting), so figures can be diffed across runs.
+coordinate formatting), so figures can be diffed across runs.  Every
+text element is written by ``_label``, which escapes ``&``, ``<`` and
+``>``, so any id survives as the text of its label; every point list is
+written by ``_points``, and each label's marker comes from one table,
+``_MARKERS``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,21 @@ _PALETTE = (
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+# &, < and > as XML character data escapes them.
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _label(x, y, size: int, text: str) -> str:
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}" font-family="sans-serif">'
+        f"{text.translate(_ESCAPE)}</text>"
+    )
+
+
+def _points(placed: Iterable[tuple[float, float]]) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in placed)
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -63,19 +82,18 @@ def _svg_simplex_triangle(cells: Sequence[WeightCell]) -> str:
 
     body = ['<rect width="100%" height="100%" fill="white"/>']
     corners = [place(Fraction(0), Fraction(0)), place(Fraction(1), Fraction(0)), place(Fraction(0), Fraction(1))]
-    triangle = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
     body.append(
-        f'<polygon points="{triangle}" fill="#f5f5f5" stroke="#444" stroke-width="1"/>'
+        f'<polygon points="{_points(corners)}" fill="#f5f5f5" stroke="#444" '
+        'stroke-width="1"/>'
     )
     for idx, cell in enumerate(cells):
         verts = cell.projected_vertices or ()
         color = _PALETTE[idx % len(_PALETTE)]
         placed = [place(*v) for v in verts]
         if len(placed) >= 3:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in placed)
             body.append(
-                f'<polygon points="{pts}" fill="{color}" fill-opacity="0.55" '
-                f'stroke="{color}" stroke-width="1.5"/>'
+                f'<polygon points="{_points(placed)}" fill="{color}" '
+                f'fill-opacity="0.55" stroke="{color}" stroke-width="1.5"/>'
             )
         elif len(placed) == 2:
             (x1, y1), (x2, y2) = placed
@@ -91,29 +109,18 @@ def _svg_simplex_triangle(cells: Sequence[WeightCell]) -> str:
             cy = sum(y for _, y in placed) / len(placed)
             anchor_shift = 10 if len(placed) < 3 else 0
             body.append(
-                f'<text x="{_fmt(cx + anchor_shift)}" y="{_fmt(cy - anchor_shift / 2)}" '
-                f'font-size="13" font-family="sans-serif">{cell.point_id}</text>'
+                _label(
+                    _fmt(cx + anchor_shift), _fmt(cy - anchor_shift / 2), 13, cell.point_id
+                )
             )
     axis_y = size - margin
-    body.append(
-        f'<text x="{size - margin + 8}" y="{axis_y + 4}" font-size="13" '
-        'font-family="sans-serif">w1</text>'
-    )
-    body.append(
-        f'<text x="{margin - 10}" y="{margin - 8}" font-size="13" '
-        'font-family="sans-serif">w2</text>'
-    )
+    body.append(_label(size - margin + 8, axis_y + 4, 13, "w1"))
+    body.append(_label(margin - 10, margin - 8, 13, "w2"))
     for tick in (Fraction(1, 2), Fraction(1)):
         x, _ = place(tick, Fraction(0))
-        body.append(
-            f'<text x="{_fmt(x - 8)}" y="{axis_y + 16}" font-size="11" '
-            f'font-family="sans-serif">{float(tick):g}</text>'
-        )
+        body.append(_label(_fmt(x - 8), axis_y + 16, 11, f"{float(tick):g}"))
         _, y = place(Fraction(0), tick)
-        body.append(
-            f'<text x="{margin - 28}" y="{_fmt(y + 4)}" font-size="11" '
-            f'font-family="sans-serif">{float(tick):g}</text>'
-        )
+        body.append(_label(margin - 28, _fmt(y + 4), 11, f"{float(tick):g}"))
     return _svg(size, size, body)
 
 
@@ -134,25 +141,31 @@ def _svg_interval_bar(cells: Sequence[WeightCell]) -> str:
             f'<rect x="{_fmt(x)}" y="{y0}" width="{_fmt(w)}" height="{bar_height}" '
             f'fill="{color}" fill-opacity="0.65" stroke="{color}"/>'
         )
-        body.append(
-            f'<text x="{_fmt(x + w / 2 - 8)}" y="{y0 - 6}" font-size="12" '
-            f'font-family="sans-serif">{cell.point_id}</text>'
-        )
+        body.append(_label(_fmt(x + w / 2 - 8), y0 - 6, 12, cell.point_id))
     for tick, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
         x = margin + tick * scale
         body.append(
             f'<line x1="{_fmt(x)}" y1="{y0 + bar_height}" x2="{_fmt(x)}" '
             f'y2="{y0 + bar_height + 6}" stroke="#444"/>'
         )
-        body.append(
-            f'<text x="{_fmt(x - 6)}" y="{y0 + bar_height + 20}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
-        )
-    body.append(
-        f'<text x="{width - margin + 6}" y="{y0 + bar_height + 4}" font-size="13" '
-        'font-family="sans-serif">w1</text>'
-    )
+        body.append(_label(_fmt(x - 6), y0 + bar_height + 20, 11, label))
+    body.append(_label(width - margin + 6, y0 + bar_height + 4, 13, "w1"))
     return _svg(width, height, body)
+
+
+# One marker per label, centred on (x, y); l, r, t and b are x - 4,
+# x + 4, y - 4 and y + 4.
+_MARKERS = {
+    Label.EXTREME_SUPPORTED: '<circle cx="{x}" cy="{y}" r="5" fill="#1f5fa8"/>',
+    Label.SUPPORTED: '<rect x="{l}" y="{t}" width="8" height="8" fill="#b03060"/>',
+    Label.WEAKLY_SUPPORTED_ONLY: (
+        '<circle cx="{x}" cy="{y}" r="5" fill="none" stroke="#b03060" stroke-width="2"/>'
+    ),
+    Label.UNSUPPORTED: (
+        '<path d="M {l} {t} L {r} {b} M {l} {b} L {r} {t}" stroke="#222" stroke-width="2"/>'
+    ),
+    Label.DOMINATED: '<path d="M {x} {t} L {r} {y} L {x} {b} L {l} {y} Z" fill="#222"/>',
+}
 
 
 def svg_objective_space(
@@ -194,44 +207,19 @@ def svg_objective_space(
     body = ['<rect width="100%" height="100%" fill="white"/>']
     extremes = sorted(row for _, row, label in points if label == Label.EXTREME_SUPPORTED)
     if len(extremes) >= 2:
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(place, extremes))
         body.append(
-            f'<polyline points="{pts}" fill="none" stroke="#888" stroke-width="1.5"/>'
+            f'<polyline points="{_points(map(place, extremes))}" fill="none" '
+            'stroke="#888" stroke-width="1.5"/>'
         )
     for pid, row, label in points:
         x, y = place(row)
-        if label == Label.EXTREME_SUPPORTED:
-            body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="#1f5fa8"/>')
-        elif label == Label.SUPPORTED:
-            body.append(
-                f'<rect x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8" '
-                'fill="#b03060"/>'
-            )
-        elif label == Label.WEAKLY_SUPPORTED_ONLY:
-            body.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="none" '
-                'stroke="#b03060" stroke-width="2"/>'
-            )
-        elif label == Label.UNSUPPORTED:
-            body.append(
-                f'<path d="M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} {_fmt(y + 4)} '
-                f'M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} {_fmt(y - 4)}" '
-                'stroke="#222" stroke-width="2"/>'
-            )
-        else:
-            body.append(
-                f'<path d="M {_fmt(x)} {_fmt(y - 4)} L {_fmt(x + 4)} {_fmt(y)} '
-                f'L {_fmt(x)} {_fmt(y + 4)} L {_fmt(x - 4)} {_fmt(y)} Z" fill="#222"/>'
-            )
-        body.append(
-            f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" font-size="11" '
-            f'font-family="sans-serif">{pid}</text>'
+        marker = _MARKERS[label].format(
+            x=_fmt(x), y=_fmt(y),
+            l=_fmt(x - 4), r=_fmt(x + 4), t=_fmt(y - 4), b=_fmt(y + 4),
         )
+        body += (marker, _label(_fmt(x + 7), _fmt(y - 7), 11, pid))
     ly = margin
     for name in ("extreme supported", "supported", "unsupported", "dominated"):
-        body.append(
-            f'<text x="{size - margin - 130}" y="{ly}" font-size="11" '
-            f'font-family="sans-serif">{name}</text>'
-        )
+        body.append(_label(size - margin - 130, ly, 11, name))
         ly += 16
     return _svg(size, size, body)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from xml.etree import ElementTree
 
 import pytest
 
@@ -38,6 +39,7 @@ from ndsupport.instances import (
 )
 from ndsupport.outcomes import OutcomePoint, OutcomeSet, validate_instance
 from ndsupport.ratlp import format_rational
+from ndsupport.render import svg_objective_space, svg_weight_space
 from ndsupport.weightspace import WeightCell, cell_interval, decompose
 
 COUNTEREXAMPLE_JSON = '{"objectives": 3, "points": [[2,9,1],[3,6,1],[8,3,1],[6,5,1]]}\n'
@@ -167,6 +169,20 @@ class TestClassify:
         assert main(["classify", counterexample_file, "--svg", str(svg)]) == 0
         assert not svg.exists()
         assert "no SVG written" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ids_survive_every_figure(p):
+    ids = ("a<b", "x & y", "c>d")
+    rows = [(1, 5), (2, 2), (5, 1)] if p == 2 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    s = OutcomeSet(p, [OutcomePoint(i, row) for i, row in zip(ids, rows)])
+    figures = [svg_weight_space(decompose(s), p)]
+    if p == 2:
+        figures.append(svg_objective_space(s, classify_all(s)))
+    for figure in figures:
+        root = ElementTree.fromstring(figure)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert set(ids) <= set(texts)
 
 
 def _vector_json(vec):

@@ -10,7 +10,9 @@ points, 15 segments and 3 polygons, was recorded before the p = 3
 clip's ring stopped being rebuilt by a convex hull.  A second table pins
 the outputs the first does not read - the classify and check tables,
 the classify figure and the dichotomic document and table - recorded
-before stdout and figure writes reported their own failures.
+before stdout and figure writes reported their own failures; its
+lifted near-collinear entry was recorded before the figures and tables
+each had one writer per element.
 
 Every label, witness and cell is an exact LP verdict, and Bland's rule
 fixes which optimal vertex a degenerate program returns, so a kernel
@@ -173,6 +175,10 @@ TABLE_GOLDEN = {
     "assignment-7-3-lifted": [
         "de634149c26d867aa86b9aaf4639d0fff0d1a3cb651f9db5e5fed69bf3ef0232",
         "e819502ae0ecfb956a8f783e6d1245bfc614234f0088963481a2ebda8f78d321",
+    ],
+    "collinear-40-2-lifted": [
+        "f095ec06506ee34ae3c73fc883e69a4dc3198461baf7480b5a84dd8cbe113dc8",
+        "2267e19f1ebdaf2ee0051db52621340938ea2be449a6a2c1bc627be42e9cacfc",
     ],
     "knapsack-15-2": [
         "81e0dba9fe94f72826699586cd73754d962b5c1e5e8885b4a2f16fa326ef20fb",

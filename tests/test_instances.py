@@ -20,7 +20,12 @@ from ndsupport.instances import (
     parse_instance,
     serialize_instance,
 )
-from ndsupport.outcomes import OutcomeSet, filter_nondominated, validate_instance
+from ndsupport.outcomes import (
+    OutcomePoint,
+    OutcomeSet,
+    filter_nondominated,
+    validate_instance,
+)
 
 
 class TestParse:
@@ -145,6 +150,26 @@ class TestRoundTrip:
             generate_points(9, 2, seed=5),
         ):
             assert parse_instance(serialize_instance(spec)) == spec
+
+    def test_other_ids_parse_back_as_y1_onwards(self):
+        # Ids are not written, so only the rows, their order and their
+        # multiplicities come back.
+        instance = OutcomeSet(
+            2,
+            (
+                OutcomePoint("a", (F(1), F(5))),
+                OutcomePoint("b", (F(2), F(2))),
+                OutcomePoint("c", (F(7, 2), F(-1, 3))),
+            ),
+            multiplicity={"b": 3},
+        )
+        again = parse_instance(serialize_instance(instance))
+        assert again != instance
+        assert again.ids == ("y1", "y2", "y3")
+        assert (again.p, again.lattice, again.scale) == (
+            instance.p, instance.lattice, instance.scale
+        )
+        assert [again.multiplicity[i] for i in again.ids] == [1, 3, 1]
 
     @settings(max_examples=40)
     @given(
