@@ -32,7 +32,7 @@ from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .ratlp import _exact_vector, _scale, rational
+from .ratlp import _exact_vector, _plain_ints, _scale, rational
 
 
 def _is_int(value) -> bool:
@@ -54,7 +54,7 @@ class OutcomePoint:
 def _on_lattice(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The lcm of the rows' denominators, and the rows times it as int
     tuples.  Rows of ints are their own lattice, at scale 1."""
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
+    if _plain_ints(chain.from_iterable(rows)):
         return 1, tuple(rows)
     scale, ints = _scale(list(chain.from_iterable(rows)))
     ints = iter(ints)
@@ -133,7 +133,7 @@ class OutcomeSet:
         ):
             _reject_first_bad_point(p, ids, lattice)
         counts = multiplicity.values()
-        if not set(map(type, counts)) <= {int} or min(counts) < 1:
+        if not _plain_ints(counts) or min(counts) < 1:
             bad = next(
                 i for i in ids if type(multiplicity[i]) is not int or multiplicity[i] < 1
             )

@@ -2,9 +2,10 @@
 
 Programs hold exact coefficients: an ``int`` stays an ``int``, and
 anything else becomes a ``fractions.Fraction``.  Optimal values and
-solution vectors are ``Fraction``s, and each optimal result is
-re-substituted into the original constraints, exactly, before it is
-returned.
+solution vectors are ``Fraction``s.  Each optimum is read as int
+numerators X over the dictionary's divisor d and re-substituted into
+the program's own rows, exactly, as ``coeffs . X <rel> rhs * d``,
+before its ``Fraction``s are made and it is returned.
 Bland's pivot rule makes the solver deterministic and guarantees
 termination on the degenerate systems that weight-space boundaries
 produce routinely.
@@ -18,12 +19,13 @@ outcomes, and concurrent invocations share no state.
 
 Inside the kernel the simplex is an integer dictionary (Chvatal 1983,
 ch. 2), pivoted as in Avis's lrs.  Each row is scaled once by the lcm of
-its denominators (1 for a row of ints, as every program this package
-builds is) and negated when its scaled rhs is negative, or zero on a
-``>=`` row.  Variables are labelled in order: the program's variables,
-the slacks, then one artificial per row whose slack is not then +1.
-Only nonbasic variables have a column, the rhs last; a pivot swaps two
-labels, so the width never changes.  The true dictionary is the int one
+its denominators, and negated when its scaled rhs is negative, or zero
+on a ``>=`` row.  A row of plain ints, as every program this package
+builds is, is told by one type pass and taken as it stands.  Variables
+are labelled in order: the program's variables, the slacks, then one
+artificial per row whose slack is not then +1.  Only nonbasic variables
+have a column, the rhs last; a pivot swaps two labels, so the width
+never changes.  The true dictionary is the int one
 over a common divisor d > 0, which starts at 1.  Each pivot is a
 fraction-free Bareiss step (Edmonds 1967; Bareiss 1968): every other
 row becomes (p * row - f * pivot row) / d, an exact division, and d
@@ -91,11 +93,22 @@ def rational(value) -> Fraction:
     )
 
 
+def _plain_ints(values: Iterable) -> bool:
+    """Are all the values plain ints (a bool is not one)?  One pass at
+    C speed, so a row of ints costs no Python loop."""
+    return set(map(type, values)) <= {int}
+
+
 def _exact_vector(values: Iterable) -> tuple[Fraction | int, ...]:
     """Each int as it stands, anything else through ``rational``."""
-    # From a list, the tuple is allocated once at its final size.  Grown
-    # from a generator past ten items it is reallocated, and such tuples
-    # pile up on CPython's free lists between full collections.
+    # A generator is listed first, so the tuple is allocated once at its
+    # final size.  Grown from a generator past ten items it is
+    # reallocated, and such tuples pile up on CPython's free lists
+    # between full collections.
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    if _plain_ints(values):
+        return tuple(values)
     return tuple([v if type(v) is int else rational(v) for v in values])
 
 
@@ -297,9 +310,9 @@ class _Dictionary:
 
 def _scale(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """The lcm of the denominators, and the values times it."""
+    if _plain_ints(values):
+        return 1, list(values)
     s = lcm(*[v.denominator for v in values])
-    if s == 1:
-        return 1, [v.numerator for v in values]
     return s, [v.numerator * (s // v.denominator) for v in values]
 
 
@@ -398,31 +411,43 @@ def _solve(
     if tab.run(r, base_cols) == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED), tab, r
 
-    solution = [_ZERO] * n
-    for i, b in enumerate(basic):
+    # The optimum is X / d: X[b] is the rhs of b's row, 0 off the basis.
+    d = tab.d
+    x = [0] * n
+    for row, b in zip(rows, basic):
         if b < n:
-            solution[b] = Fraction(rows[i][-1], tab.d)
-
-    value = Fraction(*_dot(program.objective, solution))
-    outcome = LpOutcome(status=OPTIMAL, value=value, solution=tuple(solution))
-    _certify(program, outcome)
+            x[b] = row[-1]
+    _check_solution(program, x, d)
+    outcome = LpOutcome(
+        status=OPTIMAL,
+        value=Fraction(sum(map(mul, program.objective, x)), d),
+        solution=tuple([Fraction(v, d) if v else _ZERO for v in x]),
+    )
     return outcome, tab, r
 
 
 def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
-    """Exact feasibility re-check of an optimal solution.  The solution
-    is scaled once to ints X over the lcm D of its denominators, and
-    each row is checked as ``coeffs . X  <rel>  rhs * D``: in ints for a
-    row of ints, and exact for any other, as D > 0."""
-    x = outcome.solution
-    assert x is not None
+    """Exact feasibility re-check of an optimal outcome's solution,
+    scaled once to ints X over the lcm of its denominators."""
+    assert outcome.solution is not None
+    d, x = _scale(outcome.solution)
+    _check_solution(program, x, d)
+
+
+def _check_solution(program: LinearProgram, x: list[int], d: int) -> None:
+    """Exact feasibility re-check of the solution X / d, d > 0, against
+    the program's own rows: X >= 0, and each row as
+    ``coeffs . X  <rel>  rhs * d``, in ints for a row of ints and exact
+    for any other."""
     for i, v in enumerate(x):
         if v < 0:
-            raise ConsistencyError(f"solver returned negative x[{i}] = {v}")
-    d, scaled = _scale(x)
+            raise ConsistencyError(
+                f"solver returned negative x[{i}] = {Fraction(v, d)}"
+            )
     for idx, con in enumerate(program.constraints):
-        if not _HOLDS[con.relation](sum(map(mul, con.coeffs, scaled)), con.rhs * d):
+        if not _HOLDS[con.relation](sum(map(mul, con.coeffs, x)), con.rhs * d):
             raise ConsistencyError(
                 f"solver solution violates constraint {idx}: "
-                f"{con.coeffs} {con.relation} {con.rhs} at {x}"
+                f"{con.coeffs} {con.relation} {con.rhs} "
+                f"at {tuple(Fraction(v, d) for v in x)}"
             )

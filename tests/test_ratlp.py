@@ -24,6 +24,8 @@ from ndsupport.ratlp import (
     OPTIMAL,
     UNBOUNDED,
     _certify,
+    _exact_vector,
+    _scale,
     _solve,
     _unique_optimum,
     lp_solve,
@@ -248,6 +250,86 @@ def test_certify_equals_holds_at(pairs, relation, rhs, offset):
     else:
         with pytest.raises(ConsistencyError, match="violates constraint 0"):
             _certify(prog, out)
+
+
+def corrupt_phase_two(monkeypatch, n, corrupt):
+    """Run the dictionary as usual, then after phase two replace the rhs
+    of the first row whose basic label is one of the n program variables
+    by ``corrupt(rhs, d)``: the optimum X / d the solver reads is wrong."""
+    run = ndsupport.ratlp._Dictionary.run
+
+    def corrupted(tab, r, bar):
+        status = run(tab, r, bar)
+        if bar == tab.base_cols:  # phase two bars the artificials
+            i = next(i for i, b in enumerate(tab.basic) if b < n)
+            tab.rows[i][-1] = corrupt(tab.rows[i][-1], tab.d)
+        return status
+
+    monkeypatch.setattr(ndsupport.ratlp._Dictionary, "run", corrupted)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda v, d: v + d, "violates constraint 0"),
+        (lambda v, d: -v, r"negative x\["),
+    ],
+)
+def test_solve_rejects_a_corrupted_int_optimum(monkeypatch, corrupt, message):
+    # The optimum (8/5, 6/5) makes both rows tight over d = 5: one more
+    # unit on a basic variable breaks row 0, and a negated rhs makes a
+    # variable negative.  _solve must catch either before returning.
+    prog = LinearProgram("max", (1, 1), (le((1, 2), 4), le((3, 1), 6)))
+    out = lp_solve(prog)
+    assert out.solution == (F(8, 5), F(6, 5))
+    corrupt_phase_two(monkeypatch, prog.num_vars, corrupt)
+    with pytest.raises(ConsistencyError, match=message):
+        lp_solve(prog)
+
+
+# One coordinate as a caller may write it: a plain int, a bool, a
+# Fraction, or an exact literal.
+loose = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.fractions(-100, 100, max_denominator=90),
+    st.fractions(-100, 100, max_denominator=90).map(str),
+    st.sampled_from(("9/2", "0.7", "-3", "1e2")),
+)
+loose_rows = st.one_of(
+    st.lists(st.integers(-10**20, 10**20), max_size=14),
+    st.lists(loose, max_size=14),
+)
+row_forms = st.sampled_from((tuple, list, lambda values: (v for v in values)))
+
+
+@given(loose_rows, row_forms)
+def test_exact_vector_fast_path_equals_the_comprehension(values, form):
+    expected = tuple([v if type(v) is int else rational(v) for v in values])
+    got = _exact_vector(form(values))
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
+
+
+@given(loose_rows, st.sampled_from((tuple, list)))
+def test_scale_fast_path_equals_the_lcm_formula(values, form):
+    # _scale reads a sequence twice, so it takes no generator.
+    exact = [v if type(v) is int or type(v) is bool else rational(v) for v in values]
+    s = math.lcm(*[v.denominator for v in exact])
+    expected = [v.numerator * (s // v.denominator) for v in exact]
+    scale, got = _scale(form(exact))
+    assert (scale, got) == (s, expected)
+    assert {type(v) for v in got} <= {int}
+
+
+@given(loose_rows, row_forms, st.data())
+def test_a_float_anywhere_in_a_row_is_refused(values, form, data):
+    row = list(values)
+    row.insert(data.draw(st.integers(0, len(row))), data.draw(st.floats()))
+    with pytest.raises(ValidationError):
+        _exact_vector(form(row))
+    with pytest.raises(ValidationError):
+        LinearConstraint(form(row), LESS_EQUAL, 0)
 
 
 exact = st.one_of(st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=90))
@@ -611,6 +693,13 @@ def classify_corpus_programs(monkeypatch):
             cross_check(s)
             decompose(s)
     monkeypatch.undo()
+    # Every program the package builds is integer, so it takes the
+    # kernel's plain-int path going in and coming out.
+    for prog in programs:
+        values = list(prog.objective)
+        for con in prog.constraints:
+            values += con.coeffs + (con.rhs,)
+        assert all(type(v) is int for v in values), prog
     return programs
 
 
