@@ -39,6 +39,17 @@ keeps all three full-width programs for every point.
 A supported point is extreme exactly when it is a vertex, and a vertex
 off the frontier is a consistency failure.
 
+Programs with the same columns and objective that differ only in y's
+row form a family (``_family_solve``): each starts from the final
+dictionary of the one before, and a dual simplex finishes it
+(``ratlp._solve``).  The families are the margin visits between two
+growths of the frame, the zero recomputes over V, the frontier
+programs over V, and in ``cross_check`` the margin and the frontier
+programs over all of Y_N.  Only their optimal values and feasibility
+verdicts are read, and those do not depend on the pivot path.  The
+witness programs, whose optimal weight is printed, and the frame's
+cleanup programs, whose columns change every time, are solved cold.
+
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
 point weighted-sum-minimal.  Over this closed region "optimal t > 0"
@@ -70,9 +81,10 @@ records of ``_classify_nondominated``, Y_N's only, and writes each
 dominated row from the point's id, lattice row and multiplicity.
 
 All functions are pure.  Once the margin pass has fixed V, the
-per-point tests are independent of each other and safe to evaluate
-concurrently; the margin pass itself is sequential, since each program
-reads the frame the earlier ones built.
+per-point tests are independent of each other: a family changes how a
+program is solved, not its result, so they are safe to evaluate
+concurrently with one family per worker.  The margin pass itself is
+sequential, since each program reads the frame the earlier ones built.
 """
 
 from __future__ import annotations
@@ -91,6 +103,7 @@ from .ratlp import (
     LESS_EQUAL,
     LinearConstraint,
     LinearProgram,
+    LpOutcome,
     MAXIMIZE,
     MINIMIZE,
     OPTIMAL,
@@ -325,19 +338,34 @@ def _below_program(
     return LinearProgram(sense, tuple(costs) + pad, tuple(cons))
 
 
-def _on_frontier(y: tuple[int, ...], cols) -> bool:
+def _family_solve(program: LinearProgram, family: Optional[list]) -> LpOutcome:
+    """program's outcome, cold with no family.  A family is a list that
+    holds the final (dictionary, reduced costs) of the last program
+    solved in it, every one with program's columns and objective: the
+    solve starts from it (``ratlp._solve``) and leaves its own there."""
+    if family is None:
+        return lp_solve(program)
+    outcome, tab, r = _solve(program, family[0] if family else None)
+    if tab is not None:
+        family[:] = [(tab, r)]
+    return outcome
+
+
+def _on_frontier(y: tuple[int, ...], cols, family: Optional[list] = None) -> bool:
     costs = [sum(col) for col in cols]
-    outcome = lp_solve(_below_program(y, cols, MINIMIZE, costs))
+    outcome = _family_solve(_below_program(y, cols, MINIMIZE, costs), family)
     if outcome.status != OPTIMAL:
         raise ConsistencyError("frontier program is always feasible and bounded")
     return outcome.value == sum(y)
 
 
-def _margin(y: tuple[int, ...], cols) -> Optional[Fraction]:
+def _margin(
+    y: tuple[int, ...], cols, family: Optional[list] = None
+) -> Optional[Fraction]:
     """The optimal eps of y's margin program over cols, or None when no
     convex combination of cols sits at or below y."""
     program = _below_program(y, cols, MAXIMIZE, (0,) * len(cols), margin=True)
-    outcome = lp_solve(program)
+    outcome = _family_solve(program, family)
     if outcome.status == UNBOUNDED:
         raise ConsistencyError("margin program is always bounded")
     return outcome.value
@@ -412,10 +440,12 @@ def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     margins: list[Optional[Fraction]] = [None] * len(lattice)
     frame: list[int] = []
     zeros = []
+    visits: list = []
     for i in sorted(range(len(lattice)), key=lambda i: sum(lattice[i])):
-        margin = _margin(lattice[i], [lattice[c] for c in frame]) if frame else None
+        margin = _margin(lattice[i], [lattice[c] for c in frame], visits) if frame else None
         if margin is None:
             frame.append(i)
+            visits = []
         else:
             margins[i] = margin
             if not margin:
@@ -427,9 +457,10 @@ def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
             frame.remove(j)
             margins[j] = margin
     vertex_rows = [lattice[c] for c in frame]
+    recomputes: list = []
     for i, size in zeros:
         if size < grown:
-            margins[i] = _margin(lattice[i], vertex_rows)
+            margins[i] = _margin(lattice[i], vertex_rows, recomputes)
     return margins
 
 
@@ -466,12 +497,13 @@ class CrossCheckReport:
 
 
 def _point_check(
-    k: int, yn: OutcomeSet, cols, margin
+    k: int, yn: OutcomeSet, cols, margin, frontiers: Optional[list] = None
 ) -> tuple[PointCheck, Optional[tuple[WeightVector, Fraction]]]:
     """Take point k's boundary verdict from its margin (None, a vertex,
     is on the boundary), then solve its frontier and witness programs
     over the lattice rows cols: V's for classify, all of yn's for the
-    full-width programs ``check`` runs.
+    full-width programs ``check`` runs.  The frontier program joins the
+    family frontiers when one is given (``_family_solve``).
 
     With cols fewer than yn's rows, a point with a certified margin
     eps > 0 gets no further program: a point of conv(Y_N) sits at or
@@ -485,7 +517,7 @@ def _point_check(
     if not boundary and len(cols) < len(yn.lattice):
         frontier, solved = False, None
     else:
-        frontier = _on_frontier(yn.lattice[k], cols)
+        frontier = _on_frontier(yn.lattice[k], cols, frontiers)
         solved = _witness(k, yn, cols)
     weak = solved is not None
     strict = weak and solved[1] > 0
@@ -514,8 +546,11 @@ def cross_check(outcome_set: OutcomeSet) -> CrossCheckReport:
     """
     yn = filter_nondominated(outcome_set).nondominated
     cols = yn.lattice
+    margins: list = []
+    frontiers: list = []
     checks = tuple(
-        _point_check(k, yn, cols, _margin(row, cols))[0] for k, row in enumerate(cols)
+        _point_check(k, yn, cols, _margin(row, cols, margins), frontiers)[0]
+        for k, row in enumerate(cols)
     )
     return CrossCheckReport(p=outcome_set.p, checks=checks)
 
@@ -558,9 +593,10 @@ def _classify_nondominated(outcome_set: OutcomeSet) -> dict[str, Classification]
     yn = filter_nondominated(outcome_set).nondominated
     margins = _margin_pass(yn)
     cols = [row for row, margin in zip(yn.lattice, margins) if margin is None]
+    frontiers: list = []
     results: dict[str, Classification] = {}
     for k, (pid, margin) in enumerate(zip(yn.ids, margins)):
-        check, solved = _point_check(k, yn, cols, margin)
+        check, solved = _point_check(k, yn, cols, margin, frontiers)
         if margin is None and not check.on_frontier:
             raise ConsistencyError(
                 "a vertex of the upper image is off the frontier: "

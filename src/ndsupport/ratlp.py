@@ -14,8 +14,10 @@ Programs come in one form: minimize or maximize over x >= 0, subject
 to ``<=``, ``=`` and ``>=`` rows.  Every program this package builds is
 over nonnegative unknowns (simplex weights, max-min margins, convex
 multipliers), so the program's variables enter the simplex as they
-stand.  The solver is pure: identical programs yield identical
-outcomes, and concurrent invocations share no state.
+stand.  ``lp_solve`` is pure: identical programs yield identical
+outcomes, and concurrent invocations share no state.  A warm start
+(below) changes only the dictionary it is handed, and may end at
+another optimal solution of the same value.
 
 Inside the kernel the simplex is an integer dictionary (Chvatal 1983,
 ch. 2), pivoted as in Avis's lrs.  Each row is scaled once by the lcm of
@@ -38,8 +40,19 @@ alone; the private ``_solve`` also hands back the final phase-two
 dictionary and reduced-cost row, from which ``_unique_optimum`` reads
 whether the optimum is the only one.
 
+That final dictionary can also start a program that differs only in
+its right-hand side b' (Lemke 1954; Koberstein 2005).  It keeps a row
+map: each program row's identity label (its +1 slack after the sign
+flip, or its artificial), its signed scale, and the phase-two costs.
+Row i's identity column is e_i, so d * B^-1 is read off the
+dictionary, and the rhs column becomes d * B^-1 b' in the old row
+signs.  The old basis stays dual feasible, and a dual simplex under
+Bland's dual rule (Bland 1977) finishes on the same Bareiss pivots;
+its optimum is read and re-checked as a cold one is.
+
 Not built for speed beyond desk scale (a few hundred constraints): the
-dictionary is dense and nothing is factorized or reused across solves.
+dictionary is dense and nothing is factorized; a dictionary is reused
+only by a caller that hands it back.
 """
 
 from __future__ import annotations
@@ -149,19 +162,6 @@ class LinearConstraint:
         if self.relation not in _HOLDS:
             raise ValidationError(f"unknown relation {self.relation!r}")
 
-    def holds_at(self, x: Sequence[Fraction]) -> bool:
-        """Exact check of this constraint at the point x."""
-        if len(x) != len(self.coeffs):
-            raise ValidationError(
-                f"constraint has {len(self.coeffs)} coefficients, point has {len(x)}"
-            )
-        num, den = _dot(self.coeffs, x)
-        # Compare num / den with rhs by cross-multiplying: both
-        # denominators are positive.
-        return _HOLDS[self.relation](
-            num * self.rhs.denominator, self.rhs.numerator * den
-        )
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -230,12 +230,22 @@ class _Dictionary:
         basic: list[int],
         nonbasic: list[int],
         base_cols: int,
+        program: LinearProgram,
+        signs: list[int],
+        cost: list[int],
     ):
         self.rows = rows
         self.basic = basic
         self.nonbasic = nonbasic
         self.base_cols = base_cols  # labels from here on are artificials
         self.d = 1
+        # The row map: the program solved, and for each of its rows the
+        # identity label it seeds the basis with and its signed scale;
+        # then the phase-two costs of the program's variables.
+        self.program = program
+        self.units = list(basic)
+        self.signs = signs
+        self.cost = cost
 
     def reduced_cost_row(self, cost: list[int]) -> list[int]:
         """``d`` times the reduced costs of ``cost``, one per label, on the
@@ -307,11 +317,49 @@ class _Dictionary:
                 return UNBOUNDED
             self.pivot(r, leave, enter)
 
+    def dual_run(self, r: list[int], bar: int) -> str:
+        """Dual simplex from reduced costs >= 0 on the labels below
+        ``bar``, which alone may enter; returns 'optimal' or
+        'infeasible'.
 
-def _scale(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """The lcm of the denominators, and the values times it."""
+        Leaving: smallest basic label with a negative value.
+        Entering: minimum ratio r_j / -a over a < 0 in the leaving row,
+        ties broken by smallest label.  With none, the row sets a sum
+        of terms >= 0 (the barred artificials are 0) to a negative
+        value, so the program is infeasible.  Ratios are compared by
+        cross-multiplying.  This is Bland's rule on the dual, so it
+        terminates.
+        """
+        rows = self.rows
+        basic = self.basic
+        nonbasic = self.nonbasic
+        while True:
+            negative = [i for i, row in enumerate(rows) if row[-1] < 0]
+            if not negative:
+                return OPTIMAL
+            leave = min(negative, key=basic.__getitem__)
+            enter = -1
+            best_r = best_a = 0
+            for j, a in enumerate(rows[leave][:-1]):
+                if a < 0 and nonbasic[j] < bar:
+                    if enter < 0:
+                        enter, best_r, best_a = j, r[j], a
+                        continue
+                    lhs = r[j] * -best_a
+                    rhs = best_r * -a
+                    if lhs < rhs or (lhs == rhs and nonbasic[j] < nonbasic[enter]):
+                        enter, best_r, best_a = j, r[j], a
+            if enter < 0:
+                return INFEASIBLE
+            self.pivot(r, leave, enter)
+
+
+def _scale(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values times it.  The
+    values are listed once, so an iterator is read once."""
+    values = list(values)
     if _plain_ints(values):
-        return 1, list(values)
+        return 1, values
     s = lcm(*[v.denominator for v in values])
     return s, [v.numerator * (s // v.denominator) for v in values]
 
@@ -338,11 +386,28 @@ def _unique_optimum(tab: _Dictionary, r: list[int]) -> bool:
 
 def _solve(
     program: LinearProgram,
+    start: Optional[tuple[_Dictionary, list[int]]] = None,
 ) -> tuple[LpOutcome, Optional[_Dictionary], Optional[list[int]]]:
     """``lp_solve``'s outcome together with the final phase-two state:
     the dictionary and its reduced-cost row (``d`` times the reduced
-    costs of the minimized objective).  An infeasible program has no
-    phase two, and both are then None."""
+    costs of the minimized objective).  A cold solve of an infeasible
+    program has no phase two, and both are then None.
+
+    ``start`` is the final state of an earlier solve, which this one
+    takes over and changes.  It is used when it ended a program with
+    this one's sense, objective, relations and coefficients, kept every
+    row, has no basic artificial and has reduced costs >= 0 below the
+    artificials, and when this program's rhs are ints: its rhs column
+    is set to this program's (``_rebase``) and the dual simplex
+    finishes.  An infeasible result then hands back its dictionary,
+    which is still a start.  Any other start is left alone and the
+    solve is cold."""
+    if start is not None and _rebase(program, *start):
+        tab, r = start
+        if tab.dual_run(r, tab.base_cols) == INFEASIBLE:
+            return LpOutcome(status=INFEASIBLE), tab, r
+        return _finish(program, tab, r)
+
     n = program.num_vars
     _, minimize = _scale(program.objective)
     if program.sense == MAXIMIZE:
@@ -361,6 +426,7 @@ def _solve(
     basic: list[int] = []
     nonbasic = list(range(n))
     art_scales: list[int] = []
+    signs: list[int] = []
     slack_label = n
     for (scale, row), slack in scaled:
         # Sign the row; a zero-rhs surplus row is negated too, so that
@@ -368,12 +434,14 @@ def _solve(
         if row[-1] < 0 or (row[-1] == 0 and slack < 0):
             row = [-v for v in row]
             slack = -slack
+            scale = -scale
+        signs.append(scale)
         full = row[:-1] + [0] * num_surplus + row[-1:]
         if slack == 1:
             basic.append(slack_label)
         else:
             basic.append(base_cols + len(art_scales))
-            art_scales.append(scale)
+            art_scales.append(abs(scale))
         if slack < 0:
             full[len(nonbasic)] = -1
             nonbasic.append(slack_label)
@@ -381,7 +449,7 @@ def _solve(
             slack_label += 1
         rows.append(full)
 
-    tab = _Dictionary(rows, basic, nonbasic, base_cols)
+    tab = _Dictionary(rows, basic, nonbasic, base_cols, program, signs, minimize)
 
     if art_scales:
         # Phase one minimizes the sum of the unscaled artificials: the
@@ -410,11 +478,57 @@ def _solve(
     r = tab.reduced_cost_row(minimize + [0] * (num_slack + len(art_scales)))
     if tab.run(r, base_cols) == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED), tab, r
+    return _finish(program, tab, r)
 
-    # The optimum is X / d: X[b] is the rhs of b's row, 0 off the basis.
+
+def _rebase(program: LinearProgram, tab: _Dictionary, r: list[int]) -> bool:
+    """Set tab's rhs column to d * B^-1 b', b' program's int rhs in the
+    row signs and scales of tab's own program, and r's value to match,
+    when tab may start program (see ``_solve``); else change nothing
+    and return False.  Row i's identity column is e_i in those rows, so
+    d * B^-1 b' sums b'_i times tab's column of i's identity label, or
+    d * b'_i at that label's row when it is basic."""
+    old = tab.program
+    base = tab.base_cols
+    rhs = [con.rhs * s for con, s in zip(program.constraints, tab.signs)]
+    if (
+        (old.sense, old.objective) != (program.sense, program.objective)
+        or [(c.coeffs, c.relation) for c in old.constraints]
+        != [(c.coeffs, c.relation) for c in program.constraints]
+        or len(tab.rows) != len(rhs)
+        or not _plain_ints(rhs)
+        or any(b >= base for b in tab.basic)
+        or any(v < 0 for j, v in zip(tab.nonbasic, r) if j < base)
+    ):
+        return False
     d = tab.d
+    column = {label: j for j, label in enumerate(tab.nonbasic)}
+    values = [0] * len(rhs)
+    for unit, b in zip(tab.units, rhs):
+        if b:
+            j = column.get(unit)
+            if j is None:
+                values[tab.basic.index(unit)] += d * b
+            else:
+                values = [v + row[j] * b for v, row in zip(values, tab.rows)]
+    r[-1] = 0
+    for row, v, label in zip(tab.rows, values, tab.basic):
+        row[-1] = v
+        if label < len(tab.cost):
+            r[-1] -= tab.cost[label] * v
+    return True
+
+
+def _finish(
+    program: LinearProgram, tab: _Dictionary, r: list[int]
+) -> tuple[LpOutcome, _Dictionary, list[int]]:
+    """The optimal outcome read off tab, cold or warm: the optimum is
+    X / d, X[b] the rhs of b's row and 0 off the basis, re-checked
+    against the program's own rows before its ``Fraction``s are made."""
+    d = tab.d
+    n = program.num_vars
     x = [0] * n
-    for row, b in zip(rows, basic):
+    for row, b in zip(tab.rows, tab.basic):
         if b < n:
             x[b] = row[-1]
     _check_solution(program, x, d)
@@ -424,14 +538,6 @@ def _solve(
         solution=tuple([Fraction(v, d) if v else _ZERO for v in x]),
     )
     return outcome, tab, r
-
-
-def _certify(program: LinearProgram, outcome: LpOutcome) -> None:
-    """Exact feasibility re-check of an optimal outcome's solution,
-    scaled once to ints X over the lcm of its denominators."""
-    assert outcome.solution is not None
-    d, x = _scale(outcome.solution)
-    _check_solution(program, x, d)
 
 
 def _check_solution(program: LinearProgram, x: list[int], d: int) -> None:

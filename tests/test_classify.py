@@ -9,8 +9,8 @@ import ndsupport.classify
 import ndsupport.weightspace
 from conftest import (
     clip_corpus_sets,
+    differential_corpus,
     hull_labels_2d,
-    random_rational_rows,
     random_rows,
     reference_is_vertex,
 )
@@ -414,51 +414,6 @@ def full_width_classify(outcome_set):
     ]
 
 
-def anticorrelated_rows(rng, n, p, noise=15):
-    """First p - 1 coordinates uniform in 0..100, the last one within
-    noise of 100 (p - 1) minus their sum, so most points are
-    non-dominated; with no noise every point is on one hyperplane."""
-    rows = []
-    for _ in range(n):
-        head = [rng.randint(0, 100) for _ in range(p - 1)]
-        rows.append(head + [100 * (p - 1) - sum(head) + rng.randint(-noise, noise)])
-    return rows
-
-
-def differential_corpus():
-    """Seeded base sets for p = 2..5 of four kinds, each followed by
-    its zero-objective lift."""
-    rng = random.Random(53)
-    sets = []
-    for p in (2, 3, 4, 5):
-        for kind in ("anticorrelated", "hyperplane", "rational", "small-range"):
-            for _ in range(4 if p < 4 else 3):
-                n = rng.randint(5, 14 if p < 4 else 10)
-                if kind == "anticorrelated":
-                    rows = anticorrelated_rows(rng, n, p)
-                elif kind == "hyperplane":
-                    rows = anticorrelated_rows(rng, n, p, noise=0)
-                elif kind == "rational":
-                    rows = random_rational_rows(rng, n, p)
-                else:
-                    rows = random_rows(rng, n, p, 0, 3)
-                base = validate_instance(rows, p)
-                sets.append(base)
-                sets.append(lift_zero_objective(base))
-    # Two larger p = 3 sets.  On the first (seed 31) a vertex's max-min
-    # witness is not unique and a Bland path over the vertex rows alone
-    # ends at another optimum: it keeps the comparison sensitive to the
-    # rows of the witness programs of boundary points, and so to the
-    # uniqueness proof that lets classify_all solve them over V rows.
-    for seed, noise in ((31, 3), (133, 1)):
-        rng = random.Random(seed)
-        rows = anticorrelated_rows(rng, rng.randint(20, 30), 3, noise)
-        base = validate_instance(rows, 3)
-        sets.append(base)
-        sets.append(lift_zero_objective(base))
-    return sets
-
-
 class TestVertexPruningDifferential:
     def test_records_equal_full_width_cascade(self):
         sets = differential_corpus()
@@ -535,9 +490,9 @@ def record_programs(monkeypatch) -> list:
     for name in ("lp_solve", "_solve"):
         solve = getattr(ndsupport.classify, name)
 
-        def recorded(program, solve=solve):
+        def recorded(program, *start, solve=solve):
             programs.append(program)
-            return solve(program)
+            return solve(program, *start)
 
         monkeypatch.setattr(ndsupport.classify, name, recorded)
     return programs

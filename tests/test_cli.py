@@ -158,7 +158,7 @@ class TestClassify:
     def test_vertex_off_the_frontier_exits_3(self, counterexample_file, monkeypatch, capsys):
         # A vertex of the upper image always has a strictly positive
         # witness; sabotage the frontier verdict classify_all uses.
-        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts: False)
+        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts, family: False)
         assert main(["classify", counterexample_file]) == 3
         err = capsys.readouterr().err
         assert "a vertex of the upper image is off the frontier" in err
@@ -699,7 +699,7 @@ class TestCheck:
 
     def test_forced_violation_exits_3(self, counterexample_file, capsys, monkeypatch):
         # Sabotage one side of an equivalence to prove code 3 is wired up.
-        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts: True)
+        monkeypatch.setattr(ndsupport.classify, "_on_frontier", lambda y, pts, family: True)
         assert main(["check", counterexample_file]) == 3
         assert "FAIL" in capsys.readouterr().out
 

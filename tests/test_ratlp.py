@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings, strategies as st
 import ndsupport.classify
 import ndsupport.ratlp
 import ndsupport.weightspace
-from conftest import random_rational_rows, random_rows
-from ndsupport.classify import _cell_program, classify_all, cross_check
+from conftest import (
+    anticorrelated_rows,
+    differential_corpus,
+    random_rational_rows,
+    random_rows,
+)
+from ndsupport.classify import _below_program, _cell_program, classify_all, cross_check
 from ndsupport.errors import ConsistencyError, ValidationError
 from ndsupport.instances import generate_points, lift_zero_objective
 from ndsupport.outcomes import validate_instance
@@ -23,7 +29,9 @@ from ndsupport.ratlp import (
     LpOutcome,
     OPTIMAL,
     UNBOUNDED,
-    _certify,
+    _HOLDS,
+    _check_solution,
+    _dot,
     _exact_vector,
     _scale,
     _solve,
@@ -182,6 +190,23 @@ def test_dimension_mismatch_rejected():
         LinearConstraint((1, 2), "<", 0)
 
 
+def _certify(program, outcome):
+    """Reference: exact feasibility re-check of an optimal outcome's
+    solution, scaled once to ints X over the lcm of its denominators
+    and handed to the kernel's own check."""
+    assert outcome.solution is not None
+    d, x = _scale(outcome.solution)
+    _check_solution(program, x, d)
+
+
+def holds_at(con, x):
+    """Reference: exact check of the constraint con at the point x,
+    one ``_dot`` over a common denominator and a cross-multiplied
+    comparison: both denominators are positive."""
+    num, den = _dot(con.coeffs, x)
+    return _HOLDS[con.relation](num * con.rhs.denominator, con.rhs.numerator * den)
+
+
 def test_certify_rejects_corrupted_solutions():
     # Mutations of a certified optimum must not pass the exact re-check.
     prog = LinearProgram("min", (1, 1), (ge((1, 1), 2),))
@@ -245,7 +270,7 @@ def test_certify_equals_holds_at(pairs, relation, rhs, offset):
     con = LinearConstraint(coeffs, relation, rhs)
     prog = LinearProgram("min", (0,) * len(x), (con,))
     out = LpOutcome(status=OPTIMAL, value=F(0), solution=x)
-    if con.holds_at(x):
+    if holds_at(con, x):
         _certify(prog, out)
     else:
         with pytest.raises(ConsistencyError, match="violates constraint 0"):
@@ -311,9 +336,8 @@ def test_exact_vector_fast_path_equals_the_comprehension(values, form):
     assert list(map(type, got)) == list(map(type, expected))
 
 
-@given(loose_rows, st.sampled_from((tuple, list)))
+@given(loose_rows, row_forms)
 def test_scale_fast_path_equals_the_lcm_formula(values, form):
-    # _scale reads a sequence twice, so it takes no generator.
     exact = [v if type(v) is int or type(v) is bool else rational(v) for v in values]
     s = math.lcm(*[v.denominator for v in exact])
     expected = [v.numerator * (s // v.denominator) for v in exact]
@@ -350,7 +374,7 @@ def test_holds_at_equals_plain_fraction_comparison(pairs, relation, rhs, offset)
         rhs = lhs + F(offset, 7)
     con = LinearConstraint(coeffs, relation, rhs)
     plain = {LESS_EQUAL: lhs <= rhs, EQUAL: lhs == rhs, GREATER_EQUAL: lhs >= rhs}
-    assert con.holds_at(x) is plain[relation]
+    assert holds_at(con, x) is plain[relation]
 
 
 def test_floats_rejected():
@@ -667,9 +691,9 @@ def classify_corpus_programs(monkeypatch):
     for name in ("lp_solve", "_solve"):
         solve = getattr(ndsupport.classify, name)
 
-        def recorded(program, solve=solve):
+        def recorded(program, *start, solve=solve):
             programs.append(program)
-            return solve(program)
+            return solve(program, *start)
 
         monkeypatch.setattr(ndsupport.classify, name, recorded)
     rng = random.Random(71)
@@ -962,3 +986,295 @@ class TestUniqueOptimum:
             back[j] = moved.solution[k]
         assert moved.value == out.value
         assert tuple(back) == out.solution
+
+
+def same_column_families(programs):
+    """programs grouped by sense, objective, relations and coefficients,
+    each group in the order given: the runs a warm start may chain."""
+    families = {}
+    for prog in programs:
+        key = (
+            prog.sense,
+            prog.objective,
+            tuple((con.coeffs, con.relation) for con in prog.constraints),
+        )
+        families.setdefault(key, []).append(prog)
+    return list(families.values())
+
+
+def solve_warm_and_cold(family, seen):
+    """Solve each program of family from the final state of the one
+    before and cold: status and value must agree.  seen counts the warm
+    solves, the warm infeasible ones, and the warm ones whose rhs has a
+    sign the start's row flip does not match."""
+    start = None
+    for prog in family:
+        flipped = start is not None and any(
+            con.rhs * sign < 0 for con, sign in zip(prog.constraints, start[0].signs)
+        )
+        out, tab, r = _solve(prog, start)
+        cold = lp_solve(prog)
+        assert (out.status, out.value) == (cold.status, cold.value), prog
+        if start is not None and tab is start[0]:
+            seen["warm"] += 1
+            seen["warm infeasible"] += out.status == INFEASIBLE
+            seen["flipped"] += flipped
+        if tab is not None:
+            start = tab, r
+
+
+def rhs_family(ints):
+    """Programs over fixed columns that differ only in their int rhs,
+    drawn through ints(lo, hi): up to four rows of every relation and a
+    last row bounding sum(x), with rhs from -6 to 9, so that a rhs may
+    flip a row against the start's sign or make the program infeasible."""
+    n = ints(1, 4)
+    rows = [
+        (tuple(ints(-5, 5) for _ in range(n)), (LESS_EQUAL, EQUAL, GREATER_EQUAL)[ints(0, 2)])
+        for _ in range(ints(1, 4))
+    ]
+    rows.append(((1,) * n, LESS_EQUAL))
+    sense = ("min", "max")[ints(0, 1)]
+    objective = tuple(ints(-4, 4) for _ in range(n))
+    return [
+        LinearProgram(
+            sense,
+            objective,
+            tuple(LinearConstraint(c, rel, ints(-6, 9)) for c, rel in rows),
+        )
+        for _ in range(ints(2, 8))
+    ]
+
+
+def rebased_solution_holds(program, tab, r):
+    """The basic solution of a rebased dictionary (every nonbasic label
+    at 0) meets each row of program as an equation in its slack, and
+    r's value is minus d times the minimized int objective there."""
+    values = dict.fromkeys(tab.nonbasic, 0)
+    for row, b in zip(tab.rows, tab.basic):
+        values[b] = F(row[-1], tab.d)
+    x = [values[j] for j in range(program.num_vars)]
+    slack = program.num_vars
+    for con in program.constraints:
+        lhs = sum(c * v for c, v in zip(con.coeffs, x))
+        if con.relation != EQUAL:
+            lhs += (1 if con.relation == LESS_EQUAL else -1) * values[slack]
+            slack += 1
+        if lhs != con.rhs:
+            return False
+    value = sum(c * v for c, v in zip(program.objective, x))
+    return F(-r[-1], tab.d) == (value if program.sense == "min" else -value)
+
+
+def fraction_dual_run(tab, r):
+    """Reference for ``_Dictionary.dual_run``: Bland's dual rule on a
+    Fraction copy of tab and r, the artificials barred.  The smallest
+    basic label with a negative value leaves; the column minimizing
+    (r_j / -a, label) over a < 0 in its row enters.  Returns the status,
+    the (entering, leaving) labels of each pivot, the number of pivots
+    whose minimum ratio was a tie, and the final rows and cost row."""
+    rows = [[F(v, tab.d) for v in row] for row in tab.rows]
+    cost = [F(v, tab.d) for v in r]
+    basic, nonbasic = list(tab.basic), list(tab.nonbasic)
+    pivots, ties = [], 0
+    while True:
+        negative = [i for i, row in enumerate(rows) if row[-1] < 0]
+        if not negative:
+            return OPTIMAL, pivots, ties, rows, cost
+        leave = min(negative, key=basic.__getitem__)
+        prow = rows[leave]
+        ratios = sorted(
+            (cost[j] / -a, nonbasic[j], j)
+            for j, a in enumerate(prow[:-1])
+            if a < 0 and nonbasic[j] < tab.base_cols
+        )
+        if not ratios:
+            return INFEASIBLE, pivots, ties, rows, cost
+        ties += len(ratios) > 1 and ratios[0][0] == ratios[1][0]
+        _, label, enter = ratios[0]
+        a = prow[enter]
+        new = [v / a for v in prow]
+        new[enter] = 1 / a
+        for row in rows + [cost]:
+            if row is not prow:
+                f = row[enter]
+                row[:] = [v - f * w for v, w in zip(row, new)]
+                row[enter] = -f / a
+        rows[leave] = new
+        pivots.append((label, basic[leave]))
+        basic[leave], nonbasic[enter] = label, basic[leave]
+
+
+def record_warm_solves(monkeypatch):
+    """Wrap the classify module's ``_solve`` so that each warm solve is
+    compared with a cold one in status and value.  Returns the list of
+    (kind, warm) of every solve, kind 'margin', 'frontier' or 'witness'."""
+    solve = ndsupport.classify._solve
+    solves = []
+
+    def wrapped(program, start=None):
+        out = solve(program, start)
+        warm = start is not None and out[1] is start[0]
+        if warm:
+            cold = lp_solve(program)
+            assert (out[0].status, out[0].value) == (cold.status, cold.value), program
+        if program.constraints[-1].relation != LESS_EQUAL:
+            kind = "witness"
+        else:
+            kind = "margin" if program.sense == "max" else "frontier"
+        solves.append((kind, warm))
+        return out
+
+    monkeypatch.setattr(ndsupport.classify, "_solve", wrapped)
+    return solves
+
+
+class TestWarmStart:
+    """``_solve(program, start)`` finishes a program from the final state
+    of an earlier one with the same columns and objective."""
+
+    def test_warm_equals_cold_on_the_classify_corpus_families(self, monkeypatch):
+        seen = Counter()
+        for family in same_column_families(classify_corpus_programs(monkeypatch)):
+            solve_warm_and_cold(family, seen)
+        assert seen["warm"] >= 400 and seen["warm infeasible"] > 0, seen
+
+    def test_every_warm_solve_on_the_differential_corpus_equals_cold(
+        self, monkeypatch
+    ):
+        solves = record_warm_solves(monkeypatch)
+        for s in differential_corpus():
+            classify_all(s)
+            cross_check(s)
+        warm = Counter(kind for kind, warm in solves if warm)
+        assert warm["margin"] >= 600 and warm["frontier"] >= 1000, warm
+        assert "witness" not in warm
+
+    def test_rebase_and_dual_pivots_follow_the_fraction_reference(self, monkeypatch):
+        # Margin programs have a zero objective but for eps, so their
+        # ratio tests tie often; Bland's rule breaks every tie by label.
+        pivots = []
+        int_pivot = ndsupport.ratlp._Dictionary.pivot
+
+        def recorded(tab, r, pi, pj):
+            pivots.append((tab.nonbasic[pj], tab.basic[pi]))
+            int_pivot(tab, r, pi, pj)
+
+        monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", recorded)
+        totals = Counter()
+        solve = ndsupport.classify._solve
+
+        def compared(program, start=None):
+            if start is None:
+                return solve(program)
+            tab, r = start
+            if not ndsupport.ratlp._rebase(program, tab, r):
+                return solve(program)
+            assert rebased_solution_holds(program, tab, r), program
+            status, expected, ties, rows, cost = fraction_dual_run(tab, r)
+            pivots.clear()
+            out = solve(program, start)
+            assert out[1] is tab and pivots == expected, program
+            assert out[0].status == status
+            assert [[F(v, tab.d) for v in row] for row in tab.rows] == rows
+            assert [F(v, tab.d) for v in r] == cost
+            totals["pivots"] += len(expected)
+            totals["ties"] += ties
+            return out
+
+        monkeypatch.setattr(ndsupport.classify, "_solve", compared)
+        for s in differential_corpus()[::3]:
+            classify_all(s)
+            cross_check(s)
+        assert totals["pivots"] >= 600 and totals["ties"] >= 200, totals
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_warm_equals_cold_over_a_stream_of_rhs(self, data):
+        family = rhs_family(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        solve_warm_and_cold(family, Counter())
+
+    def test_the_rhs_stream_reaches_flips_and_infeasible_warm_solves(self):
+        seen = Counter()
+        rng = random.Random(31)
+        for _ in range(600):
+            solve_warm_and_cold(rhs_family(rng.randint), seen)
+        assert seen["warm"] >= 600, seen
+        assert seen["flipped"] >= 100 and seen["warm infeasible"] >= 100, seen
+
+    def test_a_degenerate_margin_rhs_terminates(self, monkeypatch):
+        # The margin program of y over these columns (a zero-objective
+        # lift, so every last coordinate is 0) ends at eps = 0 with most
+        # reduced costs 0, and the dual ratio tests for z from there tie
+        # at 0.  Breaking those ties toward the larger label cycles;
+        # Bland's dual rule proves z's program infeasible.
+        cols = [
+            (63, 8, 128, 0),
+            (29, 23, 148, 0),
+            (51, 70, 78, 0),
+            (56, 35, 108, 0),
+            (76, 50, 74, 0),
+            (33, 50, 117, 0),
+        ]
+        y, z = (45, 61, 94, 0), (95, 10, 95, 0)
+        count = [0]
+        pivot = ndsupport.ratlp._Dictionary.pivot
+
+        def capped(tab, r, pi, pj):
+            count[0] += 1
+            assert count[0] < 100, "no termination"
+            pivot(tab, r, pi, pj)
+
+        monkeypatch.setattr(ndsupport.ratlp._Dictionary, "pivot", capped)
+        margin = lambda y: _below_program(y, cols, "max", (0,) * len(cols), margin=True)
+        out, tab, r = _solve(margin(y))
+        assert out.value == 0
+        count[0] = 0
+        out, warm, _ = _solve(margin(z), (tab, r))
+        assert warm is tab and out.status == INFEASIBLE
+        assert 0 < count[0] <= 7
+
+    def test_a_start_that_dropped_a_row_or_has_a_basic_artificial_is_not_used(self):
+        def solved_cold(program, start):
+            tab, r = start
+            before = ([list(row) for row in tab.rows], list(tab.basic), list(r))
+            out, new, _ = _solve(program, start)
+            assert new is not tab
+            assert ([list(row) for row in tab.rows], list(tab.basic), list(r)) == before
+            assert out == lp_solve(program)
+
+        # x + y = 1 twice over: the cold solve drops one row.
+        redundant = lambda b: LinearProgram(
+            "min", (1, 2), (eq((1, 1), b), eq((2, 2), 2 * b), ge((1, 0), 0))
+        )
+        _, tab, r = _solve(redundant(1))
+        assert len(tab.rows) == 2
+        solved_cold(redundant(3), (tab, r))
+        # The equality row's artificial pivoted back into the basis.
+        equality = lambda b: LinearProgram("min", (1, 1), (eq((1, 2), b), le((1, 0), 5)))
+        _, tab, r = _solve(equality(4))
+        j = next(j for j, label in enumerate(tab.nonbasic) if label >= tab.base_cols)
+        i = next(i for i, row in enumerate(tab.rows) if row[j])
+        tab.pivot(r, i, j)
+        assert any(b >= tab.base_cols for b in tab.basic)
+        solved_cold(equality(2), (tab, r))
+        # Other columns, and a start that ended unbounded.
+        _, tab, r = _solve(equality(4))
+        solved_cold(LinearProgram("min", (1, 1), (eq((1, 3), 2), le((1, 0), 5))), (tab, r))
+        unbounded = lambda b: LinearProgram("max", (1, 1), (ge((1, -1), b),))
+        out, tab, r = _solve(unbounded(1))
+        assert out.status == UNBOUNDED
+        solved_cold(unbounded(2), (tab, r))
+
+    def test_every_frontier_program_after_the_first_is_warm(self, monkeypatch):
+        solves = record_warm_solves(monkeypatch)
+        s = validate_instance(anticorrelated_rows(random.Random(5), 40, 3), 3)
+        ndsupport.classify._classify_nondominated(s)
+        frontier = [warm for kind, warm in solves if kind == "frontier"]
+        assert len(frontier) >= 10
+        assert frontier == [False] + [True] * (len(frontier) - 1)
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [F(1, 2), F(2, 3), 3]])
+def test_scale_reads_a_generator_once(values):
+    assert _scale(v for v in values) == _scale(list(values))
