@@ -20,9 +20,14 @@ without labelling and without raising, with every program full width.
 maximize eps such that a convex combination of other points sits at or
 below y - eps.  Over all the other points it is infeasible exactly when
 y is a vertex of the upper image; otherwise eps is 0 on the boundary
-and > 0 in the interior.  The pass solves each point over a candidate
-frame that grows to contain the vertex set V, visiting points by row
-sum, and keeps every None and 0 exact; a positive margin may be a
+and > 0 in the interior.  The pass solves each point over a frame of
+vertices, visiting points by row sum.  The frame grows only by a
+certified vertex: when a point is infeasible over it, the program's
+Farkas weight w (``ratlp._farkas``) is checked to separate the point
+from the frame, and the lexicographic minimizer of w over Y_N joins,
+a vertex by the lemma in ``_margin_pass``.  So the frame ends as
+exactly the vertex set V, and each vertex verdict rests on a checked
+certificate.  Every None and 0 is exact; a positive margin may be a
 lower bound, which decides the same verdict.  conv(Y_N) + R^p_+ =
 conv(V) + R^p_+, so frontier values over V columns are the full-width
 ones.  A margin eps > 0 settles the point with no further program
@@ -46,9 +51,10 @@ dictionary of the one before, and a dual simplex finishes it
 growths of the frame, the zero recomputes over V, the frontier
 programs over V, and in ``cross_check`` the margin and the frontier
 programs over all of Y_N.  Only their optimal values and feasibility
-verdicts are read, and those do not depend on the pivot path.  The
-witness programs, whose optimal weight is printed, and the frame's
-cleanup programs, whose columns change every time, are solved cold.
+verdicts are read, and those do not depend on the pivot path; a
+Farkas weight is checked, so it need not be the one a cold solve
+would give.  The witness programs, whose optimal weight is printed,
+are solved cold.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -109,6 +115,7 @@ from .ratlp import (
     OPTIMAL,
     UNBOUNDED,
     _dot,
+    _farkas,
     _scale,
     _solve,
     _unique_optimum,
@@ -342,12 +349,13 @@ def _family_solve(program: LinearProgram, family: Optional[list]) -> LpOutcome:
     """program's outcome, cold with no family.  A family is a list that
     holds the final (dictionary, reduced costs) of the last program
     solved in it, every one with program's columns and objective: the
-    solve starts from it (``ratlp._solve``) and leaves its own there."""
+    solve starts from it (``ratlp._solve``) and leaves its own there,
+    an infeasible one included: ``_margin_pass`` reads its Farkas
+    weight from it."""
     if family is None:
         return lp_solve(program)
     outcome, tab, r = _solve(program, family[0] if family else None)
-    if tab is not None:
-        family[:] = [(tab, r)]
+    family[:] = [(tab, r)]
     return outcome
 
 
@@ -409,59 +417,94 @@ def _margin_over_others(k: int, yn: OutcomeSet) -> Optional[Fraction]:
     return _margin(rows[k], rows[:k] + rows[k + 1 :])
 
 
+def _lex_min(w, lattice) -> int:
+    """The index of the smallest row of lattice in the order
+    (w . row, row): of the rows minimizing w . row, the first in
+    lexicographic order.  Rows are distinct, so it is one row."""
+    return min((sum(map(mul, w, row)), row, k) for k, row in enumerate(lattice))[2]
+
+
 def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     """Each point's margin, in yn's order: None exactly for a vertex of
     the upper image, 0 exactly for a boundary point that is no vertex,
     and for an interior point a positive lower bound on its full-width
     margin.
 
-    A candidate frame C (Dula & Helgason 1996, Clarkson 1994) replaces
-    the full columns.  Points are visited by lattice row sum, ties in
-    yn's order, and each is solved over C; the first visited point,
-    with C empty, has no convex combination to meet and joins C with no
-    program, and so does every later point infeasible over C.  A point
-    feasible over C lies in conv(C) + R^p_+, inside the upper image, so
-    it is no vertex and C is unchanged.  A vertex is infeasible over
-    any set of other points, so it joins C, and C is never pruned while
-    points are visited: after the last visit V is a subset of C, and
-    conv(C) + R^p_+ = conv(V) + R^p_+ is the upper image.
+    A frame C of vertices (Dula & Helgason 1996; Dula & Lopez 2012)
+    replaces the full columns.  It starts as the lexicographically
+    smallest row-sum minimizer.  Points are visited by lattice row sum,
+    ties in yn's order; a member of C is skipped, and every other point
+    y is solved over C.  A point feasible over C lies in
+    conv(C) + R^p_+, inside the upper image, so it is no vertex.  When
+    y is infeasible, the program's Farkas multipliers (``ratlp._farkas``)
+    on its p coordinate rows are a weight w >= 0, w != 0, with
+    w . y < w . c for every c in C, which is checked in ints.  The
+    smallest row z of all of Y_N in the order (w . row, row) joins C;
+    w . z <= w . y, so z is not in C already, which is checked too.  If
+    z is not y, y is solved again over the grown C.
 
-    Each member of C is then solved over the rest of C and dropped as
-    soon as that program is feasible; the rest of C still contains V,
-    so its margin is the full-width one.  The member that joined last
-    is skipped: it was infeasible over every earlier member.  What stays
-    is V, in join order.  A visit margin over C is a margin over a
-    subset of yn, a lower bound on the full-width one: a positive one
-    is final, and a zero found before C last grew is solved again over
-    V.  After C last grew, C already gives the upper image, so later
-    visit margins are exact.
+    Each z is a vertex.  Say z = sum(l_k q_k) + r, with l a convex
+    weight, every l_k > 0, each q_k a point of Y_N other than z, and
+    r >= 0.  As w >= 0 and z minimizes w . row over Y_N,
+    w . z = sum(l_k w . q_k) + w . r >= w . z, so every q_k minimizes
+    it too and comes after z in the lexicographic order.  Then
+    q_k1 >= z_1 for each k, and z_1 = sum(l_k q_k1) + r_1 forces
+    q_k1 = z_1; so q_k2 >= z_2, forced equal the same way, and so on to
+    q_k = z, which no q_k is.  So C holds vertices only.  A vertex is
+    infeasible over any set of other points, so each visit of one adds
+    a vertex to C until it is the one added.  After the last visit C
+    is exactly V, in join order, and conv(C) + R^p_+ is the upper
+    image.
+
+    A visit margin over C is a margin over a subset of yn, a lower
+    bound on the full-width one: a positive one is final, and a zero
+    found before C last grew is solved again over V.  After C last
+    grew, C gives the upper image, so later visit margins are exact.
     """
     lattice = yn.lattice
     margins: list[Optional[Fraction]] = [None] * len(lattice)
-    frame: list[int] = []
+    frame = [_lex_min((1,) * yn.p, lattice)]
     zeros = []
     visits: list = []
     for i in sorted(range(len(lattice)), key=lambda i: sum(lattice[i])):
-        margin = _margin(lattice[i], [lattice[c] for c in frame], visits) if frame else None
-        if margin is None:
-            frame.append(i)
+        y = lattice[i]
+        while i not in frame:
+            cols = [lattice[c] for c in frame]
+            margin = _margin(y, cols, visits)
+            if margin is not None:
+                margins[i] = margin
+                if not margin:
+                    zeros.append((i, len(frame)))
+                break
+            frame.append(_certified_vertex(y, cols, lattice, visits[0]))
             visits = []
-        else:
-            margins[i] = margin
-            if not margin:
-                zeros.append((i, len(frame)))
     grown = len(frame)
-    for j in frame[:-1]:
-        margin = _margin(lattice[j], [lattice[c] for c in frame if c != j])
-        if margin is not None:
-            frame.remove(j)
-            margins[j] = margin
     vertex_rows = [lattice[c] for c in frame]
     recomputes: list = []
     for i, size in zeros:
         if size < grown:
             margins[i] = _margin(lattice[i], vertex_rows, recomputes)
     return margins
+
+
+def _certified_vertex(y, cols, lattice, ending) -> int:
+    """The vertex that y's infeasible margin program over the frame's
+    rows cols points at: the index in lattice of the lexicographic
+    minimizer of the Farkas weight w on its coordinate rows, read off
+    ending.  w must be >= 0 and nonzero, its minimizer must not be in
+    cols, and w . y < w . c for every c of cols, all checked in ints."""
+    w = _farkas(*ending)[1:]
+    if min(w) < 0 or not any(w):
+        raise ConsistencyError(f"Farkas weight {w} of {y} is not a nonzero weight >= 0")
+    z = _lex_min(w, lattice)
+    if lattice[z] in cols:
+        raise ConsistencyError(
+            f"Farkas weight {w} of {y} is minimized by the frame's {lattice[z]}"
+        )
+    score = sum(map(mul, w, y))
+    if any(sum(map(mul, w, c)) <= score for c in cols):
+        raise ConsistencyError(f"Farkas weight {w} does not separate {y} from {cols}")
+    return z
 
 
 @dataclass(frozen=True)

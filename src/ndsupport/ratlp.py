@@ -36,9 +36,11 @@ negative reduced cost; phase two bars the artificials.  Positive row
 and column scales change neither the sign of a reduced cost nor the
 order of the ratios, so the pivots and outcomes are those a
 ``Fraction`` tableau would give.  ``lp_solve`` returns the outcome
-alone; the private ``_solve`` also hands back the final phase-two
-dictionary and reduced-cost row, from which ``_unique_optimum`` reads
-whether the optimum is the only one.
+alone; the private ``_solve`` also hands back the final dictionary and
+reduced-cost row.  From an optimal one ``_unique_optimum`` reads
+whether the optimum is the only one, and from an infeasible one
+``_farkas`` reads multipliers on the program's rows that prove it
+infeasible.
 
 That final dictionary can also start a program that differs only in
 its right-hand side b' (Lemke 1954; Koberstein 2005).  It keeps a row
@@ -48,7 +50,11 @@ Row i's identity column is e_i, so d * B^-1 is read off the
 dictionary, and the rhs column becomes d * B^-1 b' in the old row
 signs.  The old basis stays dual feasible, and a dual simplex under
 Bland's dual rule (Bland 1977) finishes on the same Bareiss pivots;
-its optimum is read and re-checked as a cold one is.
+its optimum is read and re-checked as a cold one is.  The same map
+turns a row of the dictionary into a combination of the program's own
+rows: row i's identity label appears in row i alone, with coefficient
+1, so its coefficient in a dictionary row is row i's multiplier, and
+the signed scale carries it back to the row as given.
 
 Not built for speed beyond desk scale (a few hundred constraints): the
 dictionary is dense and nothing is factorized; a dictionary is reused
@@ -384,14 +390,67 @@ def _unique_optimum(tab: _Dictionary, r: list[int]) -> bool:
     return all(v > 0 for j, v in zip(tab.nonbasic, r) if j < tab.base_cols)
 
 
+def _farkas(tab: _Dictionary, r: list[int]) -> list[int]:
+    """Multipliers pi on the rows of tab's program, one per row, read
+    off an infeasible ending of ``_solve``: pi_i >= 0 on a ``<=`` row and
+    <= 0 on a ``>=`` row, pi . A >= 0 in every column, and pi . b < 0.
+    No x >= 0 meets them all: it would give 0 <= pi . A x <= pi . b,
+    the second row by row (Farkas 1902).  They are ints; any positive
+    multiple would do.
+
+    Kernel row i is signs[i] times program row i, plus its slack and
+    artificial, and its identity label units[i] has coefficient 1 there
+    and 0 in every other row.  A combination of kernel rows with
+    multipliers m is the program's rows with m_i * signs[i].
+
+    A warm ending has a row with a negative value, where ``dual_run``
+    stopped: the smallest basic label with one.  That row is d * B^-1
+    applied to the kernel rows, so m_i is its coefficient on units[i]
+    (d if that label is the row's own basic label, 0 if it is basic
+    elsewhere).  Every label below the artificials has a coefficient
+    >= 0 in it, so every column and every slack does, the slack's
+    sign giving pi_i's; the rhs is < 0.
+
+    A cold ending is phase one's optimum: every value >= 0, and the
+    sum of the artificials, weighted by c (lcm / |signs[i]| on row i's
+    artificial, as ``_solve`` weighs them), > 0.  Its simplex
+    multipliers u give units[i] the reduced cost c_i - u_i, and r holds
+    d times it off the basis (0 on it).  Every reduced cost is >= 0, so
+    u . A <= 0 on the program's columns and on each slack, and
+    u . b is the positive optimum: m = -d * u, that is, r on units[i]
+    minus d * c_i."""
+    d = tab.d
+    column = {label: j for j, label in enumerate(tab.nonbasic)}
+    negative = [i for i, row in enumerate(tab.rows) if row[-1] < 0]
+    if negative:
+        i = min(negative, key=tab.basic.__getitem__)
+        row, own = tab.rows[i], tab.basic[i]
+        m = [
+            d if unit == own else row[column[unit]] if unit in column else 0
+            for unit in tab.units
+        ]
+    else:
+        base = tab.base_cols
+        weight = lcm(*[abs(s) for u, s in zip(tab.units, tab.signs) if u >= base])
+        m = [
+            (r[column[u]] if u in column else 0)
+            - (d * weight // abs(s) if u >= base else 0)
+            for u, s in zip(tab.units, tab.signs)
+        ]
+    return [v * s for v, s in zip(m, tab.signs)]
+
+
 def _solve(
     program: LinearProgram,
     start: Optional[tuple[_Dictionary, list[int]]] = None,
-) -> tuple[LpOutcome, Optional[_Dictionary], Optional[list[int]]]:
-    """``lp_solve``'s outcome together with the final phase-two state:
-    the dictionary and its reduced-cost row (``d`` times the reduced
-    costs of the minimized objective).  A cold solve of an infeasible
-    program has no phase two, and both are then None.
+) -> tuple[LpOutcome, _Dictionary, list[int]]:
+    """``lp_solve``'s outcome together with the final state: the
+    dictionary and its reduced-cost row (``d`` times the reduced costs
+    of the objective it minimized).  That is phase two's, except when a
+    cold solve finds the program infeasible: it then ends in phase one,
+    and the state is phase one's, the sum of the artificials minimized
+    at a positive value.  Either infeasible ending is what ``_farkas``
+    reads.
 
     ``start`` is the final state of an earlier solve, which this one
     takes over and changes.  It is used when it ended a program with
@@ -401,7 +460,8 @@ def _solve(
     is set to this program's (``_rebase``) and the dual simplex
     finishes.  An infeasible result then hands back its dictionary,
     which is still a start.  Any other start is left alone and the
-    solve is cold."""
+    solve is cold.  A phase-one ending is never a start: one of its
+    artificials is basic at a positive value."""
     if start is not None and _rebase(program, *start):
         tab, r = start
         if tab.dual_run(r, tab.base_cols) == INFEASIBLE:
@@ -460,7 +520,7 @@ def _solve(
         if tab.run(r, base_cols + len(art_scales)) != OPTIMAL:
             raise ConsistencyError("phase one cannot be unbounded")
         if r[-1] != 0:
-            return LpOutcome(status=INFEASIBLE), None, None
+            return LpOutcome(status=INFEASIBLE), tab, r
         # Drive leftover artificials out of the basis (degenerate rows).
         for i in range(len(rows) - 1, -1, -1):
             if basic[i] < base_cols:

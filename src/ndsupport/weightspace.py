@@ -151,7 +151,7 @@ def decompose(outcome_set: OutcomeSet) -> list[WeightCell]:
     simplex, and together the cells cover the whole closed simplex.
     Degenerate (lower-dimensional) cells are included: they belong to
     the weakly-supported-only points.  The margins come from the pass
-    ``classify_all`` runs over its candidate frame: None exactly at a
+    ``classify_all`` runs over its frame of vertices: None exactly at a
     vertex, 0 exactly at a boundary point that is no vertex, and > 0
     (possibly below the full-width margin) in the interior, so each
     cell's verdict is read off the margin's sign.

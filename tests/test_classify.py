@@ -20,6 +20,7 @@ from ndsupport.classify import (
     WeightVector,
     _check_weight_certificate,
     _margin,
+    _margin_over_others,
     _margin_pass,
     _point_check,
     barycenter,
@@ -523,21 +524,20 @@ def margin_schedule(s, programs):
     ]
 
 
-# The frame pass visits PRUNING_ROWS by lattice row sum (45, 47, 55, 55,
-# 55 at S = 5) as y2, y5, y1, y3, y4.  y2 joins the empty frame with no
-# program; y5, y1 and y3 are infeasible over the frame and join it; y4
-# is feasible with a positive margin.  Then each member but y3, the last
-# to join, is solved over the rest: y2 stays, y5 (margin 0) is dropped,
-# and y1 stays.  y5's zero came after the frame last grew, so nothing
-# is solved again.
+# The frame pass starts the frame at y2, of least lattice row sum (45,
+# 47, 55, 55, 55 at S = 5), with no program, and visits y5, y1, y3, y4.
+# y5 is infeasible over y2; its Farkas weight's minimizer is y3, which
+# joins, and y5 is solved again over y2 and y3: margin 0, on their
+# segment.  y1 is infeasible over the two and is its own weight's
+# minimizer, so it joins with no second program.  y3 is in the frame,
+# and y4 is feasible with a positive margin.  y5's zero came before the
+# frame last grew, so it is solved again over V = y2, y3, y1.
 FRAME_SCHEDULE = [
     ("y5", 1),
+    ("y5", 2),
     ("y1", 2),
-    ("y3", 3),
-    ("y4", 4),
-    ("y2", 3),
+    ("y4", 3),
     ("y5", 3),
-    ("y1", 2),
 ]
 
 
@@ -552,12 +552,12 @@ class TestVertexPruning:
         assert report["y4"].label == Label.UNSUPPORTED
         assert report["y5"].label == Label.SUPPORTED
         kinds = [program_kind(program) for program in programs]
-        # Seven margin programs and no vertex program.  The margin proves
+        # Five margin programs and no vertex program.  The margin proves
         # y4 interior, which settles it: only the four boundary points
         # get a frontier and a witness program.
         per_point = ["frontier", "witness"]
-        assert kinds == ["boundary"] * 7 + per_point * (len(s) - 1)
-        assert margin_schedule(s, programs[:7]) == FRAME_SCHEDULE
+        assert kinds == ["boundary"] * 5 + per_point * (len(s) - 1)
+        assert margin_schedule(s, programs[:5]) == FRAME_SCHEDULE
         for program, kind in zip(programs, kinds):
             if kind == "frontier":
                 assert program.num_vars == vertices
@@ -598,7 +598,7 @@ class TestVertexPruning:
         s = validate_instance(PRUNING_ROWS)
         programs = record_programs(monkeypatch)
         cells = decompose(s)
-        assert [program_kind(program) for program in programs] == ["boundary"] * 7
+        assert [program_kind(program) for program in programs] == ["boundary"] * 5
         assert margin_schedule(s, programs) == FRAME_SCHEDULE
         # y4 is interior, so it has no cell; y5 is on the boundary but no
         # vertex, so its cell is a single weight.
@@ -644,12 +644,42 @@ def on_plane(p, total):
     return head.filter(lambda h: sum(h) <= total).map(lambda h: h + [total - sum(h)])
 
 
-# At visit time y4 = (0, 8, 8) lies on the segment between y2 and y3
-# with every candidate's first coordinate >= 0, so its margin over the
-# frame is 0.  y5, visited last (a row-sum tie after y4), joins the
-# frame, and a convex combination of y1 and y5 sits strictly below y4:
-# its full-width margin is positive.
-STALE_ZERO_ROWS = [[10, 2, 2], [0, 4, 12], [0, 12, 4], [0, 8, 8], [-2, 9, 9]]
+# The pass starts the frame at y3 = (7, 2, 1), of least row sum, and
+# visits y1, y4, y2 by row sum (15, 16, 17).  y1 is infeasible over y3
+# and its own Farkas weight's minimizer, so it joins.  y4 = (3, 10, 3)
+# is then at margin 0: (3, 10, 1), on the segment from y1 to y3, sits
+# below it, and no combination of the two is below it in the first
+# coordinate.  y2 = (3, 5, 9) joins next, and a convex combination of
+# all three sits strictly below y4: its full-width margin is positive.
+STALE_ZERO_ROWS = [[2, 12, 1], [3, 5, 9], [7, 2, 1], [3, 10, 3]]
+
+
+def least_row(yn):
+    """The index of the lexicographically smallest row of least sum."""
+    return min(range(len(yn)), key=lambda k: (sum(yn.lattice[k]), yn.lattice[k]))
+
+
+def frame_joins(monkeypatch):
+    """Every frame member that joins after the first, and every program
+    the classify module solves through _solve, from now on: a list of
+    ('join', index) and ('solve', program) events in the order they
+    happen."""
+    events = []
+    certified = ndsupport.classify._certified_vertex
+    solve = ndsupport.classify._solve
+
+    def joined(*args):
+        k = certified(*args)
+        events.append(("join", k))
+        return k
+
+    def solved(program, *start):
+        events.append(("solve", program))
+        return solve(program, *start)
+
+    monkeypatch.setattr(ndsupport.classify, "_certified_vertex", joined)
+    monkeypatch.setattr(ndsupport.classify, "_solve", solved)
+    return events
 
 
 class TestFramePass:
@@ -661,22 +691,28 @@ class TestFramePass:
             verdicts.update(None if m is None else bool(m) for m in margins)
         assert verdicts == {None, False, True}
 
-    def test_the_first_visited_point_is_solved_without_a_program(self, monkeypatch):
-        # The first program is the second visited point's, over the one
-        # column of the first: the first visited point joins the empty
-        # frame with no program.
+    def test_the_frame_starts_at_the_least_row_sum_with_no_program(
+        self, monkeypatch
+    ):
+        # The first member is the lexicographically smallest of the rows
+        # of least sum, and joins with no program.  The first program is
+        # the first visited point's other than it, over its one column.
         for s in differential_corpus() + [validate_instance([[4, 5, 6]])]:
             yn = nondom(s)
             programs = record_programs(monkeypatch)
             margins = _margin_pass(yn)
             monkeypatch.undo()
-            visit = sorted(yn.lattice, key=sum)
+            start = yn.lattice[least_row(yn)]
+            visit = [row for row in sorted(yn.lattice, key=sum) if row != start]
             if len(yn) == 1:
                 assert programs == [] and margins == [None]
                 continue
             first = programs[0].constraints[1:]
-            assert tuple(con.rhs for con in first) == visit[1]
-            assert [con.coeffs[:-1] for con in first] == [(v,) for v in visit[0]]
+            assert tuple(con.rhs for con in first) == visit[0]
+            assert [con.coeffs[:-1] for con in first] == [(v,) for v in start]
+            assert margins[yn.lattice.index(start)] is None
+            rhs = [tuple(con.rhs for con in p.constraints[1:]) for p in programs]
+            assert start not in rhs
 
     def test_a_zero_found_before_the_frame_last_grew_is_solved_again(
         self, monkeypatch
@@ -686,22 +722,77 @@ class TestFramePass:
         _margin_pass(nondom(s))
         monkeypatch.undo()
         margins = assert_frame_contract(nondom(s))
-        assert [m is None for m in margins] == [True, True, True, False, True]
+        assert [m is None for m in margins] == [True, True, True, False]
         assert margins[3] > 0
-        # Visits y2..y5; then each frame member but y5, the last to join;
-        # then y4 again over V = y1, y2, y3, y5.
+        # Visits y1, y4 and y2 over the frame as it stands, y1 and y2
+        # joining with no second program; then y4 again over V.
         assert margin_schedule(s, programs) == [
-            ("y2", 1),
-            ("y3", 2),
+            ("y1", 1),
+            ("y4", 2),
+            ("y2", 2),
             ("y4", 3),
-            ("y5", 3),
-            ("y1", 3),
-            ("y2", 3),
-            ("y3", 3),
-            ("y4", 4),
         ]
         report = {c.point_id: c.label for c in classify_all(s)}
         assert report["y4"] == Label.UNSUPPORTED
+
+    def test_every_frame_member_is_a_vertex(self, monkeypatch):
+        # Each member is checked against its margin over all the other
+        # points, not against the pass's own verdicts, and the members
+        # are then exactly the points with none.
+        sets = differential_corpus() + clip_corpus_sets(random.Random(79))
+        for s in sets:
+            yn = nondom(s)
+            events = frame_joins(monkeypatch)
+            margins = _margin_pass(yn)
+            monkeypatch.undo()
+            frame = [least_row(yn)] + [k for kind, k in events if kind == "join"]
+            assert len(frame) == len(set(frame))
+            vertices = [_margin_over_others(k, yn) is None for k in frame]
+            assert all(vertices), yn.coord_rows()
+            assert sorted(frame) == [k for k, m in enumerate(margins) if m is None]
+
+    def test_no_program_is_solved_over_the_frame_minus_one_member(
+        self, monkeypatch
+    ):
+        # Every margin program's columns are the whole frame as it
+        # stands, in join order: the frame never shrinks, and no member
+        # is solved over the others.
+        solved = 0
+        for s in differential_corpus():
+            yn = nondom(s)
+            events = frame_joins(monkeypatch)
+            _margin_pass(yn)
+            monkeypatch.undo()
+            frame = [yn.lattice[least_row(yn)]]
+            for kind, item in events:
+                if kind == "join":
+                    frame.append(yn.lattice[item])
+                    continue
+                cols = list(zip(*(c.coeffs for c in item.constraints[1:])))[:-1]
+                assert cols == frame, yn.coord_rows()
+                y = tuple(con.rhs for con in item.constraints[1:])
+                assert y not in frame
+                solved += 1
+        assert solved >= 600
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ((0, -1, 1), "not a nonzero weight >= 0"),
+            ((0, 0, 0), "not a nonzero weight >= 0"),
+            ((0, 1, 1), "minimized by the frame's"),
+            ((0, 1, 0), "does not separate"),
+        ],
+    )
+    def test_a_corrupted_farkas_weight_is_refused(self, monkeypatch, weight, message):
+        # y5 = (20, 27) is infeasible over the frame's first member
+        # y2 = (15, 30) (see FRAME_SCHEDULE).  A weight with a negative
+        # entry, or the zero weight, proves nothing; (1, 1) is minimized
+        # by y2 itself; (1, 0) is minimized by y1 = (10, 45), outside the
+        # frame, but scores y5 above y2.
+        monkeypatch.setattr(ndsupport.classify, "_farkas", lambda tab, r: list(weight))
+        with pytest.raises(ConsistencyError, match=message):
+            _margin_pass(nondom(validate_instance(PRUNING_ROWS)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from((2, 3)))

@@ -33,6 +33,7 @@ from ndsupport.ratlp import (
     _check_solution,
     _dot,
     _exact_vector,
+    _farkas,
     _scale,
     _solve,
     _unique_optimum,
@@ -940,10 +941,6 @@ class TestUniqueOptimum:
         assert [v for j, v in zip(tab.nonbasic, r) if j >= tab.base_cols] == [0]
         assert _unique_optimum(tab, r)
 
-    def test_an_infeasible_program_has_no_final_state(self):
-        out, tab, r = _solve(LinearProgram("min", (1,), (ge((1,), 2), le((1,), 1))))
-        assert out.status == INFEASIBLE and tab is None and r is None
-
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.data())
     def test_a_unique_optimum_does_not_depend_on_the_pivot_path(self, rng, data):
@@ -986,6 +983,104 @@ class TestUniqueOptimum:
             back[j] = moved.solution[k]
         assert moved.value == out.value
         assert tuple(back) == out.solution
+
+
+def assert_farkas(program, pi):
+    """pi, one multiplier per row of program, proves it infeasible, read
+    exactly against the program's own rows: pi_i >= 0 on a <= row and
+    <= 0 on a >= row, every column's combined coefficient >= 0, and the
+    combined rhs < 0."""
+    assert len(pi) == len(program.constraints), program
+    for v, con in zip(pi, program.constraints):
+        assert {LESS_EQUAL: v >= 0, EQUAL: True, GREATER_EQUAL: v <= 0}[con.relation]
+    for j in range(program.num_vars):
+        assert sum(v * con.coeffs[j] for v, con in zip(pi, program.constraints)) >= 0
+    assert sum(v * con.rhs for v, con in zip(pi, program.constraints)) < 0, program
+
+
+def farkas_of_every_ending(family, seen):
+    """Solve each program of family warm, from the final state of the one
+    before, and cold; check the multipliers of every infeasible ending.
+    seen counts the warm and the cold ones."""
+    start = None
+    for prog in family:
+        for out, tab, r in (_solve(prog, start), _solve(prog)):
+            if out.status == INFEASIBLE:
+                seen["warm" if start and tab is start[0] else "cold"] += 1
+                assert_farkas(prog, _farkas(tab, r))
+        start = tab, r
+
+
+class TestFarkas:
+    """``_solve`` hands back the dictionary an infeasible program ended
+    on, warm or cold, and ``_farkas`` reads off it multipliers on the
+    program's own rows that prove it infeasible."""
+
+    def test_every_infeasible_program_of_the_classify_corpus(self, monkeypatch):
+        seen = Counter()
+        for family in same_column_families(classify_corpus_programs(monkeypatch)):
+            farkas_of_every_ending(family, seen)
+        assert seen["warm"] >= 15 and seen["cold"] >= 300, seen
+
+    def test_every_infeasible_program_of_the_differential_corpus(self, monkeypatch):
+        seen = Counter()
+        solve = ndsupport.classify._solve
+
+        def checked(program, start=None):
+            out = solve(program, start)
+            if out[0].status == INFEASIBLE:
+                seen["warm" if start and out[1] is start[0] else "cold"] += 1
+                assert_farkas(program, _farkas(*out[1:]))
+            return out
+
+        monkeypatch.setattr(ndsupport.classify, "_solve", checked)
+        for s in differential_corpus():
+            classify_all(s)
+            cross_check(s)
+        assert seen["warm"] >= 30 and seen["cold"] >= 300, seen
+
+    def test_a_cold_infeasible_solve_hands_back_phase_one(self):
+        # x >= 2 and x <= 1: phase one ends with the >= row's artificial
+        # basic at a positive value, so the state is no start.
+        program = LinearProgram("min", (1,), (ge((1,), 2), le((1,), 1)))
+        out, tab, r = _solve(program)
+        assert out.status == INFEASIBLE
+        assert r[-1] < 0 and all(row[-1] >= 0 for row in tab.rows)
+        assert any(b >= tab.base_cols for b in tab.basic)
+        assert_farkas(program, _farkas(tab, r))
+        assert not ndsupport.ratlp._rebase(program, tab, r)
+
+    def test_a_negated_row(self):
+        # -x - y <= -3 is negated going in (its rhs is negative), and
+        # x + y <= 2 contradicts it.  Cold, and warm from a start that
+        # negated the same row.
+        program = lambda b: LinearProgram(
+            "min", (1, 0), (le((-1, -1), b), le((1, 1), 2))
+        )
+        out, tab, r = _solve(program(-3))
+        assert out.status == INFEASIBLE and tab.signs[0] < 0
+        assert_farkas(program(-3), _farkas(tab, r))
+        out, tab, r = _solve(program(-1))
+        assert out.status == OPTIMAL and tab.signs[0] < 0
+        out, warm, r = _solve(program(-3), (tab, r))
+        assert warm is tab and out.status == INFEASIBLE
+        assert_farkas(program(-3), _farkas(tab, r))
+
+    def test_a_fraction_row_scaled_by_six(self):
+        # x / 2 + y / 3 >= b is scaled by 6 going in; over x + y <= 1 it
+        # reaches 1/2 at most.  The other row's scale is 1, so a reader
+        # that leaves a row's scale on gets the combination wrong.
+        program = lambda b: LinearProgram(
+            "min", (1, 1), (ge((F(1, 2), F(1, 3)), b), le((1, 1), 1))
+        )
+        out, tab, r = _solve(program(1))
+        assert out.status == INFEASIBLE and tab.signs == [6, 1]
+        assert_farkas(program(1), _farkas(tab, r))
+        out, tab, r = _solve(program(F(1, 3)))
+        assert out.status == OPTIMAL
+        out, warm, r = _solve(program(1), (tab, r))
+        assert warm is tab and out.status == INFEASIBLE
+        assert_farkas(program(1), _farkas(tab, r))
 
 
 def same_column_families(programs):
