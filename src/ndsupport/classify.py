@@ -21,14 +21,17 @@ maximize eps such that a convex combination of other points sits at or
 below y - eps.  Over all the other points it is infeasible exactly when
 y is a vertex of the upper image; otherwise eps is 0 on the boundary
 and > 0 in the interior.  The pass solves each point over a frame of
-vertices, visiting points by row sum.  The frame grows only by a
-certified vertex: when a point is infeasible over it, the program's
-Farkas weight w (``ratlp._farkas``) is checked to separate the point
-from the frame, and the lexicographic minimizer of w over Y_N joins,
-a vertex by the lemma in ``_margin_pass``.  So the frame ends as
-exactly the vertex set V, and each vertex verdict rests on a checked
-certificate.  Every None and 0 is exact; a positive margin may be a
-lower bound, which decides the same verdict.  conv(Y_N) + R^p_+ =
+vertices, visiting points by row sum, and decides each visit once.
+When a point is infeasible over the frame, the program's Farkas weight
+w (``ratlp._farkas``) is checked to separate the point from the frame;
+when its margin is 0, its optimal weight w (``ratlp._duals``) is
+checked to score it at most as high as the frame, and a point that
+minimizes w over all of Y_N is a final zero.  Otherwise the
+lexicographic minimizer of w over Y_N joins the frame, a vertex by the
+lemma in ``_margin_pass``, and the point is solved again.  So the frame
+ends as exactly the vertex set V, and each vertex and each zero rests
+on a checked weight.  Every None and 0 is exact; a positive margin may
+be a lower bound, which decides the same verdict.  conv(Y_N) + R^p_+ =
 conv(V) + R^p_+, so frontier values over V columns are the full-width
 ones.  A margin eps > 0 settles the point with no further program
 (``_point_check`` says why).  A boundary point gets the frontier
@@ -44,17 +47,39 @@ keeps all three full-width programs for every point.
 A supported point is extreme exactly when it is a vertex, and a vertex
 off the frontier is a consistency failure.
 
+Each verdict rests on an object checked exactly; no program can be
+unbounded (one that is raises), so no ray is needed:
+
+* margin > 0 (interior, unsupported, empty ``wsd`` cell): the margin
+  program's primal (mu, eps) over a subset of Y_N, re-checked inside
+  ``ratlp._solve`` like every optimum;
+* margin program feasible over the other points (no vertex): that
+  primal mu;
+* margin 0 (boundary, nonempty ``wsd`` cell): the zero visit's optimal
+  weight w >= 0, w != 0, which y minimizes over Y_N, so w is a weight
+  in y's cell (``_certified_vertex``);
+* margin program infeasible over the other points (a vertex, so
+  extreme, and a full-dimensional ``wsd`` cell): the weight of the
+  visit that added y to the frame, a Farkas weight or a zero visit's
+  optimal weight, whose lexicographic minimizer over Y_N y is
+  (``_certified_vertex``);
+* witness program infeasible (``check`` only): a positive margin's
+  primal, through ``boundary_equivalence_ok``;
+* t > 0 (supported; frontier value S * sum(y)): the strict witness
+  lambda > 0 (``_check_weight_certificate``);
+* t = 0 (weakly supported only; frontier value < S * sum(y)): the
+  frontier primal, a point of conv(V) at or below y other than y.
+
 Programs with the same columns and objective that differ only in y's
 row form a family (``_family_solve``): each starts from the final
 dictionary of the one before, and a dual simplex finishes it
 (``ratlp._solve``).  The families are the margin visits between two
-growths of the frame, the zero recomputes over V, the frontier
-programs over V, and in ``cross_check`` the margin and the frontier
-programs over all of Y_N.  Only their optimal values and feasibility
-verdicts are read, and those do not depend on the pivot path; a
-Farkas weight is checked, so it need not be the one a cold solve
-would give.  The witness programs, whose optimal weight is printed,
-are solved cold.
+growths of the frame, the frontier programs over V, and in
+``cross_check`` the margin and the frontier programs over all of Y_N.
+Only their optimal values and feasibility verdicts are read, and those
+do not depend on the pivot path; a Farkas or optimal weight is
+checked, so it need not be the one a cold solve would give.  The
+witness programs, whose optimal weight is printed, are solved cold.
 
 Strict positivity is decided by a max-min program: maximize t subject
 to every weight at least t, weights summing to one, and the candidate
@@ -115,6 +140,7 @@ from .ratlp import (
     OPTIMAL,
     UNBOUNDED,
     _dot,
+    _duals,
     _farkas,
     _scale,
     _solve,
@@ -434,14 +460,25 @@ def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     replaces the full columns.  It starts as the lexicographically
     smallest row-sum minimizer.  Points are visited by lattice row sum,
     ties in yn's order; a member of C is skipped, and every other point
-    y is solved over C.  A point feasible over C lies in
-    conv(C) + R^p_+, inside the upper image, so it is no vertex.  When
-    y is infeasible, the program's Farkas multipliers (``ratlp._farkas``)
-    on its p coordinate rows are a weight w >= 0, w != 0, with
-    w . y < w . c for every c in C, which is checked in ints.  The
-    smallest row z of all of Y_N in the order (w . row, row) joins C;
-    w . z <= w . y, so z is not in C already, which is checked too.  If
-    z is not y, y is solved again over the grown C.
+    y is solved over C.  A positive margin over C is a margin over a
+    subset of yn, a lower bound on the full-width one, and final.  The
+    other two endings each give a weight w on the program's p
+    coordinate rows, checked in ints (``_certified_vertex``):
+
+    * Infeasible: the Farkas multipliers (``ratlp._farkas``) give
+      w >= 0, w != 0, with w . y < w . c for every c in C.
+    * Margin 0: the optimal multipliers (``ratlp._duals``) give w >= 0,
+      w != 0, with w . y <= w . c for every c in C, since the dual
+      optimum is the margin, 0.  If y minimizes w over all of Y_N, y is
+      on the boundary of the upper image, and feasible over C, so no
+      vertex: the zero is final, and w is a weight in y's cell.
+
+    Otherwise the smallest row z of all of Y_N in the order
+    (w . row, row) joins C.  For every c in C, w . z <= w . y < w . c
+    after an infeasible visit and w . z < w . y <= w . c after a zero,
+    so z is not in C already, which is checked too.  If z is not y, y
+    is solved again over the grown C.  Each visit thus ends final:
+    None, a checked zero, or a positive lower bound.
 
     Each z is a vertex.  Say z = sum(l_k q_k) + r, with l a convex
     weight, every l_k > 0, each q_k a point of Y_N other than z, and
@@ -455,55 +492,54 @@ def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     a vertex to C until it is the one added.  After the last visit C
     is exactly V, in join order, and conv(C) + R^p_+ is the upper
     image.
-
-    A visit margin over C is a margin over a subset of yn, a lower
-    bound on the full-width one: a positive one is final, and a zero
-    found before C last grew is solved again over V.  After C last
-    grew, C gives the upper image, so later visit margins are exact.
     """
     lattice = yn.lattice
     margins: list[Optional[Fraction]] = [None] * len(lattice)
     frame = [_lex_min((1,) * yn.p, lattice)]
-    zeros = []
     visits: list = []
     for i in sorted(range(len(lattice)), key=lambda i: sum(lattice[i])):
         y = lattice[i]
         while i not in frame:
             cols = [lattice[c] for c in frame]
-            margin = _margin(y, cols, visits)
-            if margin is not None:
-                margins[i] = margin
-                if not margin:
-                    zeros.append((i, len(frame)))
+            margins[i] = margin = _margin(y, cols, visits)
+            if margin:
                 break
-            frame.append(_certified_vertex(y, cols, lattice, visits[0]))
+            z = _certified_vertex(y, cols, lattice, visits[0], margin)
+            if z is None:
+                break
+            frame.append(z)
             visits = []
-    grown = len(frame)
-    vertex_rows = [lattice[c] for c in frame]
-    recomputes: list = []
-    for i, size in zeros:
-        if size < grown:
-            margins[i] = _margin(lattice[i], vertex_rows, recomputes)
     return margins
 
 
-def _certified_vertex(y, cols, lattice, ending) -> int:
-    """The vertex that y's infeasible margin program over the frame's
-    rows cols points at: the index in lattice of the lexicographic
-    minimizer of the Farkas weight w on its coordinate rows, read off
-    ending.  w must be >= 0 and nonzero, its minimizer must not be in
-    cols, and w . y < w . c for every c of cols, all checked in ints."""
-    w = _farkas(*ending)[1:]
+def _certified_vertex(y, cols, lattice, ending, margin) -> Optional[int]:
+    """What y's margin program over the frame's rows cols proves, read
+    off its ending: None when its margin is a final zero, else the
+    index in lattice of a vertex to join the frame.  margin is the
+    program's, None when it is infeasible and 0 at a zero optimum.  The
+    weight w on its coordinate rows is the Farkas multipliers of an
+    infeasible ending and the optimal ones of a zero, and must be >= 0
+    and nonzero.  A zero is final when y minimizes w over lattice.
+    Otherwise the vertex is w's lexicographic minimizer, which must not
+    be in cols, and w must score every c of cols above y: strictly
+    after an infeasible visit, at least as high after a zero.  All of
+    it is checked in ints."""
+    name = "Farkas weight" if margin is None else "Optimal weight"
+    w = (_farkas if margin is None else _duals)(*ending)[1:]
     if min(w) < 0 or not any(w):
-        raise ConsistencyError(f"Farkas weight {w} of {y} is not a nonzero weight >= 0")
+        raise ConsistencyError(f"{name} {w} of {y} is not a nonzero weight >= 0")
     z = _lex_min(w, lattice)
+    score = sum(map(mul, w, y))
+    if margin is not None and sum(map(mul, w, lattice[z])) == score:
+        return None
     if lattice[z] in cols:
         raise ConsistencyError(
-            f"Farkas weight {w} of {y} is minimized by the frame's {lattice[z]}"
+            f"{name} {w} of {y} is minimized by the frame's {lattice[z]}"
         )
-    score = sum(map(mul, w, y))
-    if any(sum(map(mul, w, c)) <= score for c in cols):
-        raise ConsistencyError(f"Farkas weight {w} does not separate {y} from {cols}")
+    # A visit over the frame must score y strictly below it when
+    # infeasible, and at most as high when its margin is 0.
+    if any(sum(map(mul, w, c)) < score + (margin is None) for c in cols):
+        raise ConsistencyError(f"{name} {w} does not separate {y} from {cols}")
     return z
 
 

@@ -38,7 +38,8 @@ order of the ratios, so the pivots and outcomes are those a
 ``Fraction`` tableau would give.  ``lp_solve`` returns the outcome
 alone; the private ``_solve`` also hands back the final dictionary and
 reduced-cost row.  From an optimal one ``_unique_optimum`` reads
-whether the optimum is the only one, and from an infeasible one
+whether the optimum is the only one and ``_duals`` reads an optimal
+dual solution on the program's rows, and from an infeasible one
 ``_farkas`` reads multipliers on the program's rows that prove it
 infeasible.
 
@@ -390,6 +391,26 @@ def _unique_optimum(tab: _Dictionary, r: list[int]) -> bool:
     return all(v > 0 for j, v in zip(tab.nonbasic, r) if j < tab.base_cols)
 
 
+def _duals(tab: _Dictionary, r: list[int]) -> list[int]:
+    """Multipliers m on the rows of tab's program, one per row, read off
+    an optimal ending of ``_solve``, cold or warm.  With c the objective
+    as minimized (negated for a maximum), s the lcm of its denominators
+    and x* the optimum: m_i >= 0 on a ``<=`` row and <= 0 on a ``>=``
+    row, d * s * c_j + m . A_j >= 0 in every column j, and
+    -m . b = d * s * (c . x*).  That is an optimal dual solution, times
+    d * s; the factor s is 1 for an int objective.
+
+    Kernel row i is signs[i] times program row i, plus its slack and
+    artificial, and its identity label units[i] has coefficient 1 there
+    and 0 in every other row, and cost 0.  With simplex multipliers u on
+    the kernel rows, r holds d times units[i]'s reduced cost, -u_i, off
+    the basis and 0 on it; so m_i is r on units[i] times signs[i].  A
+    row a cold phase one dropped as redundant had its artificial basic,
+    at cost 0, so its label is in no column and its multiplier reads 0."""
+    reduced = dict(zip(tab.nonbasic, r))
+    return [reduced.get(u, 0) * s for u, s in zip(tab.units, tab.signs)]
+
+
 def _farkas(tab: _Dictionary, r: list[int]) -> list[int]:
     """Multipliers pi on the rows of tab's program, one per row, read
     off an infeasible ending of ``_solve``: pi_i >= 0 on a ``<=`` row and
@@ -414,30 +435,24 @@ def _farkas(tab: _Dictionary, r: list[int]) -> list[int]:
     A cold ending is phase one's optimum: every value >= 0, and the
     sum of the artificials, weighted by c (lcm / |signs[i]| on row i's
     artificial, as ``_solve`` weighs them), > 0.  Its simplex
-    multipliers u give units[i] the reduced cost c_i - u_i, and r holds
-    d times it off the basis (0 on it).  Every reduced cost is >= 0, so
-    u . A <= 0 on the program's columns and on each slack, and
-    u . b is the positive optimum: m = -d * u, that is, r on units[i]
-    minus d * c_i."""
+    multipliers u give units[i] the reduced cost c_i - u_i.  Every
+    reduced cost is >= 0, so u . A <= 0 on the program's columns and on
+    each slack, and u . b is the positive optimum: m = -d * u, that is,
+    r on units[i] minus d * c_i.  So pi is the ``_duals`` read of this
+    ending with d * c_i * signs[i] taken off each artificial's row."""
     d = tab.d
-    column = {label: j for j, label in enumerate(tab.nonbasic)}
     negative = [i for i, row in enumerate(tab.rows) if row[-1] < 0]
     if negative:
         i = min(negative, key=tab.basic.__getitem__)
-        row, own = tab.rows[i], tab.basic[i]
-        m = [
-            d if unit == own else row[column[unit]] if unit in column else 0
-            for unit in tab.units
-        ]
-    else:
-        base = tab.base_cols
-        weight = lcm(*[abs(s) for u, s in zip(tab.units, tab.signs) if u >= base])
-        m = [
-            (r[column[u]] if u in column else 0)
-            - (d * weight // abs(s) if u >= base else 0)
-            for u, s in zip(tab.units, tab.signs)
-        ]
-    return [v * s for v, s in zip(m, tab.signs)]
+        entry = dict(zip(tab.nonbasic, tab.rows[i]))
+        entry[tab.basic[i]] = d
+        return [entry.get(u, 0) * s for u, s in zip(tab.units, tab.signs)]
+    base = tab.base_cols
+    weight = lcm(*[abs(s) for u, s in zip(tab.units, tab.signs) if u >= base])
+    return [
+        v - (d * weight // abs(s) * s if u >= base else 0)
+        for v, u, s in zip(_duals(tab, r), tab.units, tab.signs)
+    ]
 
 
 def _solve(

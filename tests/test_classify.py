@@ -528,16 +528,16 @@ def margin_schedule(s, programs):
 # 47, 55, 55, 55 at S = 5), with no program, and visits y5, y1, y3, y4.
 # y5 is infeasible over y2; its Farkas weight's minimizer is y3, which
 # joins, and y5 is solved again over y2 and y3: margin 0, on their
-# segment.  y1 is infeasible over the two and is its own weight's
-# minimizer, so it joins with no second program.  y3 is in the frame,
-# and y4 is feasible with a positive margin.  y5's zero came before the
-# frame last grew, so it is solved again over V = y2, y3, y1.
+# segment.  Its optimal weight, the segment's normal, scores y2, y3 and
+# y5 alike and every other point higher, so the zero is final; a strict
+# frame check would refuse that tie.  y1 is infeasible over the two and
+# is its own weight's minimizer, so it joins with no second program.
+# y3 is in the frame, and y4 is feasible with a positive margin.
 FRAME_SCHEDULE = [
     ("y5", 1),
     ("y5", 2),
     ("y1", 2),
     ("y4", 3),
-    ("y5", 3),
 ]
 
 
@@ -552,12 +552,12 @@ class TestVertexPruning:
         assert report["y4"].label == Label.UNSUPPORTED
         assert report["y5"].label == Label.SUPPORTED
         kinds = [program_kind(program) for program in programs]
-        # Five margin programs and no vertex program.  The margin proves
+        # Four margin programs and no vertex program.  The margin proves
         # y4 interior, which settles it: only the four boundary points
         # get a frontier and a witness program.
         per_point = ["frontier", "witness"]
-        assert kinds == ["boundary"] * 5 + per_point * (len(s) - 1)
-        assert margin_schedule(s, programs[:5]) == FRAME_SCHEDULE
+        assert kinds == ["boundary"] * 4 + per_point * (len(s) - 1)
+        assert margin_schedule(s, programs[:4]) == FRAME_SCHEDULE
         for program, kind in zip(programs, kinds):
             if kind == "frontier":
                 assert program.num_vars == vertices
@@ -598,7 +598,7 @@ class TestVertexPruning:
         s = validate_instance(PRUNING_ROWS)
         programs = record_programs(monkeypatch)
         cells = decompose(s)
-        assert [program_kind(program) for program in programs] == ["boundary"] * 5
+        assert [program_kind(program) for program in programs] == ["boundary"] * 4
         assert margin_schedule(s, programs) == FRAME_SCHEDULE
         # y4 is interior, so it has no cell; y5 is on the boundary but no
         # vertex, so its cell is a single weight.
@@ -649,8 +649,10 @@ def on_plane(p, total):
 # and its own Farkas weight's minimizer, so it joins.  y4 = (3, 10, 3)
 # is then at margin 0: (3, 10, 1), on the segment from y1 to y3, sits
 # below it, and no combination of the two is below it in the first
-# coordinate.  y2 = (3, 5, 9) joins next, and a convex combination of
-# all three sits strictly below y4: its full-width margin is positive.
+# coordinate.  But y2 = (3, 5, 9) scores below y4 under that zero's
+# optimal weight, so the zero is not final: y2 joins, and a convex
+# combination of all three sits strictly below y4: its full-width
+# margin is positive.
 STALE_ZERO_ROWS = [[2, 12, 1], [3, 5, 9], [7, 2, 1], [3, 10, 3]]
 
 
@@ -670,7 +672,8 @@ def frame_joins(monkeypatch):
 
     def joined(*args):
         k = certified(*args)
-        events.append(("join", k))
+        if k is not None:
+            events.append(("join", k))
         return k
 
     def solved(program, *start):
@@ -714,7 +717,7 @@ class TestFramePass:
             rhs = [tuple(con.rhs for con in p.constraints[1:]) for p in programs]
             assert start not in rhs
 
-    def test_a_zero_found_before_the_frame_last_grew_is_solved_again(
+    def test_a_zero_its_weight_does_not_certify_grows_the_frame(
         self, monkeypatch
     ):
         s = validate_instance(STALE_ZERO_ROWS)
@@ -722,14 +725,13 @@ class TestFramePass:
         _margin_pass(nondom(s))
         monkeypatch.undo()
         margins = assert_frame_contract(nondom(s))
-        assert [m is None for m in margins] == [True, True, True, False]
-        assert margins[3] > 0
-        # Visits y1, y4 and y2 over the frame as it stands, y1 and y2
-        # joining with no second program; then y4 again over V.
+        assert margins == [None, None, None, F(10, 29)]
+        # y1 joins with no second program; y4's zero over y3 and y1 is
+        # not certified, so y2 joins off its weight and y4 is solved
+        # again over V.  y2 is then in the frame, and gets no visit.
         assert margin_schedule(s, programs) == [
             ("y1", 1),
             ("y4", 2),
-            ("y2", 2),
             ("y4", 3),
         ]
         report = {c.point_id: c.label for c in classify_all(s)}
@@ -793,6 +795,41 @@ class TestFramePass:
         monkeypatch.setattr(ndsupport.classify, "_farkas", lambda tab, r: list(weight))
         with pytest.raises(ConsistencyError, match=message):
             _margin_pass(nondom(validate_instance(PRUNING_ROWS)))
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ((0, -1, 1), "not a nonzero weight >= 0"),
+            ((0, 0, 0), "not a nonzero weight >= 0"),
+            ((0, 1, 1), "minimized by the frame's"),
+            ((0, 1, 0), "does not separate"),
+        ],
+    )
+    def test_a_corrupted_zero_weight_is_refused(self, monkeypatch, weight, message):
+        # y5 = (20, 27) is at margin 0 over the frame y2 = (15, 30),
+        # y3 = (40, 15) (see FRAME_SCHEDULE).  A weight with a negative
+        # entry, or the zero weight, proves nothing.  (1, 1) and (1, 0)
+        # score the frame's y2 below y5, so y5 minimizes neither: (1, 1)
+        # is minimized by y2 itself, and (1, 0) by y1 = (10, 45), outside
+        # the frame, with y2 still below y5.
+        monkeypatch.setattr(ndsupport.classify, "_duals", lambda tab, r: list(weight))
+        with pytest.raises(ConsistencyError, match=f"Optimal weight .*{message}"):
+            _margin_pass(nondom(validate_instance(PRUNING_ROWS)))
+
+    def test_every_zero_margin_is_a_zero_over_all_the_others(self):
+        # The pass returns a zero only when the visit's weight is
+        # minimized by y over all of Y_N.  Checked against the margin
+        # over every other point, in sign classes: a positive margin of
+        # the pass may be a lower bound.
+        sets = differential_corpus() + clip_corpus_sets(random.Random(79))
+        zeros = 0
+        for s in sets:
+            yn = nondom(s)
+            for k, margin in enumerate(_margin_pass(yn)):
+                exact = _margin_over_others(k, yn)
+                assert (margin is None, margin == 0) == (exact is None, exact == 0)
+                zeros += margin == 0
+        assert zeros >= 100
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from((2, 3)))

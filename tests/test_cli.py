@@ -653,15 +653,15 @@ def count_classify_solves(monkeypatch) -> list:
 
 class TestSolveCount:
     """Each per-point program is solved at most once per classify run,
-    except the margin, which the frame pass may solve twice: a visit
-    over the candidate frame, then either a re-solve over the rest of
-    the frame (a frame member) or a recompute over V (a zero found
-    before the frame last grew); the first visited point needs no
-    visit.  The margin gives the vertex, boundary and interior
-    verdicts; then frontier and witness follow for each point on the
-    boundary (an interior point is settled by its margin).  The witness
-    program is over V rows, and a fallback to the full rows, when its
-    optimum is not provably unique, is one more solve."""
+    except the margin: the frame pass solves a point over the frame as
+    it stands, and again each time that visit adds another point to the
+    frame, off an infeasible program's Farkas weight or an uncertified
+    zero's optimal weight; the first frame member needs no visit.  The
+    margin gives the vertex, boundary and interior verdicts; then
+    frontier and witness follow for each point on the boundary (an
+    interior point is settled by its margin).  The witness program is
+    over V rows, and a fallback to the full rows, when its optimum is
+    not provably unique, is one more solve."""
 
     def test_at_most_four_solves_per_nondominated_point(
         self, counterexample_file, fig2d_file, monkeypatch, capsys
@@ -855,6 +855,15 @@ class TestLiftGenDichotomic:
         path.write_text(json.dumps(doc))
         assert main(["dichotomic", str(path)]) == 2
         assert "not a rational literal" in capsys.readouterr().err
+
+
+def test_a_malformed_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"points": [[1, true], [2, 3]]}')
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points[0][1]: booleans are not coordinates\n"
 
 
 def test_module_invocation_smoke(tmp_path):

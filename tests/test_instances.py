@@ -9,6 +9,7 @@ from conftest import COUNTEREXAMPLE_ROWS, random_rows
 from ndsupport.classify import weakly_supported_witness
 from ndsupport.errors import EnumerationCapError, ParseError, ValidationError
 from ndsupport.instances import (
+    ENUM_CAP_ENV_VAR,
     AssignmentSpec,
     KnapsackSpec,
     enumerate_assignment,
@@ -16,6 +17,7 @@ from ndsupport.instances import (
     generate_assignment,
     generate_knapsack,
     generate_points,
+    knapsack_item_cap,
     lift_zero_objective,
     parse_instance,
     serialize_instance,
@@ -130,6 +132,131 @@ class TestParse:
     def test_ambiguous_document_rejected(self):
         with pytest.raises(ParseError, match="exactly one"):
             parse_instance('{"points": [[1,2]], "knapsack": {}}')
+
+
+def document(text):
+    return lambda monkeypatch: parse_instance(text)
+
+
+def negative_item_cap(monkeypatch):
+    monkeypatch.setenv(ENUM_CAP_ENV_VAR, "-1")
+    return knapsack_item_cap()
+
+
+# Each refusal of malformed input, the error type it raises and the text
+# that locates it.
+REFUSALS = {
+    "boolean coordinate": (
+        document('{"points": [[1, true], [2, 3]]}'),
+        ParseError,
+        "points[0][1]: booleans are not coordinates",
+    ),
+    "top level not an object": (
+        document("[[1, 2], [2, 1]]"),
+        ParseError,
+        "top level must be a JSON object",
+    ),
+    "empty points": (
+        document('{"points": []}'),
+        ParseError,
+        '"points" must be a nonempty list of rows',
+    ),
+    "points not a list": (
+        document('{"points": {"y1": [1, 2]}}'),
+        ParseError,
+        '"points" must be a nonempty list of rows',
+    ),
+    "row not a list": (
+        document('{"points": [[1, 2], 3]}'),
+        ParseError,
+        "points[1]: expected a list",
+    ),
+    "knapsack not an object": (
+        document('{"knapsack": [1, 2]}'),
+        ParseError,
+        '"knapsack" must be an object',
+    ),
+    "items not a list": (
+        document('{"knapsack": {"capacity": 1, "items": {}}}'),
+        ParseError,
+        'knapsack "items" must be a list',
+    ),
+    "item not an object": (
+        document('{"knapsack": {"capacity": 1, "items": [[1, [1, 2]]]}}'),
+        ParseError,
+        "items[0]: expected an object",
+    ),
+    "item costs not a list": (
+        document('{"knapsack": {"capacity": 1, "items": [{"weight": 1, "costs": 3}]}}'),
+        ParseError,
+        "items[0].costs: expected a list",
+    ),
+    "assignment not an object": (
+        document('{"assignment": 3}'),
+        ParseError,
+        '"assignment" must be an object',
+    ),
+    "costs not a list": (
+        document('{"assignment": {"costs": "1, 2"}}'),
+        ParseError,
+        'assignment "costs" must be a nonempty matrix',
+    ),
+    "costs row not a list": (
+        document('{"assignment": {"costs": [3]}}'),
+        ParseError,
+        "costs[0]: expected a list",
+    ),
+    "cost cell not a list": (
+        document('{"assignment": {"costs": [[3]]}}'),
+        ParseError,
+        "costs[0][0]: expected a cost vector",
+    ),
+    "empty first row": (
+        document('{"assignment": {"costs": [[]]}}'),
+        ParseError,
+        "costs[0]: empty row, cannot infer objective count",
+    ),
+    "n disagrees": (
+        document('{"assignment": {"n": 2, "costs": [[[1, 2]]]}}'),
+        ParseError,
+        "assignment.n disagrees with the cost matrix size",
+    ),
+    "non-square matrix": (
+        document('{"assignment": {"costs": [[[1, 2], [2, 1]]]}}'),
+        ValidationError,
+        "assignment cost matrix is not square (row 0)",
+    ),
+    "knapsack p < 2": (
+        lambda monkeypatch: KnapsackSpec(p=1, capacity=3, items=((1, (1,)),)),
+        ValidationError,
+        "bi-objective minimum violated",
+    ),
+    "assignment p < 2": (
+        lambda monkeypatch: AssignmentSpec(p=1, costs=(((1,),),)),
+        ValidationError,
+        "bi-objective minimum violated",
+    ),
+    "negative item cap": (
+        negative_item_cap,
+        ValidationError,
+        f"{ENUM_CAP_ENV_VAR} must be nonnegative",
+    ),
+    "serialize another type": (
+        lambda monkeypatch: serialize_instance([[1, 2], [2, 1]]),
+        ValidationError,
+        "cannot serialize list",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, error, where", REFUSALS.values(), ids=list(REFUSALS)
+)
+def test_malformed_input_is_refused_where_it_is(monkeypatch, build, error, where):
+    with pytest.raises(ValidationError) as refused:
+        build(monkeypatch)
+    assert type(refused.value) is error
+    assert str(refused.value) == where
 
 
 class TestRoundTrip:

@@ -32,6 +32,7 @@ from ndsupport.ratlp import (
     _HOLDS,
     _check_solution,
     _dot,
+    _duals,
     _exact_vector,
     _farkas,
     _scale,
@@ -1081,6 +1082,131 @@ class TestFarkas:
         out, warm, r = _solve(program(1), (tab, r))
         assert warm is tab and out.status == INFEASIBLE
         assert_farkas(program(1), _farkas(tab, r))
+
+
+def assert_duals(program, outcome, m, d):
+    """m, one multiplier per row of program, is an optimal dual solution
+    times d * s, read exactly against the program's own rows, with c the
+    objective as minimized and s the lcm of its denominators: m_i >= 0
+    on a <= row and <= 0 on a >= row, d * s * c_j + m . A_j >= 0 in
+    every column j (dual feasibility, so complementary slackness holds
+    at equality below), and -m . b = d * s * (c . x*), the primal
+    optimum."""
+    assert len(m) == len(program.constraints), program
+    scale, c = _scale(program.objective)
+    sign = -1 if program.sense == "max" else 1
+    for v, con in zip(m, program.constraints):
+        assert {LESS_EQUAL: v >= 0, EQUAL: True, GREATER_EQUAL: v <= 0}[con.relation]
+    for j in range(program.num_vars):
+        combined = sum(v * con.coeffs[j] for v, con in zip(m, program.constraints))
+        assert d * sign * c[j] + combined >= 0, program
+    dual = -sum(v * con.rhs for v, con in zip(m, program.constraints))
+    assert dual == d * scale * sign * outcome.value, program
+
+
+def duals_of_every_ending(family, seen):
+    """Solve each program of family warm, from the final state of the one
+    before, and cold; check the multipliers of every optimal ending.
+    seen counts the warm and the cold ones."""
+    start = None
+    for prog in family:
+        for out, tab, r in (_solve(prog, start), _solve(prog)):
+            if out.status == OPTIMAL:
+                seen["warm" if start and tab is start[0] else "cold"] += 1
+                assert_duals(prog, out, _duals(tab, r), tab.d)
+        start = tab, r
+
+
+class TestDuals:
+    """``_duals`` reads an optimal dual solution on the program's own
+    rows off an optimal ending of ``_solve``, warm or cold, scaled by
+    the dictionary's divisor and the objective's lcm."""
+
+    def test_every_optimal_program_of_the_classify_corpus(self, monkeypatch):
+        seen = Counter()
+        for family in same_column_families(classify_corpus_programs(monkeypatch)):
+            duals_of_every_ending(family, seen)
+        assert seen["warm"] >= 400 and seen["cold"] >= 1100, seen
+
+    def test_every_optimal_program_of_the_differential_corpus(self, monkeypatch):
+        seen = Counter()
+        solve = ndsupport.classify._solve
+
+        def checked(program, start=None):
+            out = solve(program, start)
+            if out[0].status == OPTIMAL:
+                seen["warm" if start and out[1] is start[0] else "cold"] += 1
+                assert_duals(program, out[0], _duals(*out[1:]), out[1].d)
+            return out
+
+        monkeypatch.setattr(ndsupport.classify, "_solve", checked)
+        for s in differential_corpus():
+            classify_all(s)
+            cross_check(s)
+        assert seen["warm"] >= 1800 and seen["cold"] >= 1700, seen
+
+    def test_random_programs(self):
+        # Fraction objectives and rows, every relation, and rows a cold
+        # phase one drops as redundant, whose multipliers read 0.
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(1000):
+            prog = random_program(rng)
+            out, tab, r = _solve(prog)
+            if out.status != OPTIMAL:
+                continue
+            seen["optimal"] += 1
+            seen["fraction objective"] += _scale(prog.objective)[0] > 1
+            seen["row dropped"] += len(tab.rows) < len(prog.constraints)
+            assert_duals(prog, out, _duals(tab, r), tab.d)
+        assert seen["optimal"] >= 300 and seen["fraction objective"] >= 250, seen
+        assert seen["row dropped"] >= 5, seen
+
+    def test_a_fraction_objective_carries_its_lcm(self):
+        # min x / 2 + y / 3 over x + y >= 1 is 1/3 at y = 1, with dual
+        # multiplier 1/3 on the row; as minimized, times d * 6, that is
+        # -2 * d.
+        program = LinearProgram("min", (F(1, 2), F(1, 3)), (ge((1, 1), 1),))
+        out, tab, r = _solve(program)
+        assert out.value == F(1, 3)
+        assert _duals(tab, r) == [-2 * tab.d]
+        assert_duals(program, out, _duals(tab, r), tab.d)
+
+    def test_a_negated_row(self):
+        # -x - y <= b with b < 0 is negated going in, and x + y <= 5
+        # caps it: min x + 2 y is -b, with multiplier 1 on the first row.
+        # Cold, and warm from a start that negated the same row.
+        program = lambda b: LinearProgram(
+            "min", (1, 2), (le((-1, -1), b), le((1, 1), 5))
+        )
+        out, tab, r = _solve(program(-3))
+        assert out.value == 3 and tab.signs[0] < 0
+        assert _duals(tab, r) == [tab.d, 0]
+        assert_duals(program(-3), out, _duals(tab, r), tab.d)
+        out, tab, r = _solve(program(-1))
+        out, warm, r = _solve(program(-4), (tab, r))
+        assert warm is tab and out.value == 4
+        assert _duals(tab, r) == [tab.d, 0]
+        assert_duals(program(-4), out, _duals(tab, r), tab.d)
+
+    def test_a_fraction_row_scaled_by_six(self):
+        # x / 2 + y / 3 >= b is scaled by 6 going in; with x + y <= 4,
+        # min x + y is 2 b at x = 2 b, with multiplier -2 on that row.
+        # The other row's scale is 1, so a reader that leaves a row's
+        # scale off gets the combination wrong.
+        program = lambda b: LinearProgram(
+            "min", (1, 1), (ge((F(1, 2), F(1, 3)), b), le((1, 1), 4))
+        )
+        out, tab, r = _solve(program(1))
+        assert out.value == 2 and tab.signs == [6, 1]
+        assert _duals(tab, r) == [-2 * tab.d, 0]
+        assert_duals(program(1), out, _duals(tab, r), tab.d)
+        out, tab, r = _solve(program(F(1, 3)))
+        assert out.value == F(2, 3)
+        out, warm, r = _solve(program(1), (tab, r))
+        assert warm is tab and out.value == 2
+        assert _duals(tab, r) == [-2 * tab.d, 0]
+        assert_duals(program(1), out, _duals(tab, r), tab.d)
 
 
 def same_column_families(programs):
