@@ -27,7 +27,8 @@ w (``ratlp._farkas``) is checked to separate the point from the frame;
 when its margin is 0, its optimal weight w (``ratlp._duals``) is
 checked to score it at most as high as the frame, and a point that
 minimizes w over all of Y_N is a final zero.  Otherwise the
-lexicographic minimizer of w over Y_N joins the frame, a vertex by the
+lexicographic minimizer of w over Y_N (``outcomes._least_rows``, the
+package's one weighted-sum oracle) joins the frame, a vertex by the
 lemma in ``_margin_pass``, and the point is solved again.  So the frame
 ends as exactly the vertex set V, and each vertex and each zero rests
 on a checked weight.  Every None and 0 is exact; a positive margin may
@@ -93,7 +94,7 @@ cell's verdicts from the margin pass.
 
 Every program is built on the set's integer lattice (``OutcomeSet``:
 each coordinate times S, the lcm of the set's denominators), so its
-rows reach ``lp_solve`` as ints.  A row times S > 0 keeps the
+rows reach the kernel as ints.  A row times S > 0 keeps the
 solutions, the pivots, the optimal t and the statuses; a frontier value
 is S times the rational one and is compared with S times sum(y), and a
 boundary margin is zero on either scale.  The weight certificate reads
@@ -127,7 +128,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import ConsistencyError, ValidationError
-from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
+from .outcomes import OutcomePoint, OutcomeSet, _least_rows, filter_nondominated
 from .ratlp import (
     EQUAL,
     GREATER_EQUAL,
@@ -139,7 +140,6 @@ from .ratlp import (
     MINIMIZE,
     OPTIMAL,
     UNBOUNDED,
-    _dot,
     _duals,
     _farkas,
     _scale,
@@ -171,11 +171,10 @@ class WeightVector:
         return all(v > 0 for v in self.values)
 
     def dot(self, coords) -> Fraction:
-        """Exact weighted sum, accumulated over one common denominator
-        and reduced once at the end."""
+        """Exact weighted sum."""
         if len(coords) != len(self.values):
             raise ValidationError("weight/point dimension mismatch")
-        return Fraction(*_dot(self.values, coords))
+        return sum(map(mul, self.values, coords))
 
     def __len__(self):
         return len(self.values)
@@ -443,13 +442,6 @@ def _margin_over_others(k: int, yn: OutcomeSet) -> Optional[Fraction]:
     return _margin(rows[k], rows[:k] + rows[k + 1 :])
 
 
-def _lex_min(w, lattice) -> int:
-    """The index of the smallest row of lattice in the order
-    (w . row, row): of the rows minimizing w . row, the first in
-    lexicographic order.  Rows are distinct, so it is one row."""
-    return min((sum(map(mul, w, row)), row, k) for k, row in enumerate(lattice))[2]
-
-
 def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     """Each point's margin, in yn's order: None exactly for a vertex of
     the upper image, 0 exactly for a boundary point that is no vertex,
@@ -495,7 +487,7 @@ def _margin_pass(yn: OutcomeSet) -> list[Optional[Fraction]]:
     """
     lattice = yn.lattice
     margins: list[Optional[Fraction]] = [None] * len(lattice)
-    frame = [_lex_min((1,) * yn.p, lattice)]
+    frame = [_least_rows((1,) * yn.p, lattice)[1]]
     visits: list = []
     for i in sorted(range(len(lattice)), key=lambda i: sum(lattice[i])):
         y = lattice[i]
@@ -528,7 +520,7 @@ def _certified_vertex(y, cols, lattice, ending, margin) -> Optional[int]:
     w = (_farkas if margin is None else _duals)(*ending)[1:]
     if min(w) < 0 or not any(w):
         raise ConsistencyError(f"{name} {w} of {y} is not a nonzero weight >= 0")
-    z = _lex_min(w, lattice)
+    z = _least_rows(w, lattice)[1]
     score = sum(map(mul, w, y))
     if margin is not None and sum(map(mul, w, lattice[z])) == score:
         return None

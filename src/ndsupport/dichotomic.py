@@ -4,24 +4,28 @@ The anchors are the oracle's minimizers for the unit weights (1, 0) and
 (0, 1), one call each.  A zero-component weight may tie at points that
 are not vertices, but the tied points share the weighted coordinate, so
 the lexicographic tie-break picks the one smallest in the other: the
-lexicographic minimum, which is the vertex.  The driver then
-recursively probes the exact normal of each candidate segment.  A probe
-that beats the segment value exposes a new vertex; a probe that
-matches it certifies the segment as an edge.
+lexicographic minimum, which is the vertex.  The driver then probes
+the exact normal of each pending segment [a, b] between two vertices,
+a left of b.  Under that normal a and b score the same, and the
+segment is an edge exactly when the oracle returns a: a point scoring
+below them is a new vertex, and otherwise every tie lies on the
+segment's line, where no point of the set lies left of the vertex a,
+so a has the least first coordinate of the ties and wins the
+tie-break.  The probe needs no score of its own.
 
-The weighted-sum oracle breaks ties lexicographically, which keeps the
-recursion deterministic and vertex-directed.  It scores the set's
-integer lattice with integer weights, both positive scalings of the
-exact values by ``ratlp._scale``, so its argmin and tie-break are those
-of the exact weighted sum; the chain check below reads the same
-lattice, on which every point lies on the same side of every edge line
-as its exact coordinates do.  All weights are exact segment normals, so no
-tolerance enters anywhere.  The result carries one certifying weight per
-extreme: an interior vertex gets the average of its two adjacent
-segment normals (strictly positive, uniquely optimal there); the
-outermost vertices blend their single adjacent normal with the
-matching unit weight.  One exact sweep over the set checks the chain
-and every witness at once (``_check_chain``).
+The weighted-sum oracle is ``outcomes._least_rows``; its lexicographic
+tie-break keeps the search deterministic and vertex-directed.  It
+scores the set's integer lattice with integer weights, both positive
+scalings of the exact values by ``ratlp._scale``, so its argmin and
+tie-break are those of the exact weighted sum; the chain check below
+reads the same lattice, on which every point lies on the same side of
+every edge line as its exact coordinates do.  All weights are exact
+segment normals, so no tolerance enters anywhere.  The result carries
+one certifying weight per extreme: an interior vertex gets the average
+of its two adjacent segment normals (strictly positive, uniquely
+optimal there); the outermost vertices blend their single adjacent
+normal with the matching unit weight.  One exact sweep over the set
+checks the chain and every witness at once (``_check_chain``).
 
 The search runs over the non-dominated subset Y_N only.  Under a weight
 lam >= 0 a dominated point scores at or above the point that dominates
@@ -36,11 +40,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .classify import WeightVector
 from .errors import ConsistencyError, ValidationError
-from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
+from .outcomes import OutcomePoint, OutcomeSet, _least_rows, filter_nondominated
 from .ratlp import _scale
 
 _HALF = Fraction(1, 2)
@@ -71,16 +74,8 @@ class DichotomicResult:
 def weighted_sum_argmin(lam: WeightVector, outcome_set: OutcomeSet) -> OutcomePoint:
     """Minimizer of the weighted sum; ties break to the lexicographically
     smallest coordinate vector.  Works for any number of objectives."""
-    if len(lam) != outcome_set.p:
-        raise ValidationError(
-            f"weight vector has {len(lam)} components, instance has {outcome_set.p}"
-        )
     _, weights = _scale(lam.values)
-    rows = outcome_set.lattice
-    scores = [sum(map(mul, weights, row)) for row in rows]
-    low = min(scores)
-    best = min((k for k, s in enumerate(scores) if s == low), key=rows.__getitem__)
-    return outcome_set.points[best]
+    return outcome_set.points[_least_rows(weights, outcome_set.lattice)[1]]
 
 
 def _segment_normal(a: OutcomePoint, b: OutcomePoint) -> WeightVector:
@@ -99,15 +94,21 @@ def _probe(
     outcome_set: OutcomeSet, a: OutcomePoint, b: OutcomePoint, calls: list[int]
 ) -> list[OutcomePoint]:
     """Extremes strictly between a and b, in coordinate order; adds one
-    to calls[0] per oracle call.  A module-level function rather than a
-    closure: a recursive closure refers to itself through its cell, and
-    that cycle would keep the outcome set alive until a full collection."""
-    lam = _segment_normal(a, b)
-    calls[0] += 1
-    c = weighted_sum_argmin(lam, outcome_set)
-    if lam.dot(c.coords) == lam.dot(a.coords):
-        return []
-    return _probe(outcome_set, a, c, calls) + [c] + _probe(outcome_set, c, b, calls)
+    to calls[0] per oracle call.  The pending segments are a stack with
+    the leftmost on top, so the edges are certified from left to right,
+    each one's right end the next extreme, and the probes run in the
+    order a left-first recursion would make them, with no nesting."""
+    found = []
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        calls[0] += 1
+        c = weighted_sum_argmin(_segment_normal(a, b), outcome_set)
+        if c.id == a.id:
+            found.append(b)
+        else:
+            pending += [(c, b), (a, c)]
+    return found[:-1]
 
 
 def _check_chain(

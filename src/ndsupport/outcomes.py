@@ -10,8 +10,9 @@ A set is stored on its integer lattice: every coordinate scaled to an
 int by ``ratlp._scale``, and rows of ints are their own lattice, kept
 as given.  A positive scaling keeps equality, dominance, weighted-sum
 order and lexicographic order, so the distinctness check at
-construction, the Pareto filter here and the weighted-sum oracle in
-``dichotomic`` run on ints, and so do the classify writers in ``cli``.
+construction, the Pareto filter and the weighted-sum oracle here
+(``_least_rows``) run on ints, and so do the classify writers in
+``cli``.
 The exact ``OutcomePoint``s, which certificates read, are built from
 the lattice when first read, so an enumerated set builds them for its
 non-dominated points only.  Sets are immutable and the functions here
@@ -28,7 +29,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
-from operator import le
+from operator import le, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -261,6 +262,29 @@ def dominates(a: OutcomePoint, b: OutcomePoint) -> bool:
         if x < y:
             strict = True
     return strict
+
+
+def _least_rows(
+    weights: Sequence[int], rows: Sequence[tuple[int, ...]]
+) -> tuple[list[int], int]:
+    """The package's one weighted-sum oracle, on a set's lattice rows.
+
+    Returns the indices of the rows of least score weights . row, in
+    row order, and the lexicographically smallest of those rows; rows
+    are distinct, so it is one.  Every minimality question the package
+    asks reads it: the margin pass's frame (``classify``), the
+    ``dichotomic`` search and ``weightspace.cell_membership``.  Integer
+    weights that are a positive scaling of exact ones, on the lattice,
+    give the exact weighted sum's minimizers and tie-break."""
+    if len(weights) != len(rows[0]):
+        raise ValidationError(
+            f"weight vector has {len(weights)} components, "
+            f"instance has {len(rows[0])}"
+        )
+    scores = [sum(map(mul, weights, row)) for row in rows]
+    low = min(scores)
+    ties = [k for k, s in enumerate(scores) if s == low]
+    return ties, min(ties, key=rows.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import eq, ge, le, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ConsistencyError, ValidationError
 
@@ -130,18 +130,6 @@ def _exact_vector(values: Iterable) -> tuple[Fraction | int, ...]:
     if _plain_ints(values):
         return tuple(values)
     return tuple([v if type(v) is int else rational(v) for v in values])
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[int, int]:
-    """Exact inner product as (numerator, denominator > 0), accumulated
-    over one common denominator and not reduced."""
-    num, den = 0, 1
-    for u, v in zip(a, b):
-        d = u.denominator * v.denominator
-        common = lcm(den, d)
-        num = num * (common // den) + u.numerator * v.numerator * (common // d)
-        den = common
-    return num, den
 
 
 def format_rational(value: Fraction):

@@ -42,10 +42,9 @@ from math import gcd
 from typing import Optional
 
 from .classify import WeightVector, _cell_program, _index, _margin_over_others, _margin_pass
-from .dichotomic import weighted_sum_argmin
 from .errors import ValidationError
-from .outcomes import OutcomePoint, OutcomeSet, filter_nondominated
-from .ratlp import EQUAL, LinearConstraint
+from .outcomes import OutcomePoint, OutcomeSet, _least_rows, filter_nondominated
+from .ratlp import EQUAL, LinearConstraint, _scale
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -167,15 +166,17 @@ def cell_membership(
 
     The tie set ranges over all stored points; the returned winner is
     the lexicographically smallest non-dominated minimizer, so its
-    weight cell is guaranteed to contain lam.
+    weight cell is guaranteed to contain lam.  Both are read off the
+    lattice by the one weighted-sum oracle, ``outcomes._least_rows``,
+    so no point is built.
     """
     # No Pareto filter needed: a point dominating the lexicographically
     # smallest minimizer would, as lam >= 0, also minimize and be
     # lexicographically smaller.
-    winner = weighted_sum_argmin(lam, outcome_set)
-    best = lam.dot(winner.coords)
-    ties = tuple(pt.id for pt in outcome_set if lam.dot(pt.coords) == best)
-    return winner.id, ties
+    _, weights = _scale(lam.values)
+    ties, winner = _least_rows(weights, outcome_set.lattice)
+    ids = outcome_set.ids
+    return ids[winner], tuple([ids[k] for k in ties])
 
 
 def cell_interval(cell: WeightCell) -> Optional[tuple[Fraction, Fraction]]:

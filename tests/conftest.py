@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from ndsupport.instances import lift_zero_objective
 from ndsupport.outcomes import validate_instance
@@ -238,3 +239,57 @@ def differential_corpus():
         sets.append(base)
         sets.append(lift_zero_objective(base))
     return sets
+
+
+# Exact coordinates for the strategies below: small ints, so equal
+# scores and dominated points are common, and rationals over 1..12.
+_COORD = st.one_of(
+    st.integers(0, 30), st.builds(F, st.integers(0, 360), st.integers(1, 12))
+)
+_STEP = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_POSITIVE = st.builds(F, st.integers(1, 24), st.integers(1, 4))
+
+
+@st.composite
+def rows_with_runs(draw, p):
+    """Exact rows in p objectives: scattered points and up to three
+    collinear runs, each 2 to 6 equally spaced points along a rational
+    step.  Rows may repeat; ``validate_instance`` collapses them."""
+    rows = draw(st.lists(st.tuples(*[_COORD] * p), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.tuples(*[_COORD] * p))
+        step = draw(st.tuples(*[_STEP] * p))
+        count = draw(st.integers(2, 6))
+        rows += [tuple(a + j * d for a, d in zip(start, step)) for j in range(count)]
+    if not rows:
+        rows.append(draw(st.tuples(*[_COORD] * p)))
+    return rows
+
+
+@st.composite
+def chain_rows_with_runs(draw):
+    """Bi-objective rows whose lower hull is known to have collinear
+    runs: a strictly convex decreasing chain with rational steps and
+    slopes, up to three equally spaced points inside each of its edges,
+    points the chain's first point dominates and, at times,
+    ``rows_with_runs(2)``, whose points may cut the chain, in drawn
+    order."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.lists(_POSITIVE, min_size=n, max_size=n))
+    slopes = draw(st.lists(_POSITIVE, min_size=n, max_size=n, unique=True))
+    chain = [(F(0), sum(dx * sl for dx, sl in zip(steps, slopes)))]
+    for dx, sl in zip(steps, sorted(slopes, reverse=True)):
+        chain.append((chain[-1][0] + dx, chain[-1][1] - dx * sl))
+    rows = list(chain)
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
+        inside = draw(st.integers(0, 3))
+        rows += [
+            (x0 + (x1 - x0) * j / (inside + 1), y0 + (y1 - y0) * j / (inside + 1))
+            for j in range(1, inside + 1)
+        ]
+    top = chain[0][1]
+    above = st.tuples(_COORD, _COORD.map(lambda v: top + v))
+    rows += draw(st.lists(above, max_size=4))
+    if draw(st.booleans()):
+        rows += draw(rows_with_runs(2))
+    return draw(st.permutations(rows))

@@ -1,13 +1,20 @@
 import gc
+import inspect
 import random
+import sys
 import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ndsupport.dichotomic
-from conftest import hull_labels_2d, random_rational_rows, random_rows
+from conftest import (
+    chain_rows_with_runs,
+    hull_labels_2d,
+    random_rational_rows,
+    random_rows,
+)
 from ndsupport.classify import (
     Label,
     WeightVector,
@@ -16,7 +23,7 @@ from ndsupport.classify import (
 )
 from ndsupport.dichotomic import _check_chain, dichotomic_extremes, weighted_sum_argmin
 from ndsupport.errors import ConsistencyError, ValidationError
-from ndsupport.outcomes import validate_instance
+from ndsupport.outcomes import filter_nondominated, validate_instance
 
 
 def fraction_argmin(lam, outcome_set):
@@ -344,3 +351,58 @@ class TestChainSweep:
         # the check the sweep replaced: one pass over the set per extreme
         for pt, lam in zip(result.extremes, result.witness_weights):
             _check_weight_certificate(lam, s.ids.index(pt.id), s)
+
+
+def fraction_edge_search(outcome_set):
+    """The search as a recursion with the Fraction edge test the module
+    replaced, kept as the reference: a probe certifies an edge when its
+    minimizer scores exactly as the segment's left end does.  Returns
+    the extremes and the oracle calls, the two anchors included."""
+    yn = filter_nondominated(outcome_set).nondominated
+    calls = [2]
+
+    def probe(a, b):
+        d1, d2 = a.coords[1] - b.coords[1], b.coords[0] - a.coords[0]
+        lam = WeightVector((d1 / (d1 + d2), d2 / (d1 + d2)))
+        calls[0] += 1
+        c = fraction_argmin(lam, yn)
+        if lam.dot(c.coords) == lam.dot(a.coords):
+            return []
+        return probe(a, c) + [c] + probe(c, b)
+
+    left = fraction_argmin(WeightVector((1, 0)), yn)
+    right = fraction_argmin(WeightVector((0, 1)), yn)
+    if left.id == right.id:
+        return [left], calls[0]
+    return [left] + probe(left, right) + [right], calls[0]
+
+
+class TestEdgeRule:
+    """A segment between two vertices is an edge exactly when the oracle
+    returns its left end; the Fraction score test says the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain_rows_with_runs())
+    def test_matches_the_fraction_edge_test(self, rows):
+        s = validate_instance(rows)
+        extremes, calls = fraction_edge_search(s)
+        result = dichotomic_extremes(s)
+        assert [e.id for e in result.extremes] == [e.id for e in extremes]
+        assert list(result.witness_weights) == chain_witnesses(extremes)
+        assert result.oracle_calls == calls
+
+    def test_a_steep_curve_nests_no_call_per_extreme(self):
+        # Every point is extreme, and each probe's minimizer is the point
+        # next to the segment's left end, so a recursive search would
+        # nest once per extreme: 300 levels, under a limit of 100 more
+        # than the depth here.
+        s = validate_instance([[i, 1024 ** (300 - i)] for i in range(301)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            result = dichotomic_extremes(s)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [e.id for e in result.extremes] == list(s.ids)
+        assert list(result.witness_weights) == chain_witnesses(result.extremes)
+        assert result.oracle_calls == 2 * 301 - 1

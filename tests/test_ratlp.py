@@ -31,7 +31,6 @@ from ndsupport.ratlp import (
     UNBOUNDED,
     _HOLDS,
     _check_solution,
-    _dot,
     _duals,
     _exact_vector,
     _farkas,
@@ -199,6 +198,18 @@ def _certify(program, outcome):
     assert outcome.solution is not None
     d, x = _scale(outcome.solution)
     _check_solution(program, x, d)
+
+
+def _dot(a, b):
+    """Reference: exact inner product as (numerator, denominator > 0),
+    accumulated over one common denominator and not reduced."""
+    num, den = 0, 1
+    for u, v in zip(a, b):
+        d = u.denominator * v.denominator
+        common = math.lcm(den, d)
+        num = num * (common // den) + u.numerator * v.numerator * (common // d)
+        den = common
+    return num, den
 
 
 def holds_at(con, x):

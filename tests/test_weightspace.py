@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     COUNTEREXAMPLE_ROWS,
@@ -13,6 +14,7 @@ from conftest import (
     reference_below_program,
     reference_is_vertex,
     reference_vertices,
+    rows_with_runs,
 )
 from ndsupport.classify import (
     Label,
@@ -23,10 +25,16 @@ from ndsupport.classify import (
     _margin_pass,
     _on_frontier,
     _witness,
+    barycenter,
     classify_all,
 )
+from ndsupport.dichotomic import weighted_sum_argmin
 from ndsupport.errors import ValidationError
-from ndsupport.instances import lift_zero_objective
+from ndsupport.instances import (
+    enumerate_knapsack,
+    generate_knapsack,
+    lift_zero_objective,
+)
 from ndsupport.outcomes import OutcomePoint, filter_nondominated, validate_instance
 from ndsupport.ratlp import (
     EQUAL,
@@ -583,6 +591,43 @@ class TestCellMembership:
         for lam in _simplex_sample(3, 6):
             winner, _ = cell_membership(lam, s)
             assert satisfies(cells[winner].hrep, tuple(lam))
+
+
+def reference_cell_membership(lam, outcome_set):
+    """``cell_membership`` as it was, kept as the reference: the
+    ``weighted_sum_argmin`` winner, then an exact ``WeightVector.dot``
+    scan over every stored point for the points scoring as it does."""
+    winner = weighted_sum_argmin(lam, outcome_set)
+    best = lam.dot(winner.coords)
+    return winner.id, tuple(pt.id for pt in outcome_set if lam.dot(pt.coords) == best)
+
+
+class TestCellMembershipReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 4))
+    def test_matches_the_fraction_scan(self, data, p):
+        s = validate_instance(data.draw(rows_with_runs(p)))
+        raw = data.draw(st.lists(st.integers(0, 4), min_size=p, max_size=p))
+        raw[data.draw(st.integers(0, p - 1))] += 1
+        weights = [WeightVector(tuple(F(r, sum(raw)) for r in raw)), barycenter(p)]
+        units = [tuple(int(k == i) for k in range(p)) for i in range(p)]
+        weights += [WeightVector(u) for u in units]
+        if p == 2 and len(s) > 1:
+            # the normal of a segment between two stored points, under
+            # which both score the same
+            a, b = data.draw(st.permutations(s.points))[:2]
+            d1, d2 = a.coords[1] - b.coords[1], b.coords[0] - a.coords[0]
+            if d1 * d2 > 0:
+                weights.append(WeightVector((d1 / (d1 + d2), d2 / (d1 + d2))))
+        for lam in weights:
+            assert cell_membership(lam, s) == reference_cell_membership(lam, s)
+
+    def test_an_enumerated_set_builds_no_point(self):
+        s = enumerate_knapsack(generate_knapsack(13, 2, 0))
+        lam = WeightVector((F(1, 3), F(2, 3)))
+        got = cell_membership(lam, s)
+        assert "points" not in vars(s)
+        assert got == reference_cell_membership(lam, s)
 
 
 def _simplex_sample(p, denominator):
